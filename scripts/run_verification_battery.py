@@ -70,14 +70,9 @@ def main() -> int:
         else:
             summary = SweepSummary(claim)
             with open(outdir / f"{tag}.jsonl", "w") as fh:
-                from fractions import Fraction
-
                 for rd in sweep_reports(cfg, workers=args.workers):
                     fh.write(json.dumps(rd) + "\n")
-                    m = rd["margin"]
-                    margin = None if m is None else Fraction(
-                        int(m.split("/")[0]), int(m.split("/")[1]))
-                    summary.record(rd["instance"], rd["verdict"], margin)
+                    summary.record_json(rd)
                 fh.write(json.dumps(summary.to_json_dict()) + "\n")
         dt = time.time() - t0
         d = summary.to_json_dict()

@@ -2,9 +2,9 @@
 weighted counterexample search, all emitting JSON (JSON lines for streams).
 
 Exit codes: 0 all claims hold / count produced, 1 at least one violation or
-a counterexample was found, 2 usage or input error (single-line diagnostic
-on stderr).  Numeric payloads are strings ("p/q" rationals, decimal
-integers) so consumers never lose precision.
+a counterexample was found, 2 usage or input error, 3 internal error (2 and
+3 with a single-line diagnostic on stderr).  Numeric payloads are strings
+("p/q" rationals, decimal integers) so consumers never lose precision.
 """
 
 from __future__ import annotations
@@ -38,20 +38,8 @@ from .counting import (
     ind_count,
     wr_count,
 )
-from .verify import (
-    VIOLATED,
-    check_balanced_bipartite_bound,
-    check_correlation_coloring,
-    check_cycle_packing_bound,
-    check_cycle_packing_headline,
-    check_connected_ind_bound,
-    check_connected_wr_bound,
-    check_edge_ratio,
-    check_free_energy_envelope,
-    check_sidorenko_bound,
-    check_wr_lemma,
-)
-from .sweeps import SweepConfig, sweep_reports, sweep_summary, SweepSummary
+from .verify import VIOLATED
+from .sweeps import CLAIMS, SweepConfig, sweep_reports, sweep_summary, SweepSummary
 from .search import edge_mono_scan, find_counterexample
 
 
@@ -74,17 +62,12 @@ class RunConfig:
     output: Optional[str] = None
 
 
-VERIFY_CLAIMS = (
-    "thm1_1", "eq_col", "eq_ind", "eq_wr", "sidorenko",
-    "cor1_2", "cor1_4", "cor1_6", "wr_lemma", "remark2_2", "balanced",
-)
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="homverify", description=__doc__)
     p.add_argument("--output", help="write output here instead of stdout")
+    # a string default goes through type=int, so a bad value is a usage error
     p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("HOMVERIFY_WORKERS", "1")),
+                   default=os.environ.get("HOMVERIFY_WORKERS", "1"),
                    help="parallel workers (default $HOMVERIFY_WORKERS or 1)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps an
     # unset subcommand flag from stomping a value given before it
@@ -111,7 +94,7 @@ def build_parser() -> _Parser:
     c.add_argument("--override-size-guard", action="store_true")
 
     c = sub.add_parser("verify", help="check one claim on one instance")
-    c.add_argument("claim", choices=VERIFY_CLAIMS)
+    c.add_argument("claim", choices=tuple(CLAIMS))
     add_graph(c)
     c.add_argument("--q", type=int)
     c.add_argument("--ell", type=int, default=6)
@@ -119,7 +102,8 @@ def build_parser() -> _Parser:
     c.add_argument("--target", help="target for sidorenko")
 
     c = sub.add_parser("sweep", help="exhaustive sweep over labeled graphs")
-    c.add_argument("--claim", required=True)
+    c.add_argument("--claim", required=True,
+                   choices=tuple(name for name, claim in CLAIMS.items() if claim.sweep))
     c.add_argument("--max-n", type=int, required=True)
     c.add_argument("--q", type=int, action="append",
                    help="color count; repeat for several")
@@ -209,9 +193,9 @@ def _run_count(args, out: _Out) -> int:
     elif args.what == "chrom":
         val = chrom_eval(g, _need_q(args))
     elif args.what == "ind":
-        val = ind_count(g)
+        val = ind_count(g, **kw)
     else:
-        val = wr_count(g)
+        val = wr_count(g, **kw)
     out.line({"count": _fmt_count(val)})
     return 0
 
@@ -225,35 +209,13 @@ def _run_poly(args, out: _Out) -> int:
 
 def _run_verify(args, out: _Out) -> int:
     g = _load_graph(args.graph, args.format)
-    claim = args.claim
-    if claim == "thm1_1":
-        reports = check_correlation_coloring(g, _need_q(args))
-    elif claim == "eq_col":
-        reports = [check_edge_ratio(g, "coloring", _parse_edge(args.edge), _need_q(args))]
-    elif claim == "eq_ind":
-        reports = [check_edge_ratio(g, "independent", _parse_edge(args.edge))]
-    elif claim == "eq_wr":
-        reports = [check_edge_ratio(g, "wr", _parse_edge(args.edge))]
-    elif claim == "sidorenko":
-        if not args.target:
-            raise UsageError("sidorenko needs --target")
-        reports = [check_sidorenko_bound(g, _load_target(args.target))]
-    elif claim == "cor1_2":
-        q = _need_q(args)
-        reports = [check_cycle_packing_bound(g, q, args.ell),
-                   check_cycle_packing_headline(g, q, args.ell)]
-    elif claim == "cor1_4":
-        reports = [check_connected_ind_bound(g)]
-    elif claim == "cor1_6":
-        reports = [check_connected_wr_bound(g)]
-    elif claim == "wr_lemma":
-        reports = [check_wr_lemma(g, _parse_edge(args.edge))]
-    elif claim == "remark2_2":
-        reports = [check_free_energy_envelope(g, _need_q(args))]
-    else:
-        reports = [check_balanced_bipartite_bound(g, _need_q(args))]
+    claim = CLAIMS[args.claim]
+    target = _load_target(args.target) if claim.target and args.target else None
+    claim.check(() if args.q is None else (args.q,), target)
+    edge = _parse_edge(args.edge) if claim.edge else None
+    params = argparse.Namespace(q=args.q, ell=args.ell, edge=edge, target=target)
     bad = False
-    for r in reports:
+    for r in claim.verify(g, params):
         out.line(r.to_json_dict())
         bad = bad or r.verdict == VIOLATED
     return 1 if bad else 0
@@ -263,19 +225,13 @@ def _run_sweep(args, out: _Out, workers: int) -> int:
     qs = tuple(args.q) if args.q else ()
     target = _load_target(args.target) if args.target else None
     cfg = SweepConfig(args.claim, args.max_n, qs=qs, ell=args.ell, target=target)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     if args.summary_only:
         summary = sweep_summary(cfg, workers=workers)
     else:
         summary = SweepSummary(cfg.claim)
         for rd in sweep_reports(cfg, workers=workers):
             out.line(rd)
-            m = rd["margin"]
-            margin = None if m is None else Fraction(int(m.split("/")[0]), int(m.split("/")[1]))
-            summary.record(rd["instance"], rd["verdict"], margin)
+            summary.record_json(rd)
     out.line(summary.to_json_dict())
     return 1 if summary.violated else 0
 
@@ -338,6 +294,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, SizeGuardError, FileNotFoundError, ValueError) as exc:
         print(f"homverify: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, never a verdict: keep 1 for violations
+        msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"homverify: internal error: {msg}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,6 +35,8 @@ from .graphs import (
 )
 
 HOM_GUARD_BITS = 64          # reject hom_count when n*log2(k) exceeds this
+IND_GUARD_VERTICES = 40      # reject ind_count beyond this many vertices
+WR_GUARD_VERTICES = 24       # reject wr_count beyond this many (2^n white sets)
 CHROM_POLY_EDGE_GUARD = 40   # reject chrom_poly beyond this many edges
 
 
@@ -417,11 +419,14 @@ def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
     return _ind_branch(nbr, alive ^ b) + _ind_branch(nbr, alive & ~(nbr[best] | b))
 
 
-def ind_count(g: Graph, constraint: Optional[ListConstraint] = None) -> int:
+def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
+              override_guard: bool = False) -> int:
     """Number of independent sets compatible with the constraint (targets
     are subsets of {IND_OUT, IND_IN} of the hard-core target).  Branching
     recursion per connected component; equals hom_count against the
     hard-core target."""
+    if g.n > IND_GUARD_VERTICES and not override_guard:
+        raise SizeGuardError(f"ind_count guard: {g.n} vertices")
     c = constraint or EMPTY_CONSTRAINT
     c.validate(g.n, 2)
 
@@ -466,7 +471,8 @@ def path_ind_fib(n: int) -> int:
 # Widom-Rowlinson configurations
 # ---------------------------------------------------------------------------
 
-def wr_count(g: Graph, constraint: Optional[ListConstraint] = None) -> int:
+def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
+             override_guard: bool = False) -> int:
     """Red/white/blue colorings where red and blue are never adjacent,
     restricted by the constraint (targets in {WR_A, WR_B, WR_C}).
 
@@ -474,6 +480,8 @@ def wr_count(g: Graph, constraint: Optional[ListConstraint] = None) -> int:
     fixed, every remaining component is monochromatic red or blue, so each
     component contributes the number of end colors its vertices all allow.
     Independent of (and checked against) the homomorphism route."""
+    if g.n > WR_GUARD_VERTICES and not override_guard:
+        raise SizeGuardError(f"wr_count guard: {g.n} vertices")
     c = constraint or EMPTY_CONSTRAINT
     c.validate(g.n, 3)
 
@@ -592,6 +600,8 @@ __all__ = [
     "EMPTY_CONSTRAINT",
     "HARD_CORE",
     "HOM_GUARD_BITS",
+    "IND_GUARD_VERTICES",
+    "WR_GUARD_VERTICES",
     "CHROM_POLY_EDGE_GUARD",
     "IND_IN",
     "IND_OUT",

@@ -21,6 +21,8 @@ import numpy as np
 from .graphs import Graph, TargetGraph, bipartition, to_graph6
 from .counting import hom_count
 
+MAX_N = 7  # largest vertex count for enumeration, sweeps and scans
+
 
 # ---------------------------------------------------------------------------
 # Labeled graph enumeration
@@ -49,8 +51,8 @@ def enumerate_graphs(n: int, *, connected: bool = False,
                      bipartite: bool = False) -> Iterator[Graph]:
     """All labeled graphs on n vertices in lexicographic edge-set order,
     optionally filtered."""
-    if not 1 <= n <= 8:
-        raise ValueError("enumeration supports 1 <= n <= 8")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"enumeration supports 1 <= n <= {MAX_N}")
     for edges in iter_edge_sets(n):
         g = Graph(n, frozenset(edges))
         if connected and not g.is_connected():
@@ -96,8 +98,8 @@ def edge_mono_scan(target: TargetGraph, max_n: int, *,
                    bipartite_only: bool = False) -> ScanResult:
     """Minimum of hom(H,G)/hom(H-e,G) over all labeled H up to max_n
     vertices and all edges, against the threshold hom(K_2,G)/v(G)^2."""
-    if max_n > 7:
-        raise ValueError("scan supports max_n <= 7")
+    if not 1 <= max_n <= MAX_N:
+        raise ValueError(f"scan supports max_n in 1..{MAX_N}")
     threshold = target.edge_weight_sum / target.k ** 2
     tested_h = 0
     tested_edges = 0

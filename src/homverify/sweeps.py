@@ -1,4 +1,8 @@
-"""Exhaustive sweeps over labeled small graphs.
+"""Exhaustive sweeps over labeled small graphs, and the claim table.
+
+``CLAIMS`` is the one list of claims: for each, the parameters it needs,
+its per-instance checks for ``homverify verify``, its sweep expansion and
+its summary kernel.  The CLI and both sweep modes read it.
 
 Two execution paths share one instance enumeration:
 
@@ -45,20 +49,20 @@ from .counting import (
 )
 from .verify import (
     FLOAT_TOL,
-    HOLDS,
     INAPPLICABLE,
-    VIOLATED,
     Report,
     check_balanced_bipartite_bound,
     check_correlation_coloring,
     check_cycle_packing_bound,
+    check_cycle_packing_headline,
     check_connected_ind_bound,
     check_connected_wr_bound,
     check_edge_ratio,
+    check_free_energy_envelope,
     check_sidorenko_bound,
     check_wr_lemma,
 )
-from .search import iter_edge_sets
+from .search import MAX_N, iter_edge_sets
 
 BATCH_SIZE = 4096
 
@@ -76,26 +80,38 @@ class SweepSummary:
     first_tight_instance: Optional[str] = None
     first_violation: Optional[str] = None
 
-    def record(self, instance: str, verdict: str, margin: Optional[Fraction]) -> None:
+    def record_margin(self, instance_fn: Callable[[], str], diff: int, den: int) -> None:
+        """Record one applicable instance with margin diff/den (den > 0);
+        the claim holds iff diff >= 0.  instance_fn builds the instance
+        string and is only called when the string is kept; a Fraction is
+        only built when the minimum margin improves."""
         self.instances += 1
-        if verdict == INAPPLICABLE:
-            self.inapplicable += 1
-            return
-        if verdict == HOLDS:
+        if diff >= 0:
             self.holds += 1
         else:
             self.violated += 1
             if self.first_violation is None:
-                self.first_violation = instance
-        if margin is None:
-            return
-        if self.min_margin is None or margin < self.min_margin:
-            self.min_margin = margin
-            self.min_margin_instance = instance
-        if margin == 0:
+                self.first_violation = instance_fn()
+        if diff == 0:
             self.tight_count += 1
             if self.first_tight_instance is None:
-                self.first_tight_instance = instance
+                self.first_tight_instance = instance_fn()
+        cur = self.min_margin
+        if cur is None or diff * cur.denominator < cur.numerator * den:
+            self.min_margin = Fraction(diff, den)
+            self.min_margin_instance = instance_fn()
+
+    def record(self, instance: str, verdict: str, margin: Optional[Fraction]) -> None:
+        if verdict == INAPPLICABLE:
+            self.instances += 1
+            self.inapplicable += 1
+        else:
+            self.record_margin(lambda: instance, margin.numerator, margin.denominator)
+
+    def record_json(self, rd: dict) -> None:
+        """Record a report given in its JSON form (Report.to_json_dict)."""
+        m = rd["margin"]
+        self.record(rd["instance"], rd["verdict"], None if m is None else Fraction(m))
 
     def merge(self, other: "SweepSummary") -> None:
         self.instances += other.instances
@@ -163,12 +179,6 @@ def _map_batches(fn: Callable, jobs, workers: int):
         yield from pool.imap(fn, jobs, chunksize=1)
 
 
-SWEEP_CLAIMS = (
-    "thm1_1", "eq_col", "eq_ind", "eq_wr", "wr_lemma",
-    "sidorenko", "cor1_2", "cor1_4", "cor1_6", "balanced",
-)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     claim: str
@@ -178,72 +188,25 @@ class SweepConfig:
     target: Optional[TargetGraph] = None
 
     def validate(self) -> None:
-        if self.claim not in SWEEP_CLAIMS:
+        claim = CLAIMS.get(self.claim)
+        if claim is None or claim.sweep is None:
             raise ValueError(f"unknown sweep claim {self.claim!r}")
-        if not 1 <= self.max_n <= 7:
-            raise ValueError("sweeps support max_n in 1..7")
-        if self.claim in ("thm1_1", "eq_col", "cor1_2", "balanced") and not self.qs:
-            raise ValueError(f"claim {self.claim} needs q")
-        if self.claim == "sidorenko" and self.target is None:
-            raise ValueError("sidorenko sweep needs a target")
+        if not 1 <= self.max_n <= MAX_N:
+            raise ValueError(f"sweeps support max_n in 1..{MAX_N}")
+        claim.check(self.qs, self.target)
 
 
 # ---------------------------------------------------------------------------
 # Report mode: per-instance checkers, streamed
 # ---------------------------------------------------------------------------
 
-def _reports_for_graph(cfg: SweepConfig, g: Graph) -> list[Report]:
-    claim = cfg.claim
-    if claim == "thm1_1":
-        if not g.is_connected() or bipartition(g) is None:
-            return []
-        out = []
-        for q in cfg.qs:
-            out.extend(check_correlation_coloring(g, q))
-        return out
-    if claim == "eq_col":
-        if bipartition(g) is None:
-            return []
-        out = []
-        for q in cfg.qs:
-            for e in g.sorted_edges:
-                out.append(check_edge_ratio(g.delete_edge(*e), "coloring", e, q))
-        return out
-    if claim == "eq_ind":
-        return [check_edge_ratio(g, "independent", e) for e in g.sorted_edges]
-    if claim == "eq_wr":
-        return [check_edge_ratio(g, "wr", e) for e in g.sorted_edges]
-    if claim == "wr_lemma":
-        return [check_wr_lemma(g, e) for e in g.sorted_edges]
-    if claim == "sidorenko":
-        if not g.is_connected():
-            return []
-        return [check_sidorenko_bound(g, cfg.target)]
-    if claim == "cor1_2":
-        if bipartition(g) is None:
-            return []
-        return [check_cycle_packing_bound(g, q, cfg.ell) for q in cfg.qs]
-    if claim == "cor1_4":
-        if not g.is_connected():
-            return []
-        return [check_connected_ind_bound(g)]
-    if claim == "cor1_6":
-        if not g.is_connected():
-            return []
-        return [check_connected_wr_bound(g)]
-    if claim == "balanced":
-        if bipartition(g) is None:
-            return []
-        return [check_balanced_bipartite_bound(g, q) for q in cfg.qs]
-    raise ValueError(claim)
-
-
 def _report_batch(args) -> list[dict]:
     cfg, n, edge_sets = args
+    sweep = CLAIMS[cfg.claim].sweep
     out = []
     for edges in edge_sets:
         g = Graph(n, frozenset(edges))
-        out.extend(r.to_json_dict() for r in _reports_for_graph(cfg, g))
+        out.extend(r.to_json_dict() for r in sweep(g, cfg))
     return out
 
 
@@ -274,65 +237,23 @@ def _identified_edges(n: int, edges: frozenset, u: int, v: int) -> tuple:
     return tuple(sorted(merged))
 
 
-class _Tracker:
-    """Minimum-margin fold with integer cross-multiplied comparisons; a
-    Fraction is only built when the minimum improves."""
-
-    __slots__ = ("summary",)
-
-    def __init__(self, claim: str):
-        self.summary = SweepSummary(claim)
-
-    def holds_ratio(self, instance_fn, num: int, den: int, thr_num: int, thr_den: int) -> None:
-        """Record claim num/den >= thr_num/thr_den (den, thr_den > 0).
-        Margin is num/den - thr_num/thr_den."""
-        s = self.summary
-        s.instances += 1
-        diff = num * thr_den - thr_num * den
-        if diff >= 0:
-            s.holds += 1
-        else:
-            s.violated += 1
-            if s.first_violation is None:
-                s.first_violation = instance_fn()
-        if diff == 0:
-            s.tight_count += 1
-            if s.first_tight_instance is None:
-                s.first_tight_instance = instance_fn()
-        mden = den * thr_den
-        cur = s.min_margin
-        if cur is None or diff * cur.denominator < cur.numerator * mden:
-            s.min_margin = Fraction(diff, mden)
-            s.min_margin_instance = instance_fn()
-
-    def record(self, instance: str, verdict: str, margin: Optional[Fraction]) -> None:
-        self.summary.record(instance, verdict, margin)
-
-
 def _summary_batch(args) -> SweepSummary:
     cfg, n, edge_sets = args
-    claim = cfg.claim
-    tr = _Tracker(claim)
+    claim = CLAIMS[cfg.claim]
+    fold = claim.fold
+    s = SweepSummary(cfg.claim)
     for edges in edge_sets:
         g = Graph(n, frozenset(edges))
-        if claim == "eq_ind":
-            _fold_eq_ind(tr, g)
-        elif claim == "eq_wr":
-            _fold_eq_wr(tr, g)
-        elif claim == "thm1_1":
-            _fold_thm1_1(tr, g, cfg.qs)
-        elif claim == "eq_col":
-            _fold_eq_col(tr, g, cfg.qs)
-        elif claim == "wr_lemma":
-            _fold_wr_lemma(tr, g)
+        if fold is not None:
+            fold(s, g, cfg)
         else:
             # bound-style claims: checker cost is already one pass per graph
-            for r in _reports_for_graph(cfg, g):
-                tr.record(r.instance, r.verdict, r.margin)
-    return tr.summary
+            for r in claim.sweep(g, cfg):
+                s.record(r.instance, r.verdict, r.margin)
+    return s
 
 
-def _fold_eq_ind(tr: _Tracker, g: Graph) -> None:
+def _fold_eq_ind(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
     if not g.edges:
         return
     masks = list(g.neighbor_masks)
@@ -344,32 +265,37 @@ def _fold_eq_ind(tr: _Tracker, g: Graph) -> None:
         den = _ind_branch(tuple(masks), full)
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-        tr.holds_ratio(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})", num, den, 3, 4)
+        # i(g)/i(g-e) >= 3/4
+        s.record_margin(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})",
+                        num * 4 - 3 * den, den * 4)
 
 
-def _fold_eq_wr(tr: _Tracker, g: Graph) -> None:
+def _fold_eq_wr(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
     if not g.edges:
         return
     num = wr_count(g)
     for u, v in g.sorted_edges:
         den = wr_count(g.delete_edge(u, v))
-        tr.holds_ratio(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})", num, den, 7, 9)
+        # wr(g)/wr(g-e) >= 7/9
+        s.record_margin(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})",
+                        num * 9 - 7 * den, den * 9)
 
 
-def _fold_wr_lemma(tr: _Tracker, g: Graph) -> None:
+def _fold_wr_lemma(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
     for u, v in g.sorted_edges:
         h = g.delete_edge(u, v)
         lhs = wr_count(h, ListConstraint({u: {WR_A}, v: {WR_A}}))
         rhs = wr_count(h, ListConstraint({u: {WR_A}, v: {WR_C}}))
-        tr.holds_ratio(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})", lhs, 1, rhs, 1)
+        s.record_margin(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})", lhs - rhs, 1)
 
 
-def _fold_thm1_1(tr: _Tracker, g: Graph, qs: tuple[int, ...]) -> None:
+def _fold_thm1_1(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
     if not g.is_connected():
         return
     bip = bipartition(g)
     if bip is None:
         return
+    qs = cfg.qs
     poly = _poly_cached(g.n, g.sorted_edges)
     ch_g = {q: poly(q) for q in qs}
     left = bip.left
@@ -382,36 +308,37 @@ def _fold_thm1_1(tr: _Tracker, g: Graph, qs: tuple[int, ...]) -> None:
             for q in qs:
                 c = ch_g[q]
                 if c == 0:
-                    tr.record(f"{to_graph6(g)} q={q}", INAPPLICABLE, None)
+                    s.record(f"{to_graph6(g)} q={q}", INAPPLICABLE, None)
                     continue
                 ci = 0 if adjacent else ipoly(q)
                 # P = ci/c compared with 1/q
                 if cross:
                     # claim P <= 1/q: margin = 1/q - ci/c = (c - q*ci)/(q*c)
-                    tr.holds_ratio(
+                    s.record_margin(
                         lambda u=u, v=v, q=q: f"{to_graph6(g)} q={q} pair=({u},{v}) cross",
-                        c - q * ci, q * c, 0, 1)
+                        c - q * ci, q * c)
                 else:
-                    tr.holds_ratio(
+                    s.record_margin(
                         lambda u=u, v=v, q=q: f"{to_graph6(g)} q={q} pair=({u},{v}) same",
-                        q * ci - c, q * c, 0, 1)
+                        q * ci - c, q * c)
 
 
-def _fold_eq_col(tr: _Tracker, g: Graph, qs: tuple[int, ...]) -> None:
+def _fold_eq_col(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
     if not g.edges or bipartition(g) is None:
         return
     poly = _poly_cached(g.n, g.sorted_edges)
     for u, v in g.sorted_edges:
         sub = tuple(e for e in g.sorted_edges if e != (u, v))
         spoly = _poly_cached(g.n, sub)
-        for q in qs:
+        for q in cfg.qs:
             den = spoly(q)
             if den == 0:
-                tr.record(f"{to_graph6(g)} q={q} e=({u},{v})", INAPPLICABLE, None)
+                s.record(f"{to_graph6(g)} q={q} e=({u},{v})", INAPPLICABLE, None)
                 continue
-            tr.holds_ratio(
+            # ch(g)/ch(g-e) >= (q-1)/q
+            s.record_margin(
                 lambda u=u, v=v, q=q: f"{to_graph6(g)} q={q} e=({u},{v})",
-                poly(q), den, q - 1, q)
+                poly(q) * q - (q - 1) * den, den * q)
 
 
 def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
@@ -421,6 +348,109 @@ def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
     for part in _map_batches(_summary_batch, jobs, workers):
         total.merge(part)
     return total
+
+
+# ---------------------------------------------------------------------------
+# The claim table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Claim:
+    """One named claim and everything that runs it.
+
+    verify(g, p) builds the reports of `homverify verify` for one graph,
+    with p carrying q, edge, target and ell.  sweep(g, cfg) applies the
+    sweep filter and builds the reports of every instance of one labelled
+    graph; None marks a verify-only claim.  fold(summary, g, cfg) is the
+    summary-mode kernel; without one, summaries fold the sweep's reports.
+    Entries call the checkers through this module's globals at call time,
+    so a wrapper installed on those names (perfbench's tracer) sees every
+    call."""
+
+    name: str
+    verify: Callable
+    sweep: Optional[Callable] = None
+    fold: Optional[Callable] = None
+    q_min: Optional[int] = None  # None: the claim takes no q
+    edge: bool = False
+    target: bool = False
+
+    def check(self, qs: tuple[int, ...], target: Optional[TargetGraph]) -> None:
+        """Raise ValueError unless the claim's parameters are present and
+        in range."""
+        if self.q_min is not None:
+            if not qs:
+                raise ValueError(f"claim {self.name} needs q")
+            for q in qs:
+                if q < self.q_min:
+                    raise ValueError(f"claim {self.name} needs q >= {self.q_min}, got {q}")
+        if self.target and target is None:
+            raise ValueError(f"claim {self.name} needs a target")
+
+
+def _sweep_thm1_1(g: Graph, cfg: SweepConfig) -> list[Report]:
+    if not g.is_connected() or bipartition(g) is None:
+        return []
+    return [r for q in cfg.qs for r in check_correlation_coloring(g, q)]
+
+
+def _sweep_eq_col(g: Graph, cfg: SweepConfig) -> list[Report]:
+    if bipartition(g) is None:
+        return []
+    return [check_edge_ratio(g.delete_edge(*e), "coloring", e, q)
+            for q in cfg.qs for e in g.sorted_edges]
+
+
+def _sweep_cor1_2(g: Graph, cfg: SweepConfig) -> list[Report]:
+    if bipartition(g) is None:
+        return []
+    return [check_cycle_packing_bound(g, q, cfg.ell) for q in cfg.qs]
+
+
+def _sweep_balanced(g: Graph, cfg: SweepConfig) -> list[Report]:
+    if bipartition(g) is None:
+        return []
+    return [check_balanced_bipartite_bound(g, q) for q in cfg.qs]
+
+
+CLAIMS = {c.name: c for c in (
+    Claim("thm1_1", q_min=1,
+          verify=lambda g, p: check_correlation_coloring(g, p.q),
+          sweep=_sweep_thm1_1, fold=_fold_thm1_1),
+    Claim("eq_col", q_min=1, edge=True,
+          verify=lambda g, p: [check_edge_ratio(g, "coloring", p.edge, p.q)],
+          sweep=_sweep_eq_col, fold=_fold_eq_col),
+    Claim("eq_ind", edge=True,
+          verify=lambda g, p: [check_edge_ratio(g, "independent", p.edge)],
+          sweep=lambda g, cfg: [check_edge_ratio(g, "independent", e) for e in g.sorted_edges],
+          fold=_fold_eq_ind),
+    Claim("eq_wr", edge=True,
+          verify=lambda g, p: [check_edge_ratio(g, "wr", p.edge)],
+          sweep=lambda g, cfg: [check_edge_ratio(g, "wr", e) for e in g.sorted_edges],
+          fold=_fold_eq_wr),
+    Claim("wr_lemma", edge=True,
+          verify=lambda g, p: [check_wr_lemma(g, p.edge)],
+          sweep=lambda g, cfg: [check_wr_lemma(g, e) for e in g.sorted_edges],
+          fold=_fold_wr_lemma),
+    Claim("sidorenko", target=True,
+          verify=lambda g, p: [check_sidorenko_bound(g, p.target)],
+          sweep=lambda g, cfg: [check_sidorenko_bound(g, cfg.target)] if g.is_connected() else []),
+    Claim("cor1_2", q_min=2,
+          verify=lambda g, p: [check_cycle_packing_bound(g, p.q, p.ell),
+                               check_cycle_packing_headline(g, p.q, p.ell)],
+          sweep=_sweep_cor1_2),
+    Claim("cor1_4",
+          verify=lambda g, p: [check_connected_ind_bound(g)],
+          sweep=lambda g, cfg: [check_connected_ind_bound(g)] if g.is_connected() else []),
+    Claim("cor1_6",
+          verify=lambda g, p: [check_connected_wr_bound(g)],
+          sweep=lambda g, cfg: [check_connected_wr_bound(g)] if g.is_connected() else []),
+    Claim("remark2_2", q_min=1,
+          verify=lambda g, p: [check_free_energy_envelope(g, p.q)]),
+    Claim("balanced", q_min=1,
+          verify=lambda g, p: [check_balanced_bipartite_bound(g, p.q)],
+          sweep=_sweep_balanced),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -452,42 +482,21 @@ def _corollary_batch(args) -> dict:
         bip = bipartition(g)
 
         # Sidorenko vs hard-core: i(H) >= 2^n (3/4)^e
-        _tally(out["sidorenko_hc"], iid, i_h * 4 ** e, 2 ** n * 3 ** e, 4 ** e)
+        out["sidorenko_hc"].record_margin(iid, i_h * 4 ** e - 2 ** n * 3 ** e, 4 ** e)
         # Sidorenko vs Widom-Rowlinson: wr(H) >= 3^n (7/9)^e
-        _tally(out["sidorenko_wr"], iid, wr_h * 9 ** e, 3 ** n * 7 ** e, 9 ** e)
+        out["sidorenko_wr"].record_margin(iid, wr_h * 9 ** e - 3 ** n * 7 ** e, 9 ** e)
         # Sidorenko vs K_3 (bipartite sources only): ch(H,3) >= 3^n (2/3)^e
         if bip is not None:
             ch3 = _poly_cached(g.n, g.sorted_edges)(3)
-            _tally(out["sidorenko_k3"], iid, ch3 * 3 ** e, 3 ** n * 2 ** e, 3 ** e)
+            out["sidorenko_k3"].record_margin(iid, ch3 * 3 ** e - 3 ** n * 2 ** e, 3 ** e)
         # connected independent-set floor
         ex = e - (n - 1)
-        _tally(out["cor1_4"], iid, i_h * 4 ** ex, path_ind_fib(n) * 3 ** ex, 4 ** ex)
+        out["cor1_4"].record_margin(iid, i_h * 4 ** ex - path_ind_fib(n) * 3 ** ex, 4 ** ex)
         # connected Widom-Rowlinson floor (irrational: widened float bound)
         bound = 2 * sqrt2 * (1 + sqrt2) ** (n - 1) * (7 / 9) ** ex
         margin = Fraction(wr_h) - (Fraction(bound) - FLOAT_TOL)
-        out["cor1_6"].record(iid(), HOLDS if margin >= 0 else VIOLATED, margin)
+        out["cor1_6"].record_margin(iid, margin.numerator, margin.denominator)
     return out
-
-
-def _tally(summary: SweepSummary, iid, lhs: int, rhs: int, den: int) -> None:
-    """Record integer comparison lhs >= rhs with common denominator den
-    (margin (lhs-rhs)/den)."""
-    summary.instances += 1
-    if lhs >= rhs:
-        summary.holds += 1
-    else:
-        summary.violated += 1
-        if summary.first_violation is None:
-            summary.first_violation = iid()
-    diff = lhs - rhs
-    if diff == 0:
-        summary.tight_count += 1
-        if summary.first_tight_instance is None:
-            summary.first_tight_instance = iid()
-    margin = Fraction(diff, den)
-    if summary.min_margin is None or margin < summary.min_margin:
-        summary.min_margin = margin
-        summary.min_margin_instance = iid()
 
 
 def corollary_bundle_summary(max_n: int, workers: int = 1) -> dict:

@@ -104,10 +104,6 @@ def _na(instance, claim, reason) -> Report:
     return Report(instance, claim, None, None, INAPPLICABLE, None, None, reason)
 
 
-def graph_id(g: Graph) -> str:
-    return to_graph6(g)
-
-
 # ---------------------------------------------------------------------------
 # Correlation of colors at vertex pairs (bipartite graphs)
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ def equal_color_probability(g: Graph, u: int, v: int, q: int,
 def check_correlation_coloring(g: Graph, q: int) -> list[Report]:
     """For each vertex pair, equal-color probability <= 1/q across parts and
     >= 1/q within a part."""
-    gid = graph_id(g)
+    gid = to_graph6(g)
     bip = bipartition(g)
     if bip is None:
         return [_na(f"{gid} q={q}", "thm1_1", "graph is not bipartite")]
@@ -168,7 +164,7 @@ def check_edge_ratio(g: Graph, model: str, edge: tuple[int, int],
     independent / wr: `edge` is an edge of g; ratio i(g)/i(g-e) against 3/4,
     wr(g)/wr(g-e) against 7/9.
     """
-    gid = graph_id(g)
+    gid = to_graph6(g)
     u, v = edge
     if model == COLORING:
         if q is None or q < 1:
@@ -229,7 +225,7 @@ def nonbipartite_safe(t: TargetGraph) -> bool:
 
 def check_sidorenko_bound(g: Graph, target: TargetGraph) -> Report:
     """hom(H,G) >= v(G)^n (hom(K_2,G)/v(G)^2)^e(H), exact rationals."""
-    gid = graph_id(g)
+    gid = to_graph6(g)
     inst = f"{gid} target[{target.describe()}]"
     if bipartition(g) is None and not nonbipartite_safe(target):
         return _na(inst, "sidorenko", "source not bipartite and target not hard-core/WR-like")
@@ -245,7 +241,7 @@ def check_cycle_packing_bound(g: Graph, q: int, max_len: int) -> Report:
     plus isolated vertices, ch(H,q) >= ch(S,q) ((q-1)/q)^(e(H)-e(S)).
     This is what edge-by-edge removal from H down to S gives; the headline
     constant form is reported by check_cycle_packing_headline."""
-    gid = graph_id(g)
+    gid = to_graph6(g)
     if q < 2:
         raise ValueError("cycle packing bound needs q >= 2")
     if bipartition(g) is None:
@@ -263,7 +259,7 @@ def check_cycle_packing_headline(g: Graph, q: int, max_len: int) -> Report:
     """Headline form: ch(H,q) >= (1+(q-1)^(1-l))^kappa q^n ((q-1)/q)^e(H)
     with kappa the number of packed cycles (so the epsilon-power is an
     exact rational)."""
-    gid = graph_id(g)
+    gid = to_graph6(g)
     if q < 2:
         raise ValueError("cycle packing bound needs q >= 2")
     if bipartition(g) is None:
@@ -280,7 +276,7 @@ def check_connected_ind_bound(g: Graph) -> Report:
     """Connected graphs: i(H) >= F_(n+2) (3/4)^(e-(n-1)), the all-rational
     spanning-tree route; the published (1+sqrt5)/3 closed form is attached
     as an advisory float pair."""
-    gid = graph_id(g)
+    gid = to_graph6(g)
     if not g.is_connected():
         return _na(gid, "cor1_4", "graph is disconnected")
     n, e = g.n, g.m
@@ -294,7 +290,7 @@ def check_connected_wr_bound(g: Graph) -> Report:
     """Connected graphs: wr(H) >= 2 sqrt2 (1+sqrt2)^(n-1) (7/9)^(e-(n-1)).
     The threshold is irrational, so the verdict compares against the float
     bound widened by 1e-9; raw floats attached."""
-    gid = graph_id(g)
+    gid = to_graph6(g)
     if not g.is_connected():
         return _na(gid, "cor1_6", "graph is disconnected")
     n, e = g.n, g.m
@@ -311,7 +307,7 @@ def check_wr_lemma(g: Graph, edge: tuple[int, int]) -> Report:
     u, v = edge
     if not g.has_edge(u, v):
         raise ValueError(f"edge {edge} not in graph")
-    gid = graph_id(g)
+    gid = to_graph6(g)
     inst = f"{gid} e=({u},{v})"
     h = g.delete_edge(u, v)
     lhs = wr_count(h, ListConstraint({u: {WR_A}, v: {WR_A}}))
@@ -343,7 +339,7 @@ def free_energy_gap(g: Graph, q: int) -> tuple[float, float, bool]:
 
 
 def check_free_energy_envelope(g: Graph, q: int) -> Report:
-    gid = graph_id(g)
+    gid = to_graph6(g)
     inst = f"{gid} q={q}"
     try:
         gap, envelope, _within = free_energy_gap(g, q)
@@ -372,7 +368,7 @@ def is_balanced_bipartite(g: Graph) -> bool:
 def check_balanced_bipartite_bound(g: Graph, q: int) -> Report:
     """Balanced bipartite graphs, however dense: ch(H,q) >= (q/2)^n for even
     q and ((q-1)(q+1)/4)^(n/2) for odd q."""
-    gid = graph_id(g)
+    gid = to_graph6(g)
     inst = f"{gid} q={q}"
     if bipartition(g) is None:
         return _na(inst, "balanced", "graph is not bipartite")

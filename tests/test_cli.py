@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from homverify import cli, counting
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,7 +157,10 @@ def test_output_file(tmp_path):
     ("verify", "eq_ind", "--graph", "DATA_P4", "--edge", "zz"),
     ("sweep", "--claim", "nosuch", "--max-n", "3"),
     ("sweep", "--claim", "thm1_1", "--max-n", "3"),      # missing --q
+    ("sweep", "--claim", "thm1_1", "--q", "-1", "--max-n", "3", "--summary-only"),
+    ("sweep", "--claim", "eq_col", "--q", "-2", "--max-n", "3", "--summary-only"),
     ("scan", "--target", "hardcore", "--max-n", "9"),
+    ("scan", "--target", "hardcore", "--max-n", "0"),
     ("search", "--H", "DATA_P4", "--k", "9", "--samples", "5", "--seed", "1"),
 ])
 def test_usage_errors_exit_2(args):
@@ -163,6 +169,53 @@ def test_usage_errors_exit_2(args):
     assert r.returncode == 2
     err = r.stderr.strip()
     assert err and "\n" not in err  # single-line diagnostic
+
+
+def test_bad_workers_env_exit_2():
+    r = run_cli("count", "ind", "--graph", str(DATA / "p4.el"),
+                env={**os.environ, "HOMVERIFY_WORKERS": "abc"})
+    assert r.returncode == 2
+    err = r.stderr.strip()
+    assert "abc" in err and "\n" not in err
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def boom(*_args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_run_count", boom)
+    assert cli.main(["count", "ind", "--graph", str(DATA / "p4.el")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert "boom" in err and "\n" not in err
+
+
+def _write_edgelist(path, n, edges):
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return str(path)
+
+
+def test_count_size_guards_exit_2(tmp_path):
+    path3000 = _write_edgelist(tmp_path / "p3000.el", 3000, [(i, i + 1) for i in range(2999)])
+    r = run_cli("count", "ind", "--graph", path3000, timeout=60)
+    assert r.returncode == 2 and "guard" in r.stderr
+    k40 = _write_edgelist(tmp_path / "k40.el", 40,
+                          [(u, v) for u in range(40) for v in range(u + 1, 40)])
+    # guarded only: unguarded, this would visit 2^40 white sets
+    r = run_cli("count", "wr", "--graph", k40, timeout=60)
+    assert r.returncode == 2 and "guard" in r.stderr
+
+
+@pytest.mark.parametrize("what,guard,count", [
+    ("ind", "IND_GUARD_VERTICES", "8"),
+    ("wr", "WR_GUARD_VERTICES", "41"),
+])
+def test_count_override_size_guard(what, guard, count, monkeypatch, capsys):
+    monkeypatch.setattr(counting, guard, 3)
+    argv = ["count", what, "--graph", str(DATA / "p4.el")]
+    assert cli.main(argv) == 2
+    capsys.readouterr()
+    assert cli.main([*argv, "--override-size-guard"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": count}
 
 
 def test_malformed_graph_exit_2(tmp_path):

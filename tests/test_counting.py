@@ -15,11 +15,13 @@ from homverify.graphs import (
     widom_rowlinson_target,
 )
 from homverify.counting import (
+    IND_GUARD_VERTICES,
     IND_IN,
     IND_OUT,
     WR_A,
     WR_B,
     WR_C,
+    WR_GUARD_VERTICES,
     ListConstraint,
     SizeGuardError,
     chrom_eval,
@@ -96,6 +98,21 @@ def test_hom_guard():
         hom_count(big, complete_target(2))
     assert hom_count(big, complete_target(2), override_guard=True) == 2 ** 70
     assert hom_count(empty_graph(100), complete_target(1)) == 1  # k=1 exempt
+
+
+def test_ind_wr_guards():
+    big = empty_graph(IND_GUARD_VERTICES + 1)
+    with pytest.raises(SizeGuardError):
+        ind_count(big)
+    assert ind_count(big, override_guard=True) == 2 ** big.n
+    with pytest.raises(SizeGuardError):
+        ind_count(path_graph(3000))  # deeper than the recursion limit
+    # wr_count visits 2^n white sets: only ever run guarded past the bound
+    with pytest.raises(SizeGuardError):
+        wr_count(empty_graph(WR_GUARD_VERTICES + 1))
+    with pytest.raises(SizeGuardError):
+        wr_count(complete_graph(40))
+    assert wr_count(path_graph(3), override_guard=True) == 17
 
 
 def test_constraint_validation():

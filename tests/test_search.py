@@ -72,6 +72,8 @@ def test_enumeration_range():
     with pytest.raises(ValueError):
         list(enumerate_graphs(0))
     with pytest.raises(ValueError):
+        next(enumerate_graphs(8))
+    with pytest.raises(ValueError):
         list(enumerate_graphs(9))
 
 
@@ -120,6 +122,8 @@ def test_scan_result_consistency():
 def test_scan_guard():
     with pytest.raises(ValueError):
         edge_mono_scan(hard_core_target(), 8)
+    with pytest.raises(ValueError):
+        edge_mono_scan(hard_core_target(), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def _run_count(args, out: _Out) -> int:
             raise UsageError("count hom needs --target")
         val = hom_count(g, _load_target(args.target), **kw)
     elif args.what == "chrom":
-        val = chrom_eval(g, _need_q(args))
+        val = chrom_eval(g, _need_q(args), **kw)
     elif args.what == "ind":
         val = ind_count(g, **kw)
     else:

@@ -170,6 +170,10 @@ def hom_count(
     c = constraint or EMPTY_CONSTRAINT
     c.validate(n, k)
 
+    if k == 1:
+        # the one map sends every vertex to the one target vertex: a
+        # valid constraint allows it, and each edge weighs the loop
+        return Fraction(target.w[0][0]) ** g.m
     if n == 0:
         return Fraction(1)
     full = tuple(range(k))
@@ -382,16 +386,18 @@ def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     return ChromPoly(tuple(coeffs))
 
 
-def chrom_eval(g: Graph, q: int, poly: Optional[ChromPoly] = None) -> int:
+def chrom_eval(g: Graph, q: int, poly: Optional[ChromPoly] = None, *,
+               override_guard: bool = False) -> int:
     """ch(H, q): evaluated from the chromatic polynomial when one is given
-    or when the polynomial guard allows building it, else counted directly
-    as homomorphisms into K_q.  The two routes must agree (tested)."""
+    or when the polynomial guard allows building it or is overridden, else
+    counted directly as homomorphisms into K_q under hom_count's guard.
+    The two routes must agree (tested)."""
     if q < 0:
         raise ValueError("q must be nonnegative")
     if poly is not None:
         return poly(q)
-    if g.m <= CHROM_POLY_EDGE_GUARD:
-        return chrom_poly(g)(q)
+    if g.m <= CHROM_POLY_EDGE_GUARD or override_guard:
+        return chrom_poly(g, override_guard=override_guard)(q)
     val = hom_count(g, complete_target(q))
     return int(val)
 

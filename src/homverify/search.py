@@ -13,24 +13,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Optional
 
 import numpy as np
 
+from .classes import MAX_N, class_table, vertex_pairs
 from .graphs import Graph, TargetGraph, bipartition, to_graph6
 from .counting import hom_count
-
-MAX_N = 7  # largest vertex count for enumeration, sweeps and scans
 
 
 # ---------------------------------------------------------------------------
 # Labeled graph enumeration
 # ---------------------------------------------------------------------------
-
-def vertex_pairs(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
 
 def iter_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All subsets of vertex pairs in lexicographic order of the sorted
@@ -97,38 +91,38 @@ class ScanResult:
 def edge_mono_scan(target: TargetGraph, max_n: int, *,
                    bipartite_only: bool = False) -> ScanResult:
     """Minimum of hom(H,G)/hom(H-e,G) over all labeled H up to max_n
-    vertices and all edges, against the threshold hom(K_2,G)/v(G)^2."""
+    vertices and all edges, against the threshold hom(K_2,G)/v(G)^2.
+    Counts are computed once per isomorphism class; the worst instance is
+    the first in enumeration order that attains the minimum."""
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"scan supports max_n in 1..{MAX_N}")
     threshold = target.edge_weight_sum / target.k ** 2
     tested_h = 0
     tested_edges = 0
     skipped = 0
-    worst: Optional[tuple[Fraction, str, tuple[int, int]]] = None
+    worst: Optional[tuple[Fraction, tuple[int, int, int]]] = None
     for n in range(1, max_n + 1):
-        for g in enumerate_graphs(n, bipartite=bipartite_only):
-            tested_h += 1
-            if not g.m:
+        t = class_table(n)
+        keep = t.bipartite if bipartite_only else np.ones(len(t.reps), bool)
+        tested_h += int(t.size[keep].sum())
+        hom = [hom_count(g, target) if k else None for g, k in zip(t.reps, keep)]
+        for g, h, b, count, rank in t.edge_deletions(keep):
+            if hom[h] == 0:
+                skipped += count
                 continue
-            num = hom_count(g, target)
-            gid: Optional[str] = None
-            for e in g.sorted_edges:
-                den = hom_count(g.delete_edge(*e), target)
-                if den == 0:
-                    skipped += 1
-                    continue
-                tested_edges += 1
-                ratio = num / den
-                if worst is None or ratio < worst[0]:
-                    if gid is None:
-                        gid = to_graph6(g)
-                    worst = (ratio, gid, e)
+            tested_edges += count
+            ratio = hom[g] / hom[h]
+            if worst is None or ratio < worst[0] or (
+                    ratio == worst[0] and (n, rank, b) < worst[1]):
+                worst = (ratio, (n, rank, b))
     if worst is None:
         return ScanResult(target.describe(), threshold, tested_h, 0, skipped,
                           None, None, None, True)
-    ratio, gid, e = worst
+    ratio, (n, rank, b) = worst
+    t = class_table(n)
+    gid = to_graph6(t.graph(int(t.order[rank])))
     return ScanResult(target.describe(), threshold, tested_h, tested_edges, skipped,
-                      gid, e, ratio, ratio >= threshold)
+                      gid, t.pairs[b], ratio, ratio >= threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ Two execution paths share one instance enumeration:
 
 * report mode drives the per-instance checkers in verify.py and streams one
   Report per instance, in enumeration order regardless of worker count;
-* summary mode folds the same comparisons into counts with claim-specific
-  fast kernels (shared counts reused across edges/pairs, chromatic
-  polynomials cached per worker), for the full n<=7 runs.
+* summary mode folds the same comparisons into counts.  The claims with a
+  fold, and the corollary bundle, read every quantity from the
+  isomorphism-class tables of classes.py: each count is computed once per
+  class and gathered for every labelled instance, in-process.  The other
+  claims fold their reports.
 
 The two paths are checked against each other in the test suite.  Workers
 receive batches of edge sets in enumeration order and results are merged in
@@ -20,12 +22,16 @@ submission order, so output is byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import get_context
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
+from .classes import ClassTable, class_table, groups, remap
 from .graphs import (
     Graph,
     TargetGraph,
@@ -37,10 +43,7 @@ from .graphs import (
 )
 from .counting import (
     ChromPoly,
-    ListConstraint,
-    WR_A,
-    WR_C,
-    _ind_branch,
+    _ind_branch,  # noqa: F401  (perfbench's layer tracer wraps sweeps._ind_branch)
     chrom_poly,
     hom_count,
     ind_count,
@@ -80,33 +83,26 @@ class SweepSummary:
     first_tight_instance: Optional[str] = None
     first_violation: Optional[str] = None
 
-    def record_margin(self, instance_fn: Callable[[], str], diff: int, den: int) -> None:
-        """Record one applicable instance with margin diff/den (den > 0);
-        the claim holds iff diff >= 0.  instance_fn builds the instance
-        string and is only called when the string is kept; a Fraction is
-        only built when the minimum margin improves."""
+    def record(self, instance: str, verdict: str, margin: Optional[Fraction]) -> None:
+        """Record the next instance in enumeration order; an applicable
+        one holds iff its margin is >= 0."""
         self.instances += 1
-        if diff >= 0:
+        if verdict == INAPPLICABLE:
+            self.inapplicable += 1
+            return
+        if margin >= 0:
             self.holds += 1
         else:
             self.violated += 1
             if self.first_violation is None:
-                self.first_violation = instance_fn()
-        if diff == 0:
+                self.first_violation = instance
+        if margin == 0:
             self.tight_count += 1
             if self.first_tight_instance is None:
-                self.first_tight_instance = instance_fn()
-        cur = self.min_margin
-        if cur is None or diff * cur.denominator < cur.numerator * den:
-            self.min_margin = Fraction(diff, den)
-            self.min_margin_instance = instance_fn()
-
-    def record(self, instance: str, verdict: str, margin: Optional[Fraction]) -> None:
-        if verdict == INAPPLICABLE:
-            self.instances += 1
-            self.inapplicable += 1
-        else:
-            self.record_margin(lambda: instance, margin.numerator, margin.denominator)
+                self.first_tight_instance = instance
+        if self.min_margin is None or margin < self.min_margin:
+            self.min_margin = margin
+            self.min_margin_instance = instance
 
     def record_json(self, rd: dict) -> None:
         """Record a report given in its JSON form (Report.to_json_dict)."""
@@ -169,7 +165,9 @@ def _batches(max_n: int) -> Iterator[tuple[int, list]]:
 
 
 def _map_batches(fn: Callable, jobs, workers: int):
-    """Ordered map over batches; identical output for any worker count."""
+    """Ordered map over batches; identical output for any worker count.
+    Starts at most one process per CPU."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         for job in jobs:
             yield fn(job)
@@ -219,12 +217,16 @@ def sweep_reports(cfg: SweepConfig, workers: int = 1) -> Iterator[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Summary mode: fast kernels
+# Summary mode: folds over isomorphism-class tables
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1 << 18)
 def _poly_cached(n: int, edges: tuple) -> ChromPoly:
     return chrom_poly(Graph(n, frozenset(edges)))
+
+
+def _class_poly(g: Graph) -> ChromPoly:
+    return _poly_cached(g.n, g.sorted_edges)
 
 
 def _identified_edges(n: int, edges: frozenset, u: int, v: int) -> tuple:
@@ -237,113 +239,175 @@ def _identified_edges(n: int, edges: frozenset, u: int, v: int) -> tuple:
     return tuple(sorted(merged))
 
 
+def _identify_map(t: ClassTable, u: int, v: int) -> list[int]:
+    """Bit map from the masks of t to those of G/uv in the n-1 table."""
+    index = class_table(t.n - 1).index
+    return [index[e[0]] if (e := _identified_edges(t.n, frozenset({p}), u, v)) else -1
+            for p in t.pairs]
+
+
+def _delete_map(t: ClassTable, u: int, v: int) -> list[int]:
+    """Bit map from the masks of t to those of G-u-v in the n-2 table."""
+    index = class_table(t.n - 2).index
+    pos = {w: i for i, w in enumerate(w for w in range(t.n) if w not in (u, v))}
+    return [index[(pos[a], pos[b])] if a in pos and b in pos else -1 for a, b in t.pairs]
+
+
 def _summary_batch(args) -> SweepSummary:
+    """Summary of a batch of labelled graphs, folded from the claim's
+    reports: the path of the claims without a class-table fold."""
     cfg, n, edge_sets = args
-    claim = CLAIMS[cfg.claim]
-    fold = claim.fold
+    sweep = CLAIMS[cfg.claim].sweep
     s = SweepSummary(cfg.claim)
     for edges in edge_sets:
-        g = Graph(n, frozenset(edges))
-        if fold is not None:
-            fold(s, g, cfg)
-        else:
-            # bound-style claims: checker cost is already one pass per graph
-            for r in claim.sweep(g, cfg):
-                s.record(r.instance, r.verdict, r.margin)
+        for r in sweep(Graph(n, frozenset(edges)), cfg):
+            s.record(r.instance, r.verdict, r.margin)
     return s
 
 
-def _fold_eq_ind(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
-    if not g.edges:
+# A fold yields instance groups (key, count, diff, den, label) from one n's
+# class table: `count` labelled instances with margin diff/den (diff None:
+# inapplicable), the first of them in enumeration order at key = (rank,
+# pair index, q index), whose instance string is `label` formatted with the
+# graph6 name g, the pair (u, v) and q.
+_EDGE = "{g} e=({u},{v})"
+_Q_EDGE = "{g} q={q} e=({u},{v})"
+_CROSS = "{g} q={q} pair=({u},{v}) cross"
+_SAME = "{g} q={q} pair=({u},{v}) same"
+
+
+def _group_summary(claim: str, items, t: ClassTable, qs: tuple) -> SweepSummary:
+    """Fold instance groups exactly, as `record` would fold their instances
+    in enumeration order: each kept string names the lowest key among the
+    instances it may name, and is built for that instance only."""
+    s = SweepSummary(claim)
+    violation = tight = best = None
+    for key, count, diff, den, label in items:
+        s.instances += count
+        if diff is None:
+            s.inapplicable += count
+            continue
+        if diff < 0:
+            s.violated += count
+            if violation is None or key < violation[0]:
+                violation = (key, label)
+        else:
+            s.holds += count
+            if diff == 0:
+                s.tight_count += count
+                if tight is None or key < tight[0]:
+                    tight = (key, label)
+        if best is None or diff * best[1] < best[0] * den or (
+                diff * best[1] == best[0] * den and key < best[2]):
+            best = (diff, den, key, label)
+
+    def describe(key, label):
+        rank, b, qi = key
+        u, v = t.pairs[b] if b >= 0 else (None, None)
+        g = to_graph6(t.graph(int(t.order[rank])))
+        return label.format(g=g, u=u, v=v, q=qs[qi] if qs else None)
+
+    if violation is not None:
+        s.first_violation = describe(*violation)
+    if tight is not None:
+        s.first_tight_instance = describe(*tight)
+    if best is not None:
+        s.min_margin = Fraction(best[0], best[1])
+        s.min_margin_instance = describe(*best[2:])
+    return s
+
+
+def _ratio_groups(x: list, edges, a: int, b: int):
+    """x(G)/x(G-e) >= a/b over the edge deletions (g, h, pair, count, rank)."""
+    for g, h, pair, count, rank in edges:
+        yield (rank, pair, 0), count, x[g] * b - a * x[h], x[h] * b, _EDGE
+
+
+def _fold_eq_ind(t: ClassTable, cfg: SweepConfig):
+    # i(G)/i(G-e) >= 3/4
+    return _ratio_groups(t.values("ind", ind_count), t.edge_deletions(), 3, 4)
+
+
+def _fold_eq_wr(t: ClassTable, cfg: SweepConfig):
+    # wr(G)/wr(G-e) >= 7/9
+    return _ratio_groups(t.values("wr", wr_count), t.edge_deletions(), 7, 9)
+
+
+def _fold_wr_lemma(t: ClassTable, cfg: SweepConfig):
+    # In G-e, with red/blue symmetry: u, v both red in
+    # (wr(G/uv) - wr(G-u-v))/2 colorings, u red and v blue in
+    # (wr(G-e) - wr(G))/2.  The 0-vertex graph has one coloring.
+    if t.n < 2:
         return
-    masks = list(g.neighbor_masks)
-    full = (1 << g.n) - 1
-    num = _ind_branch(tuple(masks), full)
-    for u, v in g.sorted_edges:
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        den = _ind_branch(tuple(masks), full)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        # i(g)/i(g-e) >= 3/4
-        s.record_margin(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})",
-                        num * 4 - 3 * den, den * 4)
+    t1, t2 = class_table(t.n - 1), class_table(t.n - 2)
+    wr, wr1, wr2 = (np.array(s.values("wr", wr_count), dtype=np.int64) for s in (t, t1, t2))
+    for b, m, r in t.columns():
+        u, v = t.pairs[b]
+        lhs = wr1[t1.cls[remap(m, _identify_map(t, u, v))]] \
+            - wr2[t2.cls[remap(m, _delete_map(t, u, v))]]
+        rhs = wr[t.cls[m ^ (1 << b)]] - wr[t.cls[m]]
+        for diff, count, rank in groups((lhs - rhs) // 2, r):
+            yield (rank, b, 0), count, diff, 1, _EDGE
 
 
-def _fold_eq_wr(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
-    if not g.edges:
+def _fold_thm1_1(t: ClassTable, cfg: SweepConfig):
+    # connected bipartite G: P(u, v same color) = ch(G/uv)/ch(G), at most
+    # 1/q across the bipartition and at least 1/q within a side
+    if t.n < 2:
         return
-    num = wr_count(g)
-    for u, v in g.sorted_edges:
-        den = wr_count(g.delete_edge(u, v))
-        # wr(g)/wr(g-e) >= 7/9
-        s.record_margin(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})",
-                        num * 9 - 7 * den, den * 9)
-
-
-def _fold_wr_lemma(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
-    for u, v in g.sorted_edges:
-        h = g.delete_edge(u, v)
-        lhs = wr_count(h, ListConstraint({u: {WR_A}, v: {WR_A}}))
-        rhs = wr_count(h, ListConstraint({u: {WR_A}, v: {WR_C}}))
-        s.record_margin(lambda u=u, v=v: f"{to_graph6(g)} e=({u},{v})", lhs - rhs, 1)
-
-
-def _fold_thm1_1(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
-    if not g.is_connected():
-        return
-    bip = bipartition(g)
-    if bip is None:
-        return
+    t1 = class_table(t.n - 1)
     qs = cfg.qs
-    poly = _poly_cached(g.n, g.sorted_edges)
-    ch_g = {q: poly(q) for q in qs}
-    left = bip.left
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            cross = (u in left) != (v in left)
-            adjacent = g.has_edge(u, v)
-            if not adjacent:
-                ipoly = _poly_cached(g.n - 1, _identified_edges(g.n, g.edges, u, v))
-            for q in qs:
-                c = ch_g[q]
+    ch = [[p(q) for q in qs] for p in t.values("poly", _class_poly)]
+    ch1 = [[p(q) for q in qs] for p in t1.values("poly", _class_poly)]
+    width = 2 * len(t1.reps) + 1
+    for b, m, r in t.columns(t.connected & t.bipartite, edges_only=False):
+        u, v = t.pairs[b]
+        bit = 1 << b
+        # 0 for an edge uv, else 1 + 2 * class of G/uv + (G+uv bipartite):
+        # for connected bipartite G, u and v are across iff G+uv is bipartite
+        state = np.where(m & bit, 0, 1 + 2 * t1.cls[remap(m, _identify_map(t, u, v))]
+                         + t.bipartite[t.cls[m | bit]])
+        for key, count, rank in groups(t.cls[m].astype(np.int64) * width + state, r):
+            g, s = divmod(key, width)
+            ident, cross = divmod(s - 1, 2) if s else (None, True)
+            for qi, q in enumerate(qs):
+                c = ch[g][qi]
                 if c == 0:
-                    s.record(f"{to_graph6(g)} q={q}", INAPPLICABLE, None)
+                    yield (rank, b, qi), count, None, None, None
                     continue
-                ci = 0 if adjacent else ipoly(q)
-                # P = ci/c compared with 1/q
+                ci = ch1[ident][qi] if s else 0
                 if cross:
-                    # claim P <= 1/q: margin = 1/q - ci/c = (c - q*ci)/(q*c)
-                    s.record_margin(
-                        lambda u=u, v=v, q=q: f"{to_graph6(g)} q={q} pair=({u},{v}) cross",
-                        c - q * ci, q * c)
+                    # claim ci/c <= 1/q: margin = (c - q*ci)/(q*c)
+                    yield (rank, b, qi), count, c - q * ci, q * c, _CROSS
                 else:
-                    s.record_margin(
-                        lambda u=u, v=v, q=q: f"{to_graph6(g)} q={q} pair=({u},{v}) same",
-                        q * ci - c, q * c)
+                    yield (rank, b, qi), count, q * ci - c, q * c, _SAME
 
 
-def _fold_eq_col(s: SweepSummary, g: Graph, cfg: SweepConfig) -> None:
-    if not g.edges or bipartition(g) is None:
-        return
-    poly = _poly_cached(g.n, g.sorted_edges)
-    for u, v in g.sorted_edges:
-        sub = tuple(e for e in g.sorted_edges if e != (u, v))
-        spoly = _poly_cached(g.n, sub)
-        for q in cfg.qs:
-            den = spoly(q)
+def _fold_eq_col(t: ClassTable, cfg: SweepConfig):
+    # bipartite G: ch(G)/ch(G-e) >= (q-1)/q
+    qs = cfg.qs
+    ch = [[p(q) for q in qs] for p in t.values("poly", _class_poly)]
+    for g, h, b, count, rank in t.edge_deletions(t.bipartite):
+        for qi, q in enumerate(qs):
+            den = ch[h][qi]
             if den == 0:
-                s.record(f"{to_graph6(g)} q={q} e=({u},{v})", INAPPLICABLE, None)
-                continue
-            # ch(g)/ch(g-e) >= (q-1)/q
-            s.record_margin(
-                lambda u=u, v=v, q=q: f"{to_graph6(g)} q={q} e=({u},{v})",
-                poly(q) * q - (q - 1) * den, den * q)
+                yield (rank, b, qi), count, None, None, None
+            else:
+                yield (rank, b, qi), count, ch[g][qi] * q - (q - 1) * den, den * q, _Q_EDGE
 
 
 def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
+    """Aggregate of every instance of the claim.  Claims with a fold run
+    in-process on the class tables; the others fold their reports on
+    `workers` processes."""
     cfg.validate()
     total = SweepSummary(cfg.claim)
+    fold = CLAIMS[cfg.claim].fold
+    if fold is not None:
+        for n in range(1, cfg.max_n + 1):
+            t = class_table(n)
+            total.merge(_group_summary(cfg.claim, fold(t, cfg), t, cfg.qs))
+        return total
     jobs = ((cfg, n, batch) for n, batch in _batches(cfg.max_n))
     for part in _map_batches(_summary_batch, jobs, workers):
         total.merge(part)
@@ -361,8 +425,9 @@ class Claim:
     verify(g, p) builds the reports of `homverify verify` for one graph,
     with p carrying q, edge, target and ell.  sweep(g, cfg) applies the
     sweep filter and builds the reports of every instance of one labelled
-    graph; None marks a verify-only claim.  fold(summary, g, cfg) is the
-    summary-mode kernel; without one, summaries fold the sweep's reports.
+    graph; None marks a verify-only claim.  fold(t, cfg) is the summary
+    kernel: it yields the instance groups of one class table t; without
+    one, summaries fold the sweep's reports.
     Entries call the checkers through this module's globals at call time,
     so a wrapper installed on those names (perfbench's tracer) sees every
     call."""
@@ -460,50 +525,48 @@ CLAIMS = {c.name: c for c in (
 CORO_CLAIMS = ("sidorenko_hc", "sidorenko_wr", "sidorenko_k3", "cor1_4", "cor1_6")
 
 
-def _corollary_batch(args) -> dict:
-    n, edge_sets = args
-    out = {c: SweepSummary(c) for c in CORO_CLAIMS}
+def _corollary_batch(t: ClassTable) -> dict:
+    """The five corollary summaries over the connected classes of one
+    table; a class stands for its labelled copies, the first of them its
+    representative."""
+    n = t.n
+    ind = t.values("ind", ind_count)
+    wr = t.values("wr", wr_count)
     sqrt2 = math.sqrt(2)
-    for edges in edge_sets:
-        g = Graph(n, frozenset(edges))
-        if not g.is_connected():
-            continue
+    out = {c: [] for c in CORO_CLAIMS}
+    for c in np.flatnonzero(t.connected).tolist():
+        g = t.reps[c]
         e = g.m
-        gid = None
-
-        def iid():
-            nonlocal gid
-            if gid is None:
-                gid = to_graph6(g)
-            return gid
-
-        i_h = ind_count(g)
-        wr_h = wr_count(g)
-        bip = bipartition(g)
-
-        # Sidorenko vs hard-core: i(H) >= 2^n (3/4)^e
-        out["sidorenko_hc"].record_margin(iid, i_h * 4 ** e - 2 ** n * 3 ** e, 4 ** e)
-        # Sidorenko vs Widom-Rowlinson: wr(H) >= 3^n (7/9)^e
-        out["sidorenko_wr"].record_margin(iid, wr_h * 9 ** e - 3 ** n * 7 ** e, 9 ** e)
-        # Sidorenko vs K_3 (bipartite sources only): ch(H,3) >= 3^n (2/3)^e
-        if bip is not None:
-            ch3 = _poly_cached(g.n, g.sorted_edges)(3)
-            out["sidorenko_k3"].record_margin(iid, ch3 * 3 ** e - 3 ** n * 2 ** e, 3 ** e)
-        # connected independent-set floor
         ex = e - (n - 1)
-        out["cor1_4"].record_margin(iid, i_h * 4 ** ex - path_ind_fib(n) * 3 ** ex, 4 ** ex)
+        i_h = ind[c]
+        wr_h = wr[c]
         # connected Widom-Rowlinson floor (irrational: widened float bound)
         bound = 2 * sqrt2 * (1 + sqrt2) ** (n - 1) * (7 / 9) ** ex
-        margin = Fraction(wr_h) - (Fraction(bound) - FLOAT_TOL)
-        out["cor1_6"].record_margin(iid, margin.numerator, margin.denominator)
-    return out
+        cor1_6 = Fraction(wr_h) - (Fraction(bound) - FLOAT_TOL)
+        margins = {
+            # Sidorenko vs hard-core: i(H) >= 2^n (3/4)^e
+            "sidorenko_hc": (i_h * 4 ** e - 2 ** n * 3 ** e, 4 ** e),
+            # Sidorenko vs Widom-Rowlinson: wr(H) >= 3^n (7/9)^e
+            "sidorenko_wr": (wr_h * 9 ** e - 3 ** n * 7 ** e, 9 ** e),
+            # connected independent-set floor
+            "cor1_4": (i_h * 4 ** ex - path_ind_fib(n) * 3 ** ex, 4 ** ex),
+            "cor1_6": (cor1_6.numerator, cor1_6.denominator),
+        }
+        # Sidorenko vs K_3 (bipartite sources only): ch(H,3) >= 3^n (2/3)^e
+        if t.bipartite[c]:
+            margins["sidorenko_k3"] = (_class_poly(g)(3) * 3 ** e - 3 ** n * 2 ** e, 3 ** e)
+        key, count = (int(t.first_rank[c]), -1, 0), int(t.size[c])
+        for claim, (diff, den) in margins.items():
+            out[claim].append((key, count, diff, den, "{g}"))
+    return {c: _group_summary(c, out[c], t, ()) for c in CORO_CLAIMS}
 
 
 def corollary_bundle_summary(max_n: int, workers: int = 1) -> dict:
-    """One pass over connected graphs feeding all five corollary claims."""
+    """One pass over the connected classes feeding all five corollary
+    claims; runs in-process on the class tables whatever `workers` is."""
     totals = {c: SweepSummary(c) for c in CORO_CLAIMS}
-    jobs = ((n, batch) for n, batch in _batches(max_n))
-    for part in _map_batches(_corollary_batch, jobs, workers):
+    for n in range(1, max_n + 1):
+        part = _corollary_batch(class_table(n))
         for c in CORO_CLAIMS:
             totals[c].merge(part[c])
     return totals

@@ -2,8 +2,10 @@
 sizes.  Each test prints a PASS/FAIL line with instance counts and timing
 (visible with -s; the test id itself carries the verdict under -v).
 
-Heads-up on runtime: the exhaustive n<=7 sweeps take a few minutes each on
-a small machine; the whole module is around ten minutes with two workers.
+Heads-up on runtime: criterion 1 (every counter on every labelled graph)
+and the cycle-packing sweep of criterion 6 take about two minutes and one
+minute with two workers on a 2-core host; the sweeps on class tables take
+seconds.  The whole module takes about four minutes there.
 
 Known-red criterion: test_criterion_09 asserts that the random search finds
 a tenth-grid weighted 3-vertex target violating the 4-path edge ratio.  The

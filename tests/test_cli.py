@@ -218,6 +218,27 @@ def test_count_override_size_guard(what, guard, count, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == {"count": count}
 
 
+@pytest.mark.parametrize("loop,count", [("1", "1"), ("0", "0")])
+def test_count_hom_one_vertex_target_long_path(loop, count, tmp_path):
+    path3000 = _write_edgelist(tmp_path / "p3000.el", 3000, [(i, i + 1) for i in range(2999)])
+    target = tmp_path / "one.tg"
+    target.write_text(f"1\n{loop}\n")
+    r = run_cli("count", "hom", "--graph", path3000, "--target", str(target), timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"count": count}
+
+
+def test_count_chrom_override_size_guard(monkeypatch, capsys):
+    # p4 has 3 edges on 4 vertices: past both lowered guards
+    monkeypatch.setattr(counting, "CHROM_POLY_EDGE_GUARD", 1)
+    monkeypatch.setattr(counting, "HOM_GUARD_BITS", 1)
+    argv = ["count", "chrom", "--graph", str(DATA / "p4.el"), "--q", "3"]
+    assert cli.main(argv) == 2
+    capsys.readouterr()
+    assert cli.main([*argv, "--override-size-guard"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": "24"}
+
+
 def test_malformed_graph_exit_2(tmp_path):
     bad = tmp_path / "bad.el"
     bad.write_text("3 1\n0 0\n")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,21 @@ def test_hom_guard():
     assert hom_count(empty_graph(100), complete_target(1)) == 1  # k=1 exempt
 
 
+def test_hom_one_vertex_target_closed_form():
+    from homverify.graphs import TargetGraph
+
+    long_path = path_graph(3000)  # deeper than the recursion limit
+    loop = TargetGraph.from_rows([[Fraction(1, 2)]])
+    assert hom_count(long_path, loop) == Fraction(1, 2) ** 2999
+    assert hom_count(long_path, complete_target(1)) == 0
+    assert hom_count(empty_graph(5), complete_target(1)) == 1
+    assert hom_count(Graph(0, frozenset()), loop) == 1
+    only = ListConstraint({0: {0}})
+    assert hom_count(path_graph(3), loop, only) == Fraction(1, 4)
+    with pytest.raises(ValueError):
+        hom_count(path_graph(3), loop, ListConstraint({0: {1}}))
+
+
 def test_ind_wr_guards():
     big = empty_graph(IND_GUARD_VERTICES + 1)
     with pytest.raises(SizeGuardError):
@@ -169,6 +185,20 @@ def test_chrom_poly_guard():
         chrom_poly(g)
     p = chrom_poly(g, override_guard=True)
     assert p(10) == math.factorial(10)
+
+
+def test_chrom_eval_override_guard(monkeypatch):
+    from homverify import counting
+
+    long_path = path_graph(50)
+    with pytest.raises(SizeGuardError):
+        chrom_eval(long_path, 3)  # the hom_count fallback is guarded too
+    assert chrom_eval(long_path, 3, override_guard=True) == 3 * 2 ** 49
+    monkeypatch.setattr(counting, "CHROM_POLY_EDGE_GUARD", 2)
+    with pytest.raises(SizeGuardError):
+        chrom_poly(cycle_graph(4))
+    assert chrom_eval(cycle_graph(4), 3) == 18  # counted by hom_count
+    assert chrom_eval(cycle_graph(4), 3, override_guard=True) == 18
 
 
 def test_chrom_eval_uses_given_poly():
@@ -364,3 +394,24 @@ def test_tree_bound_below_path_count(n, tname):
     t = {"k2": complete_target(2), "k3": complete_target(3), "hc": HC, "wr": WR}[tname]
     bound = tree_hom_lower_bound(n, t)
     assert float(hom_count(path_graph(n), t)) >= bound - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Relabelling invariance: every counter is an invariant of the isomorphism
+# class of its source, which the class tables of the sweeps rely on
+# ---------------------------------------------------------------------------
+
+def _relabelled(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@given(graphs(max_n=6), weighted_targets(max_k=3), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_counters_invariant_under_relabelling(g, t, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = _relabelled(g, perm)
+    assert ind_count(h) == ind_count(g)
+    assert wr_count(h) == wr_count(g)
+    assert chrom_poly(h) == chrom_poly(g)
+    assert hom_count(h, t) == hom_count(g, t)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homverify.graphs import (
     Graph,
@@ -21,6 +22,8 @@ from homverify.search import (
     find_counterexample,
     iter_edge_sets,
 )
+
+from conftest import weighted_targets
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,6 +120,40 @@ def test_scan_result_consistency():
     num = hom_count(g, hard_core_target())
     den = hom_count(g.delete_edge(*res.worst_edge), hard_core_target())
     assert num / den == res.worst_ratio
+
+
+def _scan_per_labelled_graph(target, max_n, bipartite_only):
+    """The scan as one hom_count per labelled graph and edge, in
+    enumeration order, keeping the first minimum."""
+    tested_h = tested_edges = skipped = 0
+    worst = None
+    for n in range(1, max_n + 1):
+        for g in enumerate_graphs(n, bipartite=bipartite_only):
+            tested_h += 1
+            for e in g.sorted_edges:
+                den = hom_count(g.delete_edge(*e), target)
+                if den == 0:
+                    skipped += 1
+                    continue
+                tested_edges += 1
+                ratio = hom_count(g, target) / den
+                if worst is None or ratio < worst[0]:
+                    worst = (ratio, to_graph6(g), e)
+    return tested_h, tested_edges, skipped, worst
+
+
+@given(weighted_targets(max_k=3), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_scan_matches_per_labelled_graph_scan(target, bipartite_only):
+    res = edge_mono_scan(target, 4, bipartite_only=bipartite_only)
+    tested_h, tested_edges, skipped, worst = _scan_per_labelled_graph(target, 4, bipartite_only)
+    assert (res.tested_h, res.tested_edges, res.skipped_zero_denominator) == \
+        (tested_h, tested_edges, skipped)
+    if worst is None:
+        assert res.worst_h is None and res.satisfies_all
+    else:
+        assert (res.worst_ratio, res.worst_h, res.worst_edge) == worst
+        assert res.satisfies_all == (worst[0] >= res.threshold)
 
 
 def test_scan_guard():

@@ -8,8 +8,9 @@ import json
 
 import pytest
 
-from homverify import cli
+from homverify import cli, sweeps
 from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
+from homverify.search import edge_mono_scan
 from homverify.sweeps import (
     SweepConfig,
     SweepSummary,
@@ -53,6 +54,17 @@ def test_fast_summary_matches_streamed_reports(claim, kw):
     assert slow.tight_count == fast.tight_count
 
 
+@pytest.mark.parametrize("claim,kw", [
+    ("eq_ind", {}), ("eq_wr", {}), ("wr_lemma", {}), ("thm1_1", {"qs": (3,)}),
+])
+def test_table_fold_matches_streamed_reports_exactly(claim, kw):
+    # here both modes list the instances of a graph in the same order, so
+    # the per-graph checkers fix every field, instance strings included
+    cfg = SweepConfig(claim, 5, **kw)
+    slow = _fold_reports(claim, sweep_reports(cfg))
+    assert sweep_summary(cfg).to_json_dict() == slow.to_json_dict()
+
+
 def test_worker_count_invariance():
     cfg = SweepConfig("eq_ind", 4)
     one = list(sweep_reports(cfg, workers=1))
@@ -61,6 +73,34 @@ def test_worker_count_invariance():
     s1 = sweep_summary(cfg, workers=1)
     s2 = sweep_summary(cfg, workers=2)
     assert s1.to_json_dict() == s2.to_json_dict()
+
+
+def test_pool_size_clamped_to_cpu_count(monkeypatch):
+    requested = []
+
+    class InlinePool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    class Context:
+        Pool = InlinePool
+
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweeps, "get_context", lambda method: Context())
+    cfg = SweepConfig("cor1_4", 4)
+    got = sweep_summary(cfg, workers=10 ** 6)
+    assert requested == [3]
+    monkeypatch.undo()
+    assert got.to_json_dict() == sweep_summary(cfg, workers=1).to_json_dict()
 
 
 def test_bundle_matches_individual_claims():
@@ -178,6 +218,13 @@ CLI_DIGESTS = {
     "balanced": "31e490d48d6b7ab54e6c9fdcecab973457c14e6155727aac7a071cecd015bd7c",
 }
 BUNDLE_DIGEST = "4234a011fcf8df73c963badedacaad591d3d708c54a5fbabf2136aa79f098f03"
+# edge_mono_scan(target, 5, bipartite_only=...).to_json_dict(), recorded
+# before the scans moved onto the class tables
+SCAN_DIGESTS = {
+    ("k3", True): "1ec8482bc51da77646f4343f6b5d3d02d998604655e51a2b0e2f82df097663ec",
+    ("hardcore", False): "52931418a9bfde824c4cb18c36c0bfcb4357b58caa104ba87918c7ad82734b20",
+    ("wr", False): "222323fee43ae024d5ae451e9f840fd143d03440b0bfab41ecc3c3aa0d881aad",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -215,3 +262,9 @@ def test_cli_sweep_digest(claim, kw):
 def test_bundle_digest():
     b = corollary_bundle_summary(5)
     assert _sha(_canonical({c: s.to_json_dict() for c, s in b.items()})) == BUNDLE_DIGEST
+
+
+@pytest.mark.parametrize("target,bipartite_only", sorted(SCAN_DIGESTS))
+def test_scan_digest(target, bipartite_only):
+    r = edge_mono_scan(_TARGETS[target](), 5, bipartite_only=bipartite_only)
+    assert _sha(_canonical(r.to_json_dict())) == SCAN_DIGESTS[(target, bipartite_only)]

@@ -15,7 +15,7 @@ Two phases:
 
 Usage:
     python scripts/hunt_counterexamples.py [--k 3] [--samples 100000]
-        [--seed 20250809] [--max-n 5] [--save-dir DIR]
+        [--seed 20250809] [--max-n 5] [--all-bipartite] [--save-dir DIR]
 """
 
 import argparse
@@ -64,8 +64,8 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=20250809)
     ap.add_argument("--max-n", type=int, default=5)
-    ap.add_argument("--trees-only", action="store_true", default=True)
-    ap.add_argument("--all-bipartite", dest="trees_only", action="store_false")
+    ap.add_argument("--all-bipartite", dest="trees_only", action="store_false",
+                    help="search every connected bipartite graph, not only trees")
     ap.add_argument("--save-dir", default=None)
     args = ap.parse_args()
 

@@ -66,7 +66,7 @@ def main() -> int:
         tag = claim if claim != "sidorenko" else f"sidorenko_{i}"
         t0 = time.time()
         if args.summary_only:
-            summary = sweep_summary(cfg, workers=args.workers)
+            summary = sweep_summary(cfg)
         else:
             summary = SweepSummary(claim)
             with open(outdir / f"{tag}.jsonl", "w") as fh:
@@ -92,7 +92,7 @@ def main() -> int:
 
     print("corollary bundle ...")
     t0 = time.time()
-    bundle = corollary_bundle_summary(min(args.max_n, 7), workers=args.workers)
+    bundle = corollary_bundle_summary(min(args.max_n, 7))
     for c, s in bundle.items():
         print(f"  {c:<14} instances={s.instances:>9} violated={s.violated}")
         grand.append(s.to_json_dict())

@@ -68,7 +68,8 @@ def build_parser() -> _Parser:
     # a string default goes through type=int, so a bad value is a usage error
     p.add_argument("--workers", type=int,
                    default=os.environ.get("HOMVERIFY_WORKERS", "1"),
-                   help="parallel workers (default $HOMVERIFY_WORKERS or 1)")
+                   help="parallel workers for sweep reports; summaries run in one "
+                        "process (default $HOMVERIFY_WORKERS or 1)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps an
     # unset subcommand flag from stomping a value given before it
     common = argparse.ArgumentParser(add_help=False)

@@ -8,20 +8,20 @@ Two execution paths share one instance enumeration:
 
 * report mode drives the per-instance checkers in verify.py and streams one
   Report per instance, in enumeration order regardless of worker count;
-* summary mode folds the same comparisons into counts.  The claims with a
-  fold, and the corollary bundle, read every quantity from the
-  isomorphism-class tables of classes.py: each count is computed once per
-  class and gathered for every labelled instance, in-process.  The other
-  claims fold their reports.
+* summary mode folds the same comparisons into counts, in-process, over
+  the isomorphism-class tables of classes.py.  A claim with a fold
+  computes each count once per class and gathers it for every labelled
+  instance; every other claim, and the corollary bundle, runs its own
+  checker once per class representative and weights it by the class size.
 
-The two paths are checked against each other in the test suite.  Workers
-receive batches of edge sets in enumeration order and results are merged in
-submission order, so output is byte-identical for any worker count.
+The two paths are checked against each other in the test suite.  In report
+mode (and the oracle sweep) workers receive batches of edge sets in
+enumeration order and results are merged in submission order, so output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,11 +47,9 @@ from .counting import (
     chrom_poly,
     hom_count,
     ind_count,
-    path_ind_fib,
     wr_count,
 )
 from .verify import (
-    FLOAT_TOL,
     INAPPLICABLE,
     Report,
     check_balanced_bipartite_bound,
@@ -253,27 +251,17 @@ def _delete_map(t: ClassTable, u: int, v: int) -> list[int]:
     return [index[(pos[a], pos[b])] if a in pos and b in pos else -1 for a, b in t.pairs]
 
 
-def _summary_batch(args) -> SweepSummary:
-    """Summary of a batch of labelled graphs, folded from the claim's
-    reports: the path of the claims without a class-table fold."""
-    cfg, n, edge_sets = args
-    sweep = CLAIMS[cfg.claim].sweep
-    s = SweepSummary(cfg.claim)
-    for edges in edge_sets:
-        for r in sweep(Graph(n, frozenset(edges)), cfg):
-            s.record(r.instance, r.verdict, r.margin)
-    return s
-
-
 # A fold yields instance groups (key, count, diff, den, label) from one n's
 # class table: `count` labelled instances with margin diff/den (diff None:
-# inapplicable), the first of them in enumeration order at key = (rank,
-# pair index, q index), whose instance string is `label` formatted with the
-# graph6 name g, the pair (u, v) and q.
-_EDGE = "{g} e=({u},{v})"
-_Q_EDGE = "{g} q={q} e=({u},{v})"
-_CROSS = "{g} q={q} pair=({u},{v}) cross"
-_SAME = "{g} q={q} pair=({u},{v}) same"
+# inapplicable; an integer, or a Fraction over den = 1), the first of them
+# in enumeration order at key = (rank, pair index, q index).  Its instance
+# string is `label` itself, or `label` called with the graph6 name g, the
+# pair (u, v) and q.
+_NAME = "{g}".format
+_EDGE = "{g} e=({u},{v})".format
+_Q_EDGE = "{g} q={q} e=({u},{v})".format
+_CROSS = "{g} q={q} pair=({u},{v}) cross".format
+_SAME = "{g} q={q} pair=({u},{v}) same".format
 
 
 def _group_summary(claim: str, items, t: ClassTable, qs: tuple) -> SweepSummary:
@@ -302,10 +290,12 @@ def _group_summary(claim: str, items, t: ClassTable, qs: tuple) -> SweepSummary:
             best = (diff, den, key, label)
 
     def describe(key, label):
+        if isinstance(label, str):
+            return label
         rank, b, qi = key
         u, v = t.pairs[b] if b >= 0 else (None, None)
         g = to_graph6(t.graph(int(t.order[rank])))
-        return label.format(g=g, u=u, v=v, q=qs[qi] if qs else None)
+        return label(g=g, u=u, v=v, q=qs[qi] if qs else None)
 
     if violation is not None:
         s.first_violation = describe(*violation)
@@ -315,6 +305,27 @@ def _group_summary(claim: str, items, t: ClassTable, qs: tuple) -> SweepSummary:
         s.min_margin = Fraction(best[0], best[1])
         s.min_margin_instance = describe(*best[2:])
     return s
+
+
+def _checker_groups(t: ClassTable, reports: Callable, keep: Optional[np.ndarray] = None,
+                    label=None):
+    """The instance groups of reports(rep), the reports of each class
+    representative (of the classes marked in keep, default all): report i
+    of class c stands for its t.size[c] labelled copies at key
+    (first rank, -1, i), named by `label` or else by the report.
+
+    This is exact because every margin the checkers compute is invariant
+    under relabelling: each labelled copy then has the representative's
+    margins in the same order, and the representative, the first copy in
+    enumeration order, is the one a streamed fold would name.  The one
+    labelling-dependent step, cor1_2's greedy cycle packing, takes a
+    shortest even cycle, and at n <= MAX_N = 7 at most one (two disjoint
+    ones need 8 vertices); in a bipartite graph that cycle has girth
+    length, so the packed subgraph's size and colorings are invariant."""
+    for c in range(len(t.reps)) if keep is None else np.flatnonzero(keep).tolist():
+        rank, count = int(t.first_rank[c]), int(t.size[c])
+        for i, r in enumerate(reports(t.reps[c])):
+            yield (rank, -1, i), count, r.margin, 1, label or r.instance
 
 
 def _ratio_groups(x: list, edges, a: int, b: int):
@@ -373,7 +384,10 @@ def _fold_thm1_1(t: ClassTable, cfg: SweepConfig):
             for qi, q in enumerate(qs):
                 c = ch[g][qi]
                 if c == 0:
-                    yield (rank, b, qi), count, None, None, None
+                    # one inapplicable instance per graph and q, as the
+                    # checker reports it: counted in pair column 0 only
+                    if b == 0:
+                        yield (rank, b, qi), count, None, None, None
                     continue
                 ci = ch1[ident][qi] if s else 0
                 if cross:
@@ -396,21 +410,22 @@ def _fold_eq_col(t: ClassTable, cfg: SweepConfig):
                 yield (rank, b, qi), count, ch[g][qi] * q - (q - 1) * den, den * q, _Q_EDGE
 
 
+def _summary_batch(t: ClassTable, cfg: SweepConfig) -> SweepSummary:
+    """Summary of the instances on one class table: the claim's fold, or
+    else its sweep run once per class."""
+    claim = CLAIMS[cfg.claim]
+    items = (claim.fold(t, cfg) if claim.fold
+             else _checker_groups(t, lambda g: claim.sweep(g, cfg)))
+    return _group_summary(cfg.claim, items, t, cfg.qs)
+
+
 def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
-    """Aggregate of every instance of the claim.  Claims with a fold run
-    in-process on the class tables; the others fold their reports on
-    `workers` processes."""
+    """Aggregate of every instance of the claim, computed in-process on the
+    class tables; `workers` is accepted for callers and unused."""
     cfg.validate()
     total = SweepSummary(cfg.claim)
-    fold = CLAIMS[cfg.claim].fold
-    if fold is not None:
-        for n in range(1, cfg.max_n + 1):
-            t = class_table(n)
-            total.merge(_group_summary(cfg.claim, fold(t, cfg), t, cfg.qs))
-        return total
-    jobs = ((cfg, n, batch) for n, batch in _batches(cfg.max_n))
-    for part in _map_batches(_summary_batch, jobs, workers):
-        total.merge(part)
+    for n in range(1, cfg.max_n + 1):
+        total.merge(_summary_batch(class_table(n), cfg))
     return total
 
 
@@ -519,56 +534,37 @@ CLAIMS = {c.name: c for c in (
 
 
 # ---------------------------------------------------------------------------
-# Bundled connected-graph pass (shares i(H) and wr(H) across claims)
+# Corollary bundle: five checkers over the connected classes
 # ---------------------------------------------------------------------------
 
-CORO_CLAIMS = ("sidorenko_hc", "sidorenko_wr", "sidorenko_k3", "cor1_4", "cor1_6")
+_HC = hard_core_target()
+_WR = widom_rowlinson_target()
+_K3 = complete_target(3)
 
 
 def _corollary_batch(t: ClassTable) -> dict:
     """The five corollary summaries over the connected classes of one
-    table; a class stands for its labelled copies, the first of them its
-    representative."""
-    n = t.n
-    ind = t.values("ind", ind_count)
-    wr = t.values("wr", wr_count)
-    sqrt2 = math.sqrt(2)
-    out = {c: [] for c in CORO_CLAIMS}
-    for c in np.flatnonzero(t.connected).tolist():
-        g = t.reps[c]
-        e = g.m
-        ex = e - (n - 1)
-        i_h = ind[c]
-        wr_h = wr[c]
-        # connected Widom-Rowlinson floor (irrational: widened float bound)
-        bound = 2 * sqrt2 * (1 + sqrt2) ** (n - 1) * (7 / 9) ** ex
-        cor1_6 = Fraction(wr_h) - (Fraction(bound) - FLOAT_TOL)
-        margins = {
-            # Sidorenko vs hard-core: i(H) >= 2^n (3/4)^e
-            "sidorenko_hc": (i_h * 4 ** e - 2 ** n * 3 ** e, 4 ** e),
-            # Sidorenko vs Widom-Rowlinson: wr(H) >= 3^n (7/9)^e
-            "sidorenko_wr": (wr_h * 9 ** e - 3 ** n * 7 ** e, 9 ** e),
-            # connected independent-set floor
-            "cor1_4": (i_h * 4 ** ex - path_ind_fib(n) * 3 ** ex, 4 ** ex),
-            "cor1_6": (cor1_6.numerator, cor1_6.denominator),
-        }
-        # Sidorenko vs K_3 (bipartite sources only): ch(H,3) >= 3^n (2/3)^e
-        if t.bipartite[c]:
-            margins["sidorenko_k3"] = (_class_poly(g)(3) * 3 ** e - 3 ** n * 2 ** e, 3 ** e)
-        key, count = (int(t.first_rank[c]), -1, 0), int(t.size[c])
-        for claim, (diff, den) in margins.items():
-            out[claim].append((key, count, diff, den, "{g}"))
-    return {c: _group_summary(c, out[c], t, ()) for c in CORO_CLAIMS}
+    table, each instance named by its graph6 alone."""
+    connected = t.connected
+    checks = {
+        "sidorenko_hc": (connected, lambda g: [check_sidorenko_bound(g, _HC)]),
+        "sidorenko_wr": (connected, lambda g: [check_sidorenko_bound(g, _WR)]),
+        # K_3 has no Sidorenko form for non-bipartite sources
+        "sidorenko_k3": (connected & t.bipartite, lambda g: [check_sidorenko_bound(g, _K3)]),
+        "cor1_4": (connected, lambda g: [check_connected_ind_bound(g)]),
+        "cor1_6": (connected, lambda g: [check_connected_wr_bound(g)]),
+    }
+    return {c: _group_summary(c, _checker_groups(t, reports, keep, _NAME), t, ())
+            for c, (keep, reports) in checks.items()}
 
 
 def corollary_bundle_summary(max_n: int, workers: int = 1) -> dict:
-    """One pass over the connected classes feeding all five corollary
-    claims; runs in-process on the class tables whatever `workers` is."""
-    totals = {c: SweepSummary(c) for c in CORO_CLAIMS}
+    """The five corollary claims over the connected graphs, computed
+    in-process on the class tables; `workers` is accepted and unused."""
+    totals = {}
     for n in range(1, max_n + 1):
-        part = _corollary_batch(class_table(n))
-        for c in CORO_CLAIMS:
-            totals[c].merge(part[c])
+        for c, part in _corollary_batch(class_table(n)).items():
+            totals.setdefault(c, SweepSummary(c)).merge(part)
     return totals
 
 
@@ -588,10 +584,6 @@ class OracleSummary:
         self.checked_wr += other.checked_wr
         self.checked_chrom += other.checked_chrom
         self.mismatches.extend(other.mismatches)
-
-
-_HC = hard_core_target()
-_WR = widom_rowlinson_target()
 
 
 def _oracle_batch(args) -> OracleSummary:

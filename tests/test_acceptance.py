@@ -3,9 +3,9 @@ sizes.  Each test prints a PASS/FAIL line with instance counts and timing
 (visible with -s; the test id itself carries the verdict under -v).
 
 Heads-up on runtime: criterion 1 (every counter on every labelled graph)
-and the cycle-packing sweep of criterion 6 take about two minutes and one
-minute with two workers on a 2-core host; the sweeps on class tables take
-seconds.  The whole module takes about four minutes there.
+takes about two minutes with two workers on a 2-core host; every other
+sweep, criterion 6's cycle packing included, runs on class tables and takes
+seconds.  The whole module takes about three minutes there.
 
 Known-red criterion: test_criterion_09 asserts that the random search finds
 a tenth-grid weighted 3-vertex target violating the 4-path edge ratio.  The

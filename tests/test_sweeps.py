@@ -56,13 +56,37 @@ def test_fast_summary_matches_streamed_reports(claim, kw):
 
 @pytest.mark.parametrize("claim,kw", [
     ("eq_ind", {}), ("eq_wr", {}), ("wr_lemma", {}), ("thm1_1", {"qs": (3,)}),
+    ("thm1_1", {"qs": (1, 3)}),
+    ("cor1_2", {"qs": (2, 3), "ell": 4}), ("cor1_2", {"qs": (2, 3), "ell": 6}),
+    ("cor1_2", {"qs": (2, 3), "ell": 4, "max_n": 6}),
+    ("cor1_2", {"qs": (2, 3), "ell": 6, "max_n": 6}),
+    ("cor1_4", {}), ("cor1_6", {}), ("balanced", {"qs": (2, 3)}),
+    ("sidorenko", {"target": hard_core_target()}),
+    ("sidorenko", {"target": widom_rowlinson_target()}),
+    ("sidorenko", {"target": complete_target(3)}),
 ])
 def test_table_fold_matches_streamed_reports_exactly(claim, kw):
     # here both modes list the instances of a graph in the same order, so
-    # the per-graph checkers fix every field, instance strings included
-    cfg = SweepConfig(claim, 5, **kw)
+    # the per-graph checkers fix every field, instance strings included.
+    # The per-class folds rely on every margin being invariant under
+    # relabelling; these cases check that over every labelled graph (at
+    # n = 6, cor1_2 packs 6-cycles as well as 4-cycles)
+    cfg = SweepConfig(claim, **{"max_n": 5, **kw})
     slow = _fold_reports(claim, sweep_reports(cfg))
     assert sweep_summary(cfg).to_json_dict() == slow.to_json_dict()
+
+
+def test_summaries_start_no_process(monkeypatch):
+    def no_pool(method):
+        raise AssertionError("a summary started a process")
+
+    monkeypatch.setattr(sweeps, "get_context", no_pool)
+    # enough CPUs that the pool would not be clamped to one process
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
+    for claim, kw in DIGEST_CASES:
+        built = {k: _TARGETS[v]() if k == "target" else v for k, v in kw.items()}
+        sweep_summary(SweepConfig(claim, 4, **built), workers=2)
+    corollary_bundle_summary(4, workers=2)
 
 
 def test_worker_count_invariance():
@@ -97,10 +121,10 @@ def test_pool_size_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(sweeps, "get_context", lambda method: Context())
     cfg = SweepConfig("cor1_4", 4)
-    got = sweep_summary(cfg, workers=10 ** 6)
+    got = list(sweep_reports(cfg, workers=10 ** 6))
     assert requested == [3]
     monkeypatch.undo()
-    assert got.to_json_dict() == sweep_summary(cfg, workers=1).to_json_dict()
+    assert got == list(sweep_reports(cfg, workers=1))
 
 
 def test_bundle_matches_individual_claims():

@@ -292,7 +292,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"homverify: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, SizeGuardError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, SizeGuardError, OSError, ValueError) as exc:
         print(f"homverify: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, never a verdict: keep 1 for violations

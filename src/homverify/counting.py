@@ -31,6 +31,9 @@ from .graphs import (
     complete_target,
     connected_components,
     hard_core_target,
+    identified_edges,
+    mask_components,
+    mask_vertices,
     widom_rowlinson_target,
 )
 
@@ -278,30 +281,6 @@ def _cycle_poly(length: int) -> list[int]:
     return out
 
 
-def _components_of(n: int, edges: tuple) -> list[list[int]]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = set()
-    comps = []
-    for s in adj:
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _chrom_rec(n: int, edges: tuple, memo: dict) -> list[int]:
     """Deletion-contraction with closed forms for forests and cycles.
     `edges` is a sorted tuple over vertex ids 0..n-1; isolated vertices
@@ -313,36 +292,30 @@ def _chrom_rec(n: int, edges: tuple, memo: dict) -> list[int]:
     if got is not None:
         return got
 
-    comps = _components_of(n, edges)
-    covered = sum(len(c) for c in comps)
-    iso = n - covered
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     poly = [1]
-    edge_set = set(edges)
-    for comp in comps:
-        cn = len(comp)
-        compset = set(comp)
-        inner = [(u, v) for u, v in edges if u in compset and v in compset]
-        ce = len(inner)
+    iso = 0
+    for comp in mask_components(masks, (1 << n) - 1):
+        verts = mask_vertices(comp)
+        cn = len(verts)
+        degs = [masks[v].bit_count() for v in verts]
+        ce = sum(degs) // 2
+        if ce == 0:
+            iso += 1
+            continue
         if ce == cn - 1:
             cpoly = _tree_poly(cn)
-        elif ce == cn:
-            deg: dict[int, int] = dict.fromkeys(comp, 0)
-            for u, v in inner:
-                deg[u] += 1
-                deg[v] += 1
-            if all(d == 2 for d in deg.values()):
-                cpoly = _cycle_poly(cn)
-            else:
-                cpoly = None
+        elif ce == cn and all(d == 2 for d in degs):
+            cpoly = _cycle_poly(cn)
         else:
-            cpoly = None
-        if cpoly is None:
-            # relabel the component to 0..cn-1 and recurse on delete/contract
-            remap = {v: i for i, v in enumerate(comp)}
-            comp_edges = tuple(sorted(
-                (min(remap[u], remap[v]), max(remap[u], remap[v])) for u, v in inner
-            ))
-            cpoly = _chrom_del_con(cn, comp_edges, memo)
+            # relabel the component to 0..cn-1 (order kept, so the edges
+            # stay sorted) and recurse on delete/contract
+            remap = {v: i for i, v in enumerate(verts)}
+            cpoly = _chrom_del_con(cn, tuple((remap[u], remap[v]) for u, v in edges
+                                             if comp >> u & 1), memo)
         poly = _pmul(poly, cpoly)
     if iso:
         poly = [0] * iso + poly
@@ -362,15 +335,7 @@ def _chrom_del_con(n: int, edges: tuple, memo: dict) -> list[int]:
         deg[v] = deg.get(v, 0) + 1
     e = max(edges, key=lambda f: (deg[f[0]] + deg[f[1]], f))
     deleted = tuple(f for f in edges if f != e)
-    # contract: merge e[1] into e[0], relabel > e[1] down by one
-    lo, hi = e
-    merged = set()
-    for u, v in deleted:
-        u2 = lo if u == hi else (u - 1 if u > hi else u)
-        v2 = lo if v == hi else (v - 1 if v > hi else v)
-        if u2 != v2:
-            merged.add((min(u2, v2), max(u2, v2)))
-    contracted = tuple(sorted(merged))
+    contracted = identified_edges(deleted, *e)
     poly = _psub(_chrom_rec(n, deleted, memo), _chrom_rec(n - 1, contracted, memo))
     memo[key] = poly
     return poly
@@ -436,30 +401,21 @@ def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     c = constraint or EMPTY_CONSTRAINT
     c.validate(g.n, 2)
 
-    forced_in = [v for v in range(g.n) if c.get(v) == frozenset({IND_IN})]
-    forced_out = [v for v in range(g.n) if c.get(v) == frozenset({IND_OUT})]
     masks = g.neighbor_masks
-    in_mask = 0
-    for v in forced_in:
-        in_mask |= 1 << v
+    forced_in = [v for v, ts in c.allowed.items() if IND_OUT not in ts]
+    in_mask = sum(1 << v for v in forced_in)
+    dead = in_mask
+    for v, ts in c.allowed.items():
+        if IND_IN not in ts:
+            dead |= 1 << v
     for v in forced_in:
         if masks[v] & in_mask:
             return 0  # two adjacent vertices forced into the set
-    dead = in_mask
-    for v in forced_in:
         dead |= masks[v]
-    for v in forced_out:
-        dead |= 1 << v
 
-    alive = ((1 << g.n) - 1) & ~dead
     total = 1
-    for comp in connected_components(g):
-        cmask = 0
-        for v in comp:
-            cmask |= 1 << v
-        cmask &= alive
-        if cmask:
-            total *= _ind_branch(masks, cmask)
+    for comp in mask_components(masks, ((1 << g.n) - 1) & ~dead):
+        total *= _ind_branch(masks, comp)
     return total
 
 
@@ -491,45 +447,26 @@ def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     c = constraint or EMPTY_CONSTRAINT
     c.validate(g.n, 3)
 
-    n = g.n
-    full = (1 << n) - 1
-    allow_b = 0
-    allow_a = 0
-    allow_c = 0
-    for v in range(n):
-        ts = c.get(v)
-        if ts is None:
-            ts = frozenset({WR_A, WR_B, WR_C})
-        if WR_B in ts:
-            allow_b |= 1 << v
-        if WR_A in ts:
-            allow_a |= 1 << v
-        if WR_C in ts:
-            allow_c |= 1 << v
+    full = (1 << g.n) - 1
+    allow_a = allow_b = allow_c = full
+    for v, ts in c.allowed.items():
+        if WR_A not in ts:
+            allow_a ^= 1 << v
+        if WR_B not in ts:
+            allow_b ^= 1 << v
+        if WR_C not in ts:
+            allow_c ^= 1 << v
 
     masks = g.neighbor_masks
     total = 0
     # iterate white sets B over subsets of the b-allowing vertices
     white = allow_b
     while True:
-        alive = full & ~white
         prod = 1
-        rem = alive
-        while rem and prod:
-            seed = rem & -rem
-            comp = seed
-            frontier = seed
-            while frontier:
-                grow = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    grow |= masks[b.bit_length() - 1]
-                frontier = grow & alive & ~comp
-                comp |= frontier
-            rem &= ~comp
+        for comp in mask_components(masks, full & ~white):
             prod *= ((comp & ~allow_a) == 0) + ((comp & ~allow_c) == 0)
+            if not prod:
+                break
         total += prod
         if white == 0:
             break

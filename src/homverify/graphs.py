@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 Edge = tuple[int, int]
 
@@ -109,7 +109,7 @@ class Graph:
         return Graph.from_edges(len(keep), new_edges)
 
     def is_connected(self) -> bool:
-        return len(connected_components(self)) <= 1
+        return _spans(self.neighbor_masks)
 
 
 @dataclass(frozen=True)
@@ -158,18 +158,8 @@ class TargetGraph:
 
     def is_connected(self) -> bool:
         """Connectivity of the support graph (loops join nothing)."""
-        k = self.k
-        if k == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in range(k):
-                if v not in seen and v != u and self.w[u][v] > 0:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == k
+        return _spans([sum(1 << j for j, x in enumerate(row) if x and j != i)
+                       for i, row in enumerate(self.w)])
 
     def describe(self) -> str:
         if self.is_simple:
@@ -433,26 +423,44 @@ def to_target_text(t: TargetGraph) -> str:
 # Structure
 # ---------------------------------------------------------------------------
 
+def mask_components(masks: Sequence[int], alive: int) -> Iterator[int]:
+    """The components of the subgraph induced on the vertex mask `alive`,
+    as vertex masks, lowest vertex first; masks[v] is v's neighbour mask."""
+    while alive:
+        comp = frontier = alive & -alive
+        alive ^= comp
+        while frontier:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grow |= masks[b.bit_length() - 1]
+            frontier = grow & alive
+            alive ^= frontier
+            comp |= frontier
+        yield comp
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The set bits of a vertex mask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return out
+
+
+def _spans(masks: Sequence[int]) -> bool:
+    """Whether the graph with these neighbour masks is connected (the
+    empty graph is)."""
+    full = (1 << len(masks)) - 1
+    return next(mask_components(masks, full), full) == full
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Maximal connected vertex sets, each sorted, ordered by minimum."""
-    seen = [False] * g.n
-    comps = []
-    adj = g.adjacency
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+    return [mask_vertices(c) for c in mask_components(g.neighbor_masks, (1 << g.n) - 1)]
 
 
 def _two_color(g: Graph) -> tuple[Optional[list[int]], Optional[Edge]]:
@@ -517,26 +525,28 @@ def odd_closed_walk(g: Graph) -> Optional[list[int]]:
     return None
 
 
+def identified_edges(edges: Iterable[Edge], u: int, v: int) -> tuple[Edge, ...]:
+    """The sorted edges of H/uv for u < v: v merges into u, ids above v
+    move down by one, the loop uv would become is dropped and parallels
+    collapse."""
+    merged = set()
+    for a, b in edges:
+        a2 = u if a == v else (a - 1 if a > v else a)
+        b2 = u if b == v else (b - 1 if b > v else b)
+        if a2 != b2:
+            merged.add((a2, b2) if a2 < b2 else (b2, a2))
+    return tuple(sorted(merged))
+
+
 def identify_vertices(g: Graph, u: int, v: int) -> Graph:
-    """Merge v into u (any loop this creates is dropped, parallels collapse),
-    then renumber preserving order.  The chromatic identification H/uv."""
+    """Merge the larger of u, v into the smaller (any loop this creates is
+    dropped, parallels collapse), then renumber preserving order.  The
+    chromatic identification H/uv."""
     if u == v:
         raise ValueError("cannot identify a vertex with itself")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertex pair ({u},{v}) out of range")
-    lo, hi = min(u, v), max(u, v)
-
-    def remap(x: int) -> int:
-        if x == hi:
-            x = lo
-        return x if x < hi else x - 1
-
-    edges = set()
-    for a, b in g.edges:
-        a2, b2 = remap(a), remap(b)
-        if a2 != b2:
-            edges.add(_norm(a2, b2))
-    return Graph(g.n - 1, frozenset(edges))
+    return Graph(g.n - 1, frozenset(identified_edges(g.edges, min(u, v), max(u, v))))
 
 
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:

@@ -96,6 +96,8 @@ def edge_mono_scan(target: TargetGraph, max_n: int, *,
     the first in enumeration order that attains the minimum."""
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"scan supports max_n in 1..{MAX_N}")
+    if target.k == 0:
+        raise ValueError("scan needs a target with at least one vertex")
     threshold = target.edge_weight_sum / target.k ** 2
     tested_h = 0
     tested_edges = 0

@@ -38,6 +38,7 @@ from .graphs import (
     bipartition,
     complete_target,
     hard_core_target,
+    identified_edges as _identified_edges,  # perfbench's layer tracer wraps this name
     to_graph6,
     widom_rowlinson_target,
 )
@@ -227,20 +228,10 @@ def _class_poly(g: Graph) -> ChromPoly:
     return _poly_cached(g.n, g.sorted_edges)
 
 
-def _identified_edges(n: int, edges: frozenset, u: int, v: int) -> tuple:
-    merged = set()
-    for a, b in edges:
-        a2 = u if a == v else (a - 1 if a > v else a)
-        b2 = u if b == v else (b - 1 if b > v else b)
-        if a2 != b2:
-            merged.add((a2, b2) if a2 < b2 else (b2, a2))
-    return tuple(sorted(merged))
-
-
 def _identify_map(t: ClassTable, u: int, v: int) -> list[int]:
     """Bit map from the masks of t to those of G/uv in the n-1 table."""
     index = class_table(t.n - 1).index
-    return [index[e[0]] if (e := _identified_edges(t.n, frozenset({p}), u, v)) else -1
+    return [index[e[0]] if (e := _identified_edges((p,), u, v)) else -1
             for p in t.pairs]
 
 

@@ -162,9 +162,13 @@ def test_output_file(tmp_path):
     ("scan", "--target", "hardcore", "--max-n", "9"),
     ("scan", "--target", "hardcore", "--max-n", "0"),
     ("search", "--H", "DATA_P4", "--k", "9", "--samples", "5", "--seed", "1"),
+    ("scan", "--target", "k0", "--max-n", "3"),          # empty target
+    ("count", "ind", "--graph", "DATA_DIR"),             # unreadable input
+    ("--output", "DATA_DIR", "count", "ind", "--graph", "DATA_P4"),  # unwritable output
 ])
 def test_usage_errors_exit_2(args):
-    args = [str(DATA / "p4.el") if a == "DATA_P4" else a for a in args]
+    paths = {"DATA_P4": str(DATA / "p4.el"), "DATA_DIR": str(DATA)}
+    args = [paths.get(a, a) for a in args]
     r = run_cli(*args)
     assert r.returncode == 2
     err = r.stderr.strip()

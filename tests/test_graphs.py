@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from homverify.graphs import (
     Graph,
@@ -16,6 +16,7 @@ from homverify.graphs import (
     greedy_cycle_packing,
     cycle_edges,
     identify_vertices,
+    mask_components,
     odd_closed_walk,
     parse_edgelist,
     parse_graph,
@@ -188,6 +189,36 @@ def test_components_examples():
     assert connected_components(empty_graph(3)) == [[0], [1], [2]]
 
 
+@given(graphs(max_n=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mask_components_match_union_find(g, data):
+    alive = data.draw(st.integers(0, (1 << g.n) - 1))
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        if alive >> u & 1 and alive >> v & 1:
+            parent[find(u)] = find(v)
+    expected: dict[int, int] = {}
+    for v in range(g.n):
+        if alive >> v & 1:
+            expected[find(v)] = expected.get(find(v), 0) | 1 << v
+
+    comps = list(mask_components(g.neighbor_masks, alive))
+    assert sorted(comps) == sorted(expected.values())
+    covered = 0
+    for c in comps:
+        assert c and not c & covered
+        covered |= c
+    assert covered == alive
+    lowest = [c & -c for c in comps]
+    assert lowest == sorted(lowest)
+
+
 def test_spanning_tree_examples():
     t = path_graph(4)
     assert spanning_tree(t) == t
@@ -276,3 +307,14 @@ def test_target_properties():
     assert t.edge_weight_sum == 7 and t.is_simple and t.is_connected()
     t2 = parse_target("2\n1 0\n0 1\n")
     assert not t2.is_connected()
+
+
+def test_target_connectivity_anchors():
+    assert TargetGraph.from_rows([]).is_connected()
+    assert TargetGraph.from_rows([[0]]).is_connected()
+    assert TargetGraph.from_rows([[3]]).is_connected()
+    # two looped weighted blocks with no entry between them: loops join nothing
+    blocks = [[2, "1/2", 0, 0], ["1/2", 3, 0, 0], [0, 0, "1/3", 1], [0, 0, 1, 5]]
+    assert not TargetGraph.from_rows(blocks).is_connected()
+    blocks[1][2] = blocks[2][1] = "1/7"
+    assert TargetGraph.from_rows(blocks).is_connected()

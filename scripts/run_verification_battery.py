@@ -8,6 +8,8 @@ Usage:
 Produces one <claim>.jsonl file per claim (stream of per-instance reports
 plus a trailing summary record) or, with --summary-only, a single
 battery_summary.json with the aggregate counts from the fast kernels.
+Both sweep modes run in one process; --workers sets the worker count of
+the oracle equivalence pass only.
 """
 
 import argparse
@@ -21,7 +23,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
 from homverify.sweeps import (
     SweepConfig,
-    SweepSummary,
     corollary_bundle_summary,
     oracle_equivalence_sweep,
     sweep_reports,
@@ -47,7 +48,8 @@ BATTERY = [
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=5)
-    ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--workers", type=int, default=2,
+                    help="worker processes for the oracle equivalence pass")
     ap.add_argument("--out", default="battery_out")
     ap.add_argument("--summary-only", action="store_true")
     args = ap.parse_args()
@@ -68,11 +70,8 @@ def main() -> int:
         if args.summary_only:
             summary = sweep_summary(cfg)
         else:
-            summary = SweepSummary(claim)
             with open(outdir / f"{tag}.jsonl", "w") as fh:
-                for rd in sweep_reports(cfg, workers=args.workers):
-                    fh.write(json.dumps(rd) + "\n")
-                    summary.record_json(rd)
+                summary = sweep_reports(cfg, fh.write)
                 fh.write(json.dumps(summary.to_json_dict()) + "\n")
         dt = time.time() - t0
         d = summary.to_json_dict()

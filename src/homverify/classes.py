@@ -54,6 +54,22 @@ def remap(masks: np.ndarray, dest: list[int]) -> np.ndarray:
     return out
 
 
+def graph6_names(n: int, masks: np.ndarray) -> list[str]:
+    """``to_graph6`` of the graph of every mask on n <= 62 vertices: the
+    pair bits moved into graph6 order (column by column of the upper
+    triangle, first bit highest), then cut into 6-bit characters + 63."""
+    pairs = vertex_pairs(n)
+    chars = -(-len(pairs) // 6)
+    top = 6 * chars - 1
+    bits = remap(masks, [top - (j * (j - 1) // 2 + i) for i, j in pairs])
+    out = np.empty((len(masks), 1 + chars), dtype=np.uint8)
+    out[:, 0] = n + 63
+    for c in range(chars):
+        out[:, 1 + c] = ((bits >> (top - 5 - 6 * c)) & 63) + 63
+    text = out.tobytes().decode("ascii")
+    return [text[i:i + 1 + chars] for i in range(0, len(text), 1 + chars)]
+
+
 class ClassTable:
     """The isomorphism classes of the labelled graphs on n vertices.
 

@@ -39,7 +39,7 @@ from .counting import (
     wr_count,
 )
 from .verify import VIOLATED
-from .sweeps import CLAIMS, SweepConfig, sweep_reports, sweep_summary, SweepSummary
+from .sweeps import CLAIMS, SweepConfig, sweep_reports, sweep_summary
 from .search import edge_mono_scan, find_counterexample
 
 
@@ -58,7 +58,6 @@ class RunConfig:
 
     command: str
     args: argparse.Namespace
-    workers: int = 1
     output: Optional[str] = None
 
 
@@ -68,8 +67,9 @@ def build_parser() -> _Parser:
     # a string default goes through type=int, so a bad value is a usage error
     p.add_argument("--workers", type=int,
                    default=os.environ.get("HOMVERIFY_WORKERS", "1"),
-                   help="parallel workers for sweep reports; summaries run in one "
-                        "process (default $HOMVERIFY_WORKERS or 1)")
+                   help="accepted for compatibility; every command runs in one "
+                        "process, only the library's oracle sweep uses workers "
+                        "(default $HOMVERIFY_WORKERS or 1)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps an
     # unset subcommand flag from stomping a value given before it
     common = argparse.ArgumentParser(add_help=False)
@@ -222,17 +222,14 @@ def _run_verify(args, out: _Out) -> int:
     return 1 if bad else 0
 
 
-def _run_sweep(args, out: _Out, workers: int) -> int:
+def _run_sweep(args, out: _Out) -> int:
     qs = tuple(args.q) if args.q else ()
     target = _load_target(args.target) if args.target else None
     cfg = SweepConfig(args.claim, args.max_n, qs=qs, ell=args.ell, target=target)
     if args.summary_only:
-        summary = sweep_summary(cfg, workers=workers)
+        summary = sweep_summary(cfg)
     else:
-        summary = SweepSummary(cfg.claim)
-        for rd in sweep_reports(cfg, workers=workers):
-            out.line(rd)
-            summary.record_json(rd)
+        summary = sweep_reports(cfg, out.fh.write)
     out.line(summary.to_json_dict())
     return 1 if summary.violated else 0
 
@@ -270,7 +267,7 @@ def run(config: RunConfig) -> int:
         elif config.command == "verify":
             code = _run_verify(args, out)
         elif config.command == "sweep":
-            code = _run_sweep(args, out, config.workers)
+            code = _run_sweep(args, out)
         elif config.command == "scan":
             code = _run_scan(args, out)
         elif config.command == "search":
@@ -286,8 +283,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        config = RunConfig(command=ns.command, args=ns,
-                           workers=max(1, ns.workers), output=ns.output)
+        config = RunConfig(command=ns.command, args=ns, output=ns.output)
         return run(config)
     except UsageError as exc:
         print(f"homverify: {exc}", file=sys.stderr)

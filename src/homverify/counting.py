@@ -501,6 +501,8 @@ class SpectralData:
 
 
 def spectral_data(target: TargetGraph) -> SpectralData:
+    if target.k == 0:
+        raise ValueError("spectral data needs a target with at least one vertex")
     mat = np.array([[float(x) for x in row] for row in target.w])
     vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(vals)[::-1]

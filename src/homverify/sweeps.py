@@ -4,34 +4,39 @@
 its per-instance checks for ``homverify verify``, its sweep expansion and
 its summary kernel.  The CLI and both sweep modes read it.
 
-Two execution paths share one instance enumeration:
+Both sweep modes run in-process over the isomorphism-class tables of
+classes.py, in one instance enumeration order:
 
-* report mode drives the per-instance checkers in verify.py and streams one
-  Report per instance, in enumeration order regardless of worker count;
-* summary mode folds the same comparisons into counts, in-process, over
-  the isomorphism-class tables of classes.py.  A claim with a fold
+* summary mode folds the comparisons into counts.  A claim with a fold
   computes each count once per class and gathers it for every labelled
   instance; every other claim, and the corollary bundle, runs its own
-  checker once per class representative and weights it by the class size.
+  checker once per class representative and weights it by the class size;
+* report mode streams one JSON line per instance.  Each report position
+  of a labelled graph falls in a group (its class, or for the pair claims
+  the classes that fix the pair's margin) whose reports differ only in the
+  graph6 name.  The checker runs once per group, its report is rendered
+  once, and every line is that fragment behind the graph's name, all names
+  coming from one vectorised graph6 pass per chunk of masks.
 
-The two paths are checked against each other in the test suite.  In report
-mode (and the oracle sweep) workers receive batches of edge sets in
-enumeration order and results are merged in submission order, so output is
-byte-identical for any worker count.
+The test suite checks both modes against the per-labelled-graph checkers.
+Only the oracle sweep starts workers: they receive batches of edge sets in
+enumeration order and results are merged in submission order, so its
+result is the same for any worker count.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .classes import ClassTable, class_table, groups, remap
+from .classes import ClassTable, class_table, graph6_names, groups, remap
 from .graphs import (
     Graph,
     TargetGraph,
@@ -103,11 +108,6 @@ class SweepSummary:
             self.min_margin = margin
             self.min_margin_instance = instance
 
-    def record_json(self, rd: dict) -> None:
-        """Record a report given in its JSON form (Report.to_json_dict)."""
-        m = rd["margin"]
-        self.record(rd["instance"], rd["verdict"], None if m is None else Fraction(m))
-
     def merge(self, other: "SweepSummary") -> None:
         self.instances += other.instances
         self.holds += other.holds
@@ -148,7 +148,7 @@ def summarize(claim: str, reports) -> SweepSummary:
 
 
 # ---------------------------------------------------------------------------
-# Parallel plumbing
+# Parallel plumbing (the oracle sweep)
 # ---------------------------------------------------------------------------
 
 def _batches(max_n: int) -> Iterator[tuple[int, list]]:
@@ -191,28 +191,6 @@ class SweepConfig:
         if not 1 <= self.max_n <= MAX_N:
             raise ValueError(f"sweeps support max_n in 1..{MAX_N}")
         claim.check(self.qs, self.target)
-
-
-# ---------------------------------------------------------------------------
-# Report mode: per-instance checkers, streamed
-# ---------------------------------------------------------------------------
-
-def _report_batch(args) -> list[dict]:
-    cfg, n, edge_sets = args
-    sweep = CLAIMS[cfg.claim].sweep
-    out = []
-    for edges in edge_sets:
-        g = Graph(n, frozenset(edges))
-        out.extend(r.to_json_dict() for r in sweep(g, cfg))
-    return out
-
-
-def sweep_reports(cfg: SweepConfig, workers: int = 1) -> Iterator[dict]:
-    """JSON dicts of every Report, in enumeration order."""
-    cfg.validate()
-    jobs = ((cfg, n, batch) for n, batch in _batches(cfg.max_n))
-    for chunk in _map_batches(_report_batch, jobs, workers):
-        yield from chunk
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +341,7 @@ def _fold_thm1_1(t: ClassTable, cfg: SweepConfig):
     ch1 = [[p(q) for q in qs] for p in t1.values("poly", _class_poly)]
     width = 2 * len(t1.reps) + 1
     for b, m, r in t.columns(t.connected & t.bipartite, edges_only=False):
-        u, v = t.pairs[b]
-        bit = 1 << b
-        # 0 for an edge uv, else 1 + 2 * class of G/uv + (G+uv bipartite):
-        # for connected bipartite G, u and v are across iff G+uv is bipartite
-        state = np.where(m & bit, 0, 1 + 2 * t1.cls[remap(m, _identify_map(t, u, v))]
-                         + t.bipartite[t.cls[m | bit]])
+        state = _pair_state(t, m, b, _identify_map(t, *t.pairs[b]))
         for key, count, rank in groups(t.cls[m].astype(np.int64) * width + state, r):
             g, s = divmod(key, width)
             ident, cross = divmod(s - 1, 2) if s else (None, True)
@@ -386,6 +359,16 @@ def _fold_thm1_1(t: ClassTable, cfg: SweepConfig):
                     yield (rank, b, qi), count, c - q * ci, q * c, _CROSS
                 else:
                     yield (rank, b, qi), count, q * ci - c, q * c, _SAME
+
+
+def _pair_state(t: ClassTable, m: np.ndarray, b: int, ident: list[int]) -> np.ndarray:
+    """The state of pair b = uv in each graph of m, for thm1_1: 0 for an
+    edge uv, else 1 + 2 * class of G/uv + (G+uv bipartite); ident is the
+    bit map to G/uv.  For connected bipartite G, u and v are across iff
+    G+uv is bipartite."""
+    bit = 1 << b
+    return np.where(m & bit, 0, 1 + 2 * class_table(t.n - 1).cls[remap(m, ident)]
+                    + t.bipartite[t.cls[m | bit]])
 
 
 def _fold_eq_col(t: ClassTable, cfg: SweepConfig):
@@ -421,6 +404,162 @@ def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
 
 
 # ---------------------------------------------------------------------------
+# Report mode: one checker call per instance group, lines from fragments
+# ---------------------------------------------------------------------------
+
+# masks per chunk of report lines: this many over the table's slot count
+CHUNK_LINES = 1 << 14
+_OPEN = '{"instance": "'
+
+
+class _Slot(NamedTuple):
+    """One report position of the labelled graphs of a table.  keys(masks)
+    gives the group of each mask's report here (-1: no report).  The
+    reports of a group agree in every field but the graph6 name that opens
+    the instance string, so report(mask) runs the checker on one labelled
+    graph of each group.  A line names the graph of mask ^ rename."""
+
+    keys: Callable[[np.ndarray], np.ndarray]
+    report: Callable[[int], Report]
+    rename: int = 0
+
+
+def _class_slots(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
+    """Report i of the claim's sweep, run once per class representative;
+    exact for the reason _checker_groups gives."""
+    sweep = CLAIMS[cfg.claim].sweep
+    reports = [sweep(g, cfg) for g in t.reps]
+    slots = []
+    for i in range(max(map(len, reports), default=0)):
+        ids = np.array([c if len(r) > i else -1 for c, r in enumerate(reports)], dtype=np.int32)
+        slots.append(_Slot(lambda m, ids=ids: ids[t.cls[m]],
+                           lambda m, i=i: reports[t.cls[m]][i]))
+    return slots
+
+
+def _edge_slots(t: ClassTable, check: Callable, keep: Optional[np.ndarray] = None,
+                qs: tuple = (None,), rename: bool = False) -> list[_Slot]:
+    """check(G, e, q) for each q and each edge e of G (of the classes in
+    keep, default all), grouped by (class of G, class of G-e)."""
+    c = len(t.reps)
+    keep = np.ones(c, dtype=bool) if keep is None else keep
+
+    def keys(m, bit):
+        g = t.cls[m]
+        return np.where((m & bit != 0) & keep[g], g.astype(np.int64) * c + t.cls[m ^ bit], -1)
+
+    return [_Slot(lambda m, bit=1 << b: keys(m, bit),
+                  lambda m, e=e, q=q: check(t.graph(m), e, q), 1 << b if rename else 0)
+            for q in qs for b, e in enumerate(t.pairs)]
+
+
+def _slots_wr_lemma(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
+    # grouped by the classes of G/uv, G-u-v, G-e and G, which fix both sides
+    if t.n < 2:
+        return []
+    t1, t2 = class_table(t.n - 1), class_table(t.n - 2)
+    c, c2 = len(t.reps), len(t2.reps)
+
+    def keys(m, bit, ident, dele):
+        key = (t1.cls[remap(m, ident)].astype(np.int64) * c2 + t2.cls[remap(m, dele)]) * c
+        return np.where(m & bit != 0, (key + t.cls[m ^ bit]) * c + t.cls[m], -1)
+
+    return [_Slot(lambda m, b=b, i=_identify_map(t, u, v), d=_delete_map(t, u, v):
+                  keys(m, 1 << b, i, d),
+                  lambda m, e=(u, v): check_wr_lemma(t.graph(m), e))
+            for b, (u, v) in enumerate(t.pairs)]
+
+
+def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
+    # per q, connected bipartite G: one inapplicable report if G has no
+    # proper q-coloring, else one per pair, grouped by the class of G and
+    # the pair's state in _fold_thm1_1
+    width = 2 * len(class_table(t.n - 1).reps) + 1
+    ok = t.connected & t.bipartite
+    maps = [_identify_map(t, u, v) for u, v in t.pairs]
+    last: dict = {}
+
+    def reports(m, q):
+        # the checker reports every pair at once, and _report_batch asks
+        # for the reports of one graph and q one after another
+        if (m, q) not in last:
+            last.clear()
+            last[m, q] = check_correlation_coloring(t.graph(m), q)
+        return last[m, q]
+
+    def pair_keys(m, b, some):
+        g = t.cls[m]
+        return np.where(some[g], g.astype(np.int64) * width + _pair_state(t, m, b, maps[b]), -1)
+
+    slots = []
+    for q in cfg.qs:
+        none = ok & np.array([p(q) == 0 for p in t.values("poly", _class_poly)])
+        slots.append(_Slot(lambda m, none=none: np.where(none[t.cls[m]], t.cls[m], -1),
+                           lambda m, q=q: reports(m, q)[0]))
+        slots += [_Slot(lambda m, b=b, some=ok & ~none: pair_keys(m, b, some),
+                        lambda m, b=b, q=q: reports(m, q)[b])
+                  for b in range(len(t.pairs))]
+    return slots
+
+
+def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object]
+                  ) -> SweepSummary:
+    """Write the report lines of one table's labelled graphs, in enumeration
+    order and each graph's reports in the claim's order, and return their
+    summary.  The checker runs once per group of each slot; its report is
+    rendered once, as the JSON after the graph6 name, and every line is
+    the opening, the name and that fragment."""
+    slots = (CLAIMS[cfg.claim].slots or _class_slots)(t, cfg)
+    if not slots:
+        return SweepSummary(cfg.claim)
+    ranks = np.arange(len(t.order), dtype=np.int32)
+    found = []
+    for j, slot in enumerate(slots):
+        found += [(rank, j, key, count)
+                  for key, count, rank in groups(slot.keys(t.order), ranks) if key >= 0]
+    # the groups in stream order of their first instances
+    found.sort()
+    skip = 1 + -(-len(t.pairs) // 6)  # length of a graph6 name on n vertices
+    frags, items = [], []
+    lookup = [[] for _ in slots]
+    for rank, j, key, count in found:
+        r = slots[j].report(int(t.order[rank]))
+        rd = json.dumps({**r.to_json_dict(), "instance": r.instance[skip:]})
+        lookup[j].append((key, len(frags)))
+        frags.append(rd[len(_OPEN):] + "\n")
+        items.append(((rank, j), count, r.margin, 1, r.instance))
+    # per slot: (group key, fragment index) rows, sorted by key
+    lookup = [np.array(sorted(kf), dtype=np.int64).reshape(-1, 2) for kf in lookup]
+    rename = np.array([s.rename for s in slots], dtype=np.int64)
+    step = max(1, CHUNK_LINES // len(slots))
+    for lo in range(0, len(t.order), step):
+        m = t.order[lo:lo + step]
+        ids = np.full((len(m), len(slots)), -1, dtype=np.int64)
+        for j, (slot, kf) in enumerate(zip(slots, lookup)):
+            k = slot.keys(m)
+            have = k >= 0
+            ids[have, j] = kf[np.searchsorted(kf[:, 0], k[have]), 1]
+        rows, js = np.nonzero(ids >= 0)
+        names = graph6_names(t.n, m[rows] ^ rename[js])
+        write("".join([_OPEN + name.replace("\\", "\\\\") + frags[f]
+                       for name, f in zip(names, ids[rows, js].tolist())]))
+    return _group_summary(cfg.claim, items, t, cfg.qs)
+
+
+def sweep_reports(cfg: SweepConfig, write: Callable[[str], object],
+                  workers: int = 1) -> SweepSummary:
+    """Write the JSON line of every Report, in enumeration order, through
+    `write` (many lines per call) and return their summary, as folding the
+    lines in order would give it.  Runs in-process on the class tables;
+    `workers` is accepted for callers and unused."""
+    cfg.validate()
+    total = SweepSummary(cfg.claim)
+    for n in range(1, cfg.max_n + 1):
+        total.merge(_report_batch(class_table(n), cfg, write))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # The claim table
 # ---------------------------------------------------------------------------
 
@@ -433,7 +572,9 @@ class Claim:
     sweep filter and builds the reports of every instance of one labelled
     graph; None marks a verify-only claim.  fold(t, cfg) is the summary
     kernel: it yields the instance groups of one class table t; without
-    one, summaries fold the sweep's reports.
+    one, summaries fold the sweep's reports.  slots(t, cfg) lists the
+    report positions of report mode on one class table; without it, report
+    i of the sweep on each class representative is one.
     Entries call the checkers through this module's globals at call time,
     so a wrapper installed on those names (perfbench's tracer) sees every
     call."""
@@ -442,6 +583,7 @@ class Claim:
     verify: Callable
     sweep: Optional[Callable] = None
     fold: Optional[Callable] = None
+    slots: Optional[Callable] = None
     q_min: Optional[int] = None  # None: the claim takes no q
     edge: bool = False
     target: bool = False
@@ -487,22 +629,29 @@ def _sweep_balanced(g: Graph, cfg: SweepConfig) -> list[Report]:
 CLAIMS = {c.name: c for c in (
     Claim("thm1_1", q_min=1,
           verify=lambda g, p: check_correlation_coloring(g, p.q),
-          sweep=_sweep_thm1_1, fold=_fold_thm1_1),
+          sweep=_sweep_thm1_1, fold=_fold_thm1_1, slots=_slots_thm1_1),
     Claim("eq_col", q_min=1, edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "coloring", p.edge, p.q)],
-          sweep=_sweep_eq_col, fold=_fold_eq_col),
+          sweep=_sweep_eq_col, fold=_fold_eq_col,
+          # a report names G-e, the base graph of the ratio
+          slots=lambda t, cfg: _edge_slots(
+              t, lambda g, e, q: check_edge_ratio(g.delete_edge(*e), "coloring", e, q),
+              t.bipartite, cfg.qs, rename=True)),
     Claim("eq_ind", edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "independent", p.edge)],
           sweep=lambda g, cfg: [check_edge_ratio(g, "independent", e) for e in g.sorted_edges],
-          fold=_fold_eq_ind),
+          fold=_fold_eq_ind,
+          slots=lambda t, cfg: _edge_slots(
+              t, lambda g, e, q: check_edge_ratio(g, "independent", e))),
     Claim("eq_wr", edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "wr", p.edge)],
           sweep=lambda g, cfg: [check_edge_ratio(g, "wr", e) for e in g.sorted_edges],
-          fold=_fold_eq_wr),
+          fold=_fold_eq_wr,
+          slots=lambda t, cfg: _edge_slots(t, lambda g, e, q: check_edge_ratio(g, "wr", e))),
     Claim("wr_lemma", edge=True,
           verify=lambda g, p: [check_wr_lemma(g, p.edge)],
           sweep=lambda g, cfg: [check_wr_lemma(g, e) for e in g.sorted_edges],
-          fold=_fold_wr_lemma),
+          fold=_fold_wr_lemma, slots=_slots_wr_lemma),
     Claim("sidorenko", target=True,
           verify=lambda g, p: [check_sidorenko_bound(g, p.target)],
           sweep=lambda g, cfg: [check_sidorenko_bound(g, cfg.target)] if g.is_connected() else []),

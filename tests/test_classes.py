@@ -1,5 +1,6 @@
 """The isomorphism-class tables: class counts, orbit sizes, relabelling
-invariance, enumeration order, and the bit maps the sweeps gather through."""
+invariance, enumeration order, the bit maps the sweeps gather through, and
+the vectorised graph6 namer."""
 
 import math
 import random
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homverify.classes import class_table, groups, remap, vertex_pairs
-from homverify.graphs import identify_vertices, to_graph6
+from homverify.classes import class_table, graph6_names, groups, remap, vertex_pairs
+from homverify.graphs import Graph, identify_vertices, to_graph6
 from homverify.search import iter_edge_sets
 from homverify.sweeps import _delete_map, _identify_map
 
@@ -94,3 +95,17 @@ def test_groups_counts_and_lowest_rank():
     ranks = np.array([3, 9, 1, 4, 0, 8])
     assert list(groups(keys, ranks)) == [(2, 2, 4), (5, 3, 1), (7, 1, 0)]
     assert list(groups(keys[:0], ranks[:0])) == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_graph6_names_match_to_graph6(n):
+    pairs = vertex_pairs(n)
+    masks = np.arange(1 << len(pairs), dtype=np.int32)
+    want = [to_graph6(Graph(n, frozenset(e for i, e in enumerate(pairs) if m >> i & 1)))
+            for m in masks.tolist()]
+    assert graph6_names(n, masks) == want
+    # any int dtype, any order
+    assert graph6_names(n, masks[::-1].astype(np.int64)) == want[::-1]
+    # '\\' (92) is a graph6 character that JSON escapes; names with it
+    # occur from n = 4 on
+    assert (n >= 4) == any("\\" in name for name in want)

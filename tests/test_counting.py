@@ -388,6 +388,18 @@ def test_tree_hom_lower_bound():
         tree_hom_lower_bound(3, TargetGraph.from_rows([[1, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("call", [
+    spectral_data,
+    lambda t: tree_hom_lower_bound(3, t),
+    lambda t: cycle_hom_spectral(4, t),
+], ids=["spectral_data", "tree_hom_lower_bound", "cycle_hom_spectral"])
+def test_spectral_rejects_empty_target(call):
+    from homverify.graphs import TargetGraph
+
+    with pytest.raises(ValueError, match="needs a target with at least one vertex"):
+        call(TargetGraph.from_rows([]))
+
+
 @given(st.integers(1, 8), st.sampled_from(["k2", "k3", "hc", "wr"]))
 @settings(max_examples=40, deadline=None)
 def test_tree_bound_below_path_count(n, tname):

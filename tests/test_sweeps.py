@@ -1,5 +1,5 @@
-"""Cross-checks between the streamed per-instance checkers and the fast
-aggregate kernels, worker-count invariance, and output digests."""
+"""Cross-checks of both sweep modes against an independent per-labelled-
+graph reference stream, worker-count invariance, and output digests."""
 
 import contextlib
 import hashlib
@@ -9,8 +9,8 @@ import json
 import pytest
 
 from homverify import cli, sweeps
-from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
-from homverify.search import edge_mono_scan
+from homverify.graphs import Graph, complete_target, hard_core_target, widom_rowlinson_target
+from homverify.search import edge_mono_scan, iter_edge_sets
 from homverify.sweeps import (
     SweepConfig,
     SweepSummary,
@@ -36,17 +36,33 @@ CASES = [
 ]
 
 
-def _fold_reports(claim, dicts):
-    s = SweepSummary(claim)
-    for rd in dicts:
-        s.record_json(rd)
-    return s
+def _reference_stream(cfg):
+    """The report stream computed the slow way, independently of the class
+    tables: every labelled graph of iter_edge_sets built as a Graph, the
+    claim's sweep run on it, each Report written with json.dumps and folded
+    in stream order.  Returns (text, summary)."""
+    sweep = sweeps.CLAIMS[cfg.claim].sweep
+    lines = []
+    s = SweepSummary(cfg.claim)
+    for n in range(1, cfg.max_n + 1):
+        for edges in iter_edge_sets(n):
+            for r in sweep(Graph(n, frozenset(edges)), cfg):
+                lines.append(json.dumps(r.to_json_dict()) + "\n")
+                s.record(r.instance, r.verdict, r.margin)
+    return "".join(lines), s
+
+
+def _stream(cfg, **kw):
+    """(text, summary) of sweep_reports."""
+    buf = io.StringIO()
+    s = sweep_reports(cfg, buf.write, **kw)
+    return buf.getvalue(), s
 
 
 @pytest.mark.parametrize("claim,kw", CASES)
 def test_fast_summary_matches_streamed_reports(claim, kw):
     cfg = SweepConfig(claim, 4, **kw)
-    slow = _fold_reports(claim, sweep_reports(cfg))
+    slow = _reference_stream(cfg)[1]
     fast = sweep_summary(cfg)
     assert (slow.instances, slow.holds, slow.violated, slow.inapplicable) == \
         (fast.instances, fast.holds, fast.violated, fast.inapplicable)
@@ -72,8 +88,26 @@ def test_table_fold_matches_streamed_reports_exactly(claim, kw):
     # relabelling; these cases check that over every labelled graph (at
     # n = 6, cor1_2 packs 6-cycles as well as 4-cycles)
     cfg = SweepConfig(claim, **{"max_n": 5, **kw})
-    slow = _fold_reports(claim, sweep_reports(cfg))
+    slow = _reference_stream(cfg)[1]
     assert sweep_summary(cfg).to_json_dict() == slow.to_json_dict()
+
+
+@pytest.mark.parametrize("claim,kw", [
+    *((c, {"max_n": 5, **kw}) for c, kw in CASES),
+    ("thm1_1", {"qs": (2, 3), "max_n": 5}),
+    ("eq_col", {"qs": (2, 3), "max_n": 5}),
+    # cor1_2's cycle packing is the one labelling-dependent step; at n = 6
+    # it packs 6-cycles as well as 4-cycles
+    ("cor1_2", {"qs": (2, 3), "ell": 4, "max_n": 6}),
+    ("cor1_2", {"qs": (2, 3), "ell": 6, "max_n": 6}),
+])
+def test_report_stream_matches_reference(claim, kw):
+    # every report line, byte for byte, and the summary of the stream
+    cfg = SweepConfig(claim, **kw)
+    text, summary = _stream(cfg)
+    ref_text, ref_summary = _reference_stream(cfg)
+    assert text == ref_text
+    assert summary.to_json_dict() == ref_summary.to_json_dict()
 
 
 def test_summaries_start_no_process(monkeypatch):
@@ -85,15 +119,17 @@ def test_summaries_start_no_process(monkeypatch):
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
     for claim, kw in DIGEST_CASES:
         built = {k: _TARGETS[v]() if k == "target" else v for k, v in kw.items()}
-        sweep_summary(SweepConfig(claim, 4, **built), workers=2)
+        cfg = SweepConfig(claim, 4, **built)
+        sweep_summary(cfg, workers=2)
+        sweep_reports(cfg, lambda text: None, workers=2)
     corollary_bundle_summary(4, workers=2)
 
 
 def test_worker_count_invariance():
     cfg = SweepConfig("eq_ind", 4)
-    one = list(sweep_reports(cfg, workers=1))
-    two = list(sweep_reports(cfg, workers=2))
-    assert one == two
+    one, s_one = _stream(cfg, workers=1)
+    two, s_two = _stream(cfg, workers=2)
+    assert one == two and s_one == s_two
     s1 = sweep_summary(cfg, workers=1)
     s2 = sweep_summary(cfg, workers=2)
     assert s1.to_json_dict() == s2.to_json_dict()
@@ -120,11 +156,11 @@ def test_pool_size_clamped_to_cpu_count(monkeypatch):
 
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(sweeps, "get_context", lambda method: Context())
-    cfg = SweepConfig("cor1_4", 4)
-    got = list(sweep_reports(cfg, workers=10 ** 6))
+    sweep = dict(max_n=4, wr_chrom_max_n=3, chrom_qs=(2,))
+    got = oracle_equivalence_sweep(**sweep, workers=10 ** 6)
     assert requested == [3]
     monkeypatch.undo()
-    assert got == list(sweep_reports(cfg, workers=1))
+    assert got == oracle_equivalence_sweep(**sweep, workers=1)
 
 
 def test_bundle_matches_individual_claims():
@@ -212,7 +248,7 @@ _TARGETS = {"hardcore": hard_core_target, "wr": widom_rowlinson_target,
             "k3": lambda: complete_target(3)}
 
 # sweep_summary(...).to_json_dict() at max_n=5 and the CLI sweep stdout at
-# --max-n 4, per case
+# --max-n 4 and 5, per case
 SUMMARY_DIGESTS = {
     "thm1_1": "a977fb2e27edd2ffa96f000d7e38963aa9290c7e45fe90e1a6959ea526356aa1",
     "eq_col": "65b823a5d8fd58d2a31c9eed63e5dd8f4f1a67ebc22dda11c9f49bf2ecf60fc4",
@@ -228,18 +264,35 @@ SUMMARY_DIGESTS = {
     "balanced": "1ff24575ff687e97ddb94aaafadc7269075896197ef8a765b4a6f7e988388f93",
 }
 CLI_DIGESTS = {
-    "thm1_1": "db2d85013018bb14a0378705779ab75ca30acec66067d66a8a043afd84aa98b5",
-    "eq_col": "c10129af44f0b2ef7edaebd7ed39b97fb06fb56b87c7085ddb14692c1f1fa2a3",
-    "eq_ind": "2a11bbe6e7a4d3673a7cacc2772568e95d50927a3112976e276371b6d7cc1db3",
-    "eq_wr": "2f8c6a81e184c26ed10fd64538904f3e3c97a86f32e01c8a23f0ac4aef81580a",
-    "wr_lemma": "ec8e0db2e63935fbc95016b83e0382b8f2c34a13c55610bfa368a8eb134cdeeb",
-    "sidorenko-hardcore": "2fe99bec2850e512136d622445a29435d2c004f6a7452a4c9ecdfdf370bc059f",
-    "sidorenko-wr": "6198087d81cf01608e667eb379185e70a7258fde3eccc1254e863b2164d608b3",
-    "sidorenko-k3": "03291ae428ba6c85ff4666bb4587f2a6b4a8b3a095727675cfbffe0960525d09",
-    "cor1_2": "5be080540855fd2e7cb75f21c383c947177f5ed9317dfcef0e694e90a80adf7b",
-    "cor1_4": "478fe2c37d6fc74744958b44a38e18b7ecf873293b7be1119a74843ba6c9f654",
-    "cor1_6": "8c75f6cbf1c022e09241b012dace267bfac716ca8094920835005143369f261d",
-    "balanced": "31e490d48d6b7ab54e6c9fdcecab973457c14e6155727aac7a071cecd015bd7c",
+    4: {
+        "thm1_1": "db2d85013018bb14a0378705779ab75ca30acec66067d66a8a043afd84aa98b5",
+        "eq_col": "c10129af44f0b2ef7edaebd7ed39b97fb06fb56b87c7085ddb14692c1f1fa2a3",
+        "eq_ind": "2a11bbe6e7a4d3673a7cacc2772568e95d50927a3112976e276371b6d7cc1db3",
+        "eq_wr": "2f8c6a81e184c26ed10fd64538904f3e3c97a86f32e01c8a23f0ac4aef81580a",
+        "wr_lemma": "ec8e0db2e63935fbc95016b83e0382b8f2c34a13c55610bfa368a8eb134cdeeb",
+        "sidorenko-hardcore": "2fe99bec2850e512136d622445a29435d2c004f6a7452a4c9ecdfdf370bc059f",
+        "sidorenko-wr": "6198087d81cf01608e667eb379185e70a7258fde3eccc1254e863b2164d608b3",
+        "sidorenko-k3": "03291ae428ba6c85ff4666bb4587f2a6b4a8b3a095727675cfbffe0960525d09",
+        "cor1_2": "5be080540855fd2e7cb75f21c383c947177f5ed9317dfcef0e694e90a80adf7b",
+        "cor1_4": "478fe2c37d6fc74744958b44a38e18b7ecf873293b7be1119a74843ba6c9f654",
+        "cor1_6": "8c75f6cbf1c022e09241b012dace267bfac716ca8094920835005143369f261d",
+        "balanced": "31e490d48d6b7ab54e6c9fdcecab973457c14e6155727aac7a071cecd015bd7c",
+    },
+    # recorded before report mode moved onto the class tables
+    5: {
+        "thm1_1": "76a99ada6ac6c173d836db2c541f75981db451ff2330299e1d534ebfef42fc26",
+        "eq_col": "397b19d3b24ae08d66c2359da8f0245a6bb3fbfe6356bb288eb3c3eefa135b73",
+        "eq_ind": "255be12828092f973749cdfe5159a33f12bb93da841937660653f6fcceb6de0a",
+        "eq_wr": "5a28d2fa37cbba69d2faa58abeae72879b330e9c3a219b1ceaa18000ba9ac018",
+        "wr_lemma": "c2299f184990c3e3a9bbceddd6f15cb9f0f2ffe455c32f2f51904e49dc1f2d7e",
+        "sidorenko-hardcore": "c2112666343ca864d8cd44d074bf395666a8228a0bbf41616fd0c5ece25eb252",
+        "sidorenko-wr": "7a7c5a0b9bddea340ba73f83c3a288993f9e1e2b19c8a90a0ae76ba956def247",
+        "sidorenko-k3": "226766502b1246dec902326370cd312aec6404792b4702cc66af2ff8d3a36ad5",
+        "cor1_2": "4c0235343e93e23ff37abed3ac0c22922435a502fdd639c41f45a7784e9733f1",
+        "cor1_4": "8ddedfe564a5ccd09689b50ea5222a5d37fcd53e5db7edd3fd2958ae4e5d34b5",
+        "cor1_6": "690abaec7a93b1c2fcfc57a3eaae56fae12bfd1006829a10438011bba01f5f17",
+        "balanced": "66cc63c256c44a1b70c1b0736b093f7e97cdd39b8a2b7dcd1767d223a835b32d",
+    },
 }
 BUNDLE_DIGEST = "4234a011fcf8df73c963badedacaad591d3d708c54a5fbabf2136aa79f098f03"
 # edge_mono_scan(target, 5, bipartite_only=...).to_json_dict(), recorded
@@ -270,9 +323,11 @@ def test_summary_digest(claim, kw):
     assert _sha(_canonical(s.to_json_dict())) == SUMMARY_DIGESTS[_case_key(claim, kw)]
 
 
-@pytest.mark.parametrize("claim,kw", DIGEST_CASES, ids=[_case_key(*c) for c in DIGEST_CASES])
-def test_cli_sweep_digest(claim, kw):
-    argv = ["sweep", "--claim", claim, "--max-n", "4"]
+@pytest.mark.parametrize("claim,kw,max_n", [(*c, n) for n in (4, 5) for c in DIGEST_CASES],
+                         ids=[_case_key(*c) + ("" if n == 4 else f"-n{n}")
+                              for n in (4, 5) for c in DIGEST_CASES])
+def test_cli_sweep_digest(claim, kw, max_n):
+    argv = ["sweep", "--claim", claim, "--max-n", str(max_n)]
     for q in kw.get("qs", ()):
         argv += ["--q", str(q)]
     if "target" in kw:
@@ -280,7 +335,7 @@ def test_cli_sweep_digest(claim, kw):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0
-    assert _sha(buf.getvalue().encode()) == CLI_DIGESTS[_case_key(claim, kw)]
+    assert _sha(buf.getvalue().encode()) == CLI_DIGESTS[max_n][_case_key(claim, kw)]
 
 
 def test_bundle_digest():

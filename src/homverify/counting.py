@@ -1,8 +1,8 @@
 """Exact counters.
 
-Everything here is exact: arbitrary-precision integers for 0/1 targets,
-Fractions for weighted ones.  Floating point appears only in the spectral
-helpers, which feed advisory bounds, never verdicts.
+Everything here is exact: integer arithmetic for every target, with one
+Fraction at the end of hom_count.  Floating point appears only in the
+spectral helpers, which feed advisory bounds, never verdicts.
 
 Routes are deliberately redundant: the generic weighted backtracking
 counter, the chromatic polynomial via deletion-contraction, the
@@ -29,7 +29,6 @@ from .graphs import (
     WR_B,
     WR_C,
     complete_target,
-    connected_components,
     hard_core_target,
     identified_edges,
     mask_components,
@@ -41,6 +40,7 @@ HOM_GUARD_BITS = 64          # reject hom_count when n*log2(k) exceeds this
 IND_GUARD_VERTICES = 40      # reject ind_count beyond this many vertices
 WR_GUARD_VERTICES = 24       # reject wr_count beyond this many (2^n white sets)
 CHROM_POLY_EDGE_GUARD = 40   # reject chrom_poly beyond this many edges
+FOREST_MIN_VERTICES = 6      # below this, branching beats ind_count's forest DP
 
 
 class SizeGuardError(ValueError):
@@ -82,78 +82,66 @@ EMPTY_CONSTRAINT = ListConstraint({})
 # Weighted homomorphism counting
 # ---------------------------------------------------------------------------
 
-def _order_component(g: Graph, comp: list[int]) -> list[int]:
-    """BFS order from a maximum-degree vertex (ties to the smallest id),
-    neighbors in ascending order: assigned vertices stay adjacent to the
-    frontier, so zero weights prune early."""
-    adj = g.adjacency
-    start = max(comp, key=lambda v: (len(adj[v]), -v))
+def _hom_plan(masks, comp: int) -> tuple[list[int], list[list[int]]]:
+    """BFS order of a component from a maximum-degree vertex (ties to the
+    smallest id, neighbours ascending) and each vertex's earlier neighbours
+    as positions: placed vertices border the frontier, so zeros prune early."""
+    start = deg = -1
+    m = comp
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        d = masks[v].bit_count()
+        if d > deg:
+            start, deg = v, d
     order = [start]
-    seen = {start}
-    queue = [start]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    nxt.append(v)
-        queue = nxt
-    return order
+    pos = {start: 0}
+    placed = 1 << start
+    back: list[list[int]] = [[]]
+    for u in order:
+        new = masks[u] & ~placed
+        while new:
+            b = new & -new
+            new ^= b
+            w = b.bit_length() - 1
+            earlier = masks[w] & placed
+            ps = []
+            while earlier:
+                c = earlier & -earlier
+                earlier ^= c
+                ps.append(pos[c.bit_length() - 1])
+            back.append(ps)
+            pos[w] = len(order)
+            order.append(w)
+            placed |= b
+    return order, back
 
 
-def _count_maps_simple(order_nbrs, choices, wrows) -> int:
-    """Backtracking count for 0/1 targets: no weight bookkeeping, just
-    compatibility."""
-    m = len(choices)
-    assign = [0] * m
-    total = 0
+def _hom_walk(back, choices, rows) -> int:
+    """Sum over the maps of one planned component of the product of the
+    integer entries on its edges, by backtracking in plan order; the last
+    vertex's compatible choices are summed in place, not recursed into."""
+    last = len(back) - 1
+    assign = [0] * len(back)
 
-    def rec(p: int) -> None:
-        nonlocal total
-        if p == m:
-            total += 1
-            return
-        nbrs = order_nbrs[p]
+    def rec(p: int, weight: int) -> int:
+        nbrs = back[p]
+        total = 0
         for t in choices[p]:
-            row = wrows[t]
+            row = rows[t]
+            x = weight
             for q in nbrs:
-                if not row[assign[q]]:
-                    break
-            else:
-                assign[p] = t
-                rec(p + 1)
+                x *= row[assign[q]]
+            if x:
+                if p == last:
+                    total += x
+                else:
+                    assign[p] = t
+                    total += rec(p + 1, x)
+        return total
 
-    rec(0)
-    return total
-
-
-def _count_maps_weighted(order_nbrs, choices, wrows) -> Fraction:
-    m = len(choices)
-    assign = [0] * m
-    total = Fraction(0)
-
-    def rec(p: int, weight: Fraction) -> None:
-        nonlocal total
-        if p == m:
-            total += weight
-            return
-        nbrs = order_nbrs[p]
-        for t in choices[p]:
-            row = wrows[t]
-            wt = weight
-            for q in nbrs:
-                x = row[assign[q]]
-                if not x:
-                    break
-                wt = wt * x
-            else:
-                assign[p] = t
-                rec(p + 1, wt)
-
-    rec(0, Fraction(1))
-    return total
+    return rec(0, 1)
 
 
 def hom_count(
@@ -164,8 +152,10 @@ def hom_count(
     override_guard: bool = False,
 ) -> Fraction:
     """Weighted homomorphism count: sum over all maps respecting the
-    constraint of the product of edge weights.  Exact; counts per connected
-    component of the source are multiplied."""
+    constraint of the product of edge weights.  Exact: the entries are
+    scaled to integers by D, the lcm of their denominators, so the search
+    multiplies integers only and the count is total / D^m.  Counts per
+    connected component of the source are multiplied."""
     k = target.k
     n = g.n
     if k > 1 and n * math.log2(k) > HOM_GUARD_BITS and not override_guard:
@@ -179,34 +169,17 @@ def hom_count(
         return Fraction(target.w[0][0]) ** g.m
     if n == 0:
         return Fraction(1)
+    rows, d = target.integer_rows
     full = tuple(range(k))
-    simple = target.is_simple
-    if simple:
-        wrows = [[1 if x else 0 for x in row] for row in target.w]
-    else:
-        wrows = [list(row) for row in target.w]
-
-    result = Fraction(1)
-    pos = {}
-    for comp in connected_components(g):
-        order = _order_component(g, comp)
-        pos.clear()
-        for i, v in enumerate(order):
-            pos[v] = i
-        adj = g.adjacency
-        order_nbrs = [
-            tuple(pos[w] for w in adj[v] if pos.get(w, len(order)) < i)
-            for i, v in enumerate(order)
-        ]
-        choices = [tuple(sorted(c.get(v))) if c.get(v) is not None else full for v in order]
-        if simple:
-            part: Fraction | int = _count_maps_simple(order_nbrs, choices, wrows)
-        else:
-            part = _count_maps_weighted(order_nbrs, choices, wrows)
-        if not part:
+    masks = g.neighbor_masks
+    total = 1
+    for comp in mask_components(masks, (1 << n) - 1):
+        order, back = _hom_plan(masks, comp)
+        choices = [tuple(sorted(c.allowed[v])) if v in c.allowed else full for v in order]
+        total *= _hom_walk(back, choices, rows)
+        if not total:
             return Fraction(0)
-        result *= part
-    return Fraction(result)
+    return Fraction(total, d ** g.m)
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +344,47 @@ def chrom_eval(g: Graph, q: int, poly: Optional[ChromPoly] = None, *,
 # Independent sets
 # ---------------------------------------------------------------------------
 
+def _ind_forest(nbr: tuple[int, ...], alive: int) -> int:
+    """i of the subgraph induced on `alive` if it is a forest (a cycle is
+    never stripped), else 0.  Leaves are stripped without recursion: out[v]
+    and inn[v] count the sets of the trees stripped into v with v out and
+    in; a tree's last vertex multiplies its count into the extra slot."""
+    out = [1] * (len(nbr) + 1)
+    inn = [1] * (len(nbr) + 1)
+    leaves = [v for v in mask_vertices(alive) if (nbr[v] & alive).bit_count() < 2]
+    while leaves:
+        u = leaves.pop()
+        alive ^= 1 << u
+        p = (nbr[u] & alive).bit_length() - 1  # -1, the last slot, if none
+        out[p] *= out[u] + inn[u]
+        inn[p] *= out[u]
+        if p >= 0 and (nbr[p] & alive).bit_count() == 1:
+            leaves.append(p)
+    return 0 if alive else out[-1]
+
+
 def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
-    """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex; once no
-    edges remain, every subset of what is left is independent."""
-    best = -1
-    bestd = 0
+    """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex.  A matching
+    of e edges and r other vertices has 3^e 2^r sets; with fewer edges than
+    vertices, FOREST_MIN_VERTICES or more, _ind_forest is tried first, so a
+    path or a cycle needs at most one branch."""
+    best = bestd = degs = 0
     m = alive
     while m:
         b = m & -m
         m ^= b
         d = (nbr[b.bit_length() - 1] & alive).bit_count()
+        degs += d
         if d > bestd:
             bestd = d
             best = b.bit_length() - 1
-    if bestd == 0:
-        return 1 << alive.bit_count()
+    v = alive.bit_count()
+    if bestd <= 1:
+        return 3 ** (degs >> 1) << (v - degs)
+    if degs < 2 * v and v >= FOREST_MIN_VERTICES:
+        forest = _ind_forest(nbr, alive)
+        if forest:
+            return forest
     b = 1 << best
     return _ind_branch(nbr, alive ^ b) + _ind_branch(nbr, alive & ~(nbr[best] | b))
 

@@ -10,6 +10,7 @@ operations may run concurrently on shared inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -155,6 +156,13 @@ class TargetGraph:
     @cached_property
     def is_simple(self) -> bool:
         return all(x == 0 or x == 1 for row in self.w for x in row)
+
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, D): every entry times D, the lcm of all denominators, as
+        an integer.  D is 1 for a target with integer entries."""
+        d = math.lcm(*(x.denominator for row in self.w for x in row))
+        return tuple(tuple(int(x * d) for x in row) for row in self.w), d
 
     def is_connected(self) -> bool:
         """Connectivity of the support graph (loops join nothing)."""

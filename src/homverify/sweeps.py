@@ -730,6 +730,7 @@ def _oracle_batch(args) -> OracleSummary:
     n, edge_sets, wr_chrom_max_n, chrom_qs = args
     s = OracleSummary()
     small = n <= wr_chrom_max_n
+    kqs = [(q, complete_target(q)) for q in chrom_qs]
     for edges in edge_sets:
         g = Graph(n, frozenset(edges))
         s.checked_ind += 1
@@ -740,9 +741,9 @@ def _oracle_batch(args) -> OracleSummary:
             if wr_count(g) != hom_count(g, _WR):
                 s.mismatches.append(("wr", n, edges))
             poly = chrom_poly(g)
-            for q in chrom_qs:
+            for q, kq in kqs:
                 s.checked_chrom += 1
-                if poly(q) != hom_count(g, complete_target(q)):
+                if poly(q) != hom_count(g, kq):
                     s.mismatches.append(("chrom", q, n, edges))
     return s
 

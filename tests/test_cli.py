@@ -232,6 +232,19 @@ def test_count_hom_one_vertex_target_long_path(loop, count, tmp_path):
     assert json.loads(r.stdout) == {"count": count}
 
 
+@pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+def test_count_ind_override_long_path_and_cycle(cycle, tmp_path):
+    n = 3000  # far deeper than the recursion limit if branched
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] * cycle
+    graph = _write_edgelist(tmp_path / "g.el", n, edges)
+    r = run_cli("count", "ind", "--graph", graph, "--override-size-guard", timeout=60)
+    assert r.returncode == 0, r.stderr
+    # the path has F_3002 independent sets, the cycle the Lucas number F_2999 + F_3001
+    want = counting.path_ind_fib(n - 3) + counting.path_ind_fib(n - 1) if cycle \
+        else counting.path_ind_fib(n)
+    assert json.loads(r.stdout) == {"count": str(want)}
+
+
 def test_count_chrom_override_size_guard(monkeypatch, capsys):
     # p4 has 3 edges on 4 vertices: past both lowered guards
     monkeypatch.setattr(counting, "CHROM_POLY_EDGE_GUARD", 1)

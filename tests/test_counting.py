@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from homverify.graphs import (
     Graph,
+    TargetGraph,
     complete_graph,
     complete_target,
     cycle_graph,
@@ -16,6 +17,7 @@ from homverify.graphs import (
     widom_rowlinson_target,
 )
 from homverify.counting import (
+    FOREST_MIN_VERTICES,
     IND_GUARD_VERTICES,
     IND_IN,
     IND_OUT,
@@ -91,6 +93,56 @@ def test_hom_constraint_matches_brute(ge):
     g, (u, v) = ge
     c = ListConstraint({u: {0}, v: {0, 2}})
     assert hom_count(g, WR, c) == brute_hom(g, WR, c)
+
+
+@st.composite
+def scaled_targets(draw, integers: bool):
+    """Targets on 2 or 3 vertices whose entries have denominators 1, 3 and
+    7 (D up to 21), or, with `integers`, are integers up to 5: D = 1 but
+    not a 0/1 target."""
+    k = draw(st.integers(2, 3))
+    entry = st.builds(Fraction, st.integers(0, 5), st.sampled_from((1,) if integers else (1, 3, 7)))
+    mat = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            mat[i][j] = mat[j][i] = draw(entry)
+    return TargetGraph(tuple(tuple(row) for row in mat))
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("integers", [False, True])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_hom_integer_scaling_matches_brute(integers, constrained, data):
+    g = data.draw(graphs(max_n=5))
+    t = data.draw(scaled_targets(integers))
+    c = None
+    if constrained and g.n:
+        v = data.draw(st.integers(0, g.n - 1))
+        c = ListConstraint({v: data.draw(st.sets(st.integers(0, t.k - 1), min_size=1))})
+    assert hom_count(g, t, c) == brute_hom(g, t, c)
+
+
+def test_hom_integer_scaling_anchor():
+    # entries 1/3, 2/7 and 3: D = 21, and the path P3 has two edges
+    t = TargetGraph.from_rows([[Fraction(1, 3), Fraction(2, 7)], [Fraction(2, 7), 3]])
+    assert t.integer_rows == (((7, 6), (6, 63)), 21)
+    want = sum(t.w[a][b] * t.w[b][c] for a in range(2) for b in range(2) for c in range(2))
+    assert hom_count(path_graph(3), t) == want == brute_hom(path_graph(3), t)
+
+
+def test_hom_returns_fraction():
+    weighted = TargetGraph.from_rows([[Fraction(1, 3), 2], [2, 0]])
+    for t in (HC, complete_target(3), weighted, TargetGraph.from_rows([[2, 1], [1, 0]])):
+        for g in (path_graph(3), empty_graph(2), Graph(0, frozenset())):
+            assert isinstance(hom_count(g, t), Fraction)
+
+
+def test_hom_multiplies_components():
+    # 12 disjoint edges: 6 proper 3-colourings each; one walk over all 24
+    # vertices would visit 3^24 maps
+    g = Graph.from_edges(24, [(2 * i, 2 * i + 1) for i in range(12)])
+    assert hom_count(g, complete_target(3)) == 6 ** 12
 
 
 def test_hom_guard():
@@ -257,6 +309,31 @@ def test_ind_constraint_matches_hom(g):
         return
     c = ListConstraint({0: {IND_IN}, g.n - 1: {IND_OUT, IND_IN}})
     assert ind_count(g, c) == hom_count(g, HC, c)
+
+
+def test_ind_long_path_and_cycle():
+    # 3000 vertices: far deeper than the recursion limit if branched
+    assert ind_count(path_graph(3000), override_guard=True) == path_ind_fib(3000)
+    # the Lucas number L_3000 = F_2999 + F_3001
+    lucas = path_ind_fib(2997) + path_ind_fib(2999)
+    assert ind_count(cycle_graph(3000), override_guard=True) == lucas
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Forests on FOREST_MIN_VERTICES to 11 vertices (each vertex joins an
+    earlier one or starts a tree), plus up to two extra edges that may
+    close cycles."""
+    n = draw(st.integers(FOREST_MIN_VERTICES, 11))
+    edges = [(draw(st.integers(-1, v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+    return Graph.from_edges(n, [(u, v) for u, v in edges + extra if 0 <= u != v])
+
+
+@given(sparse_graphs())
+@settings(max_examples=80, deadline=None)
+def test_ind_sparse_matches_brute(g):
+    assert ind_count(g) == brute_ind(g)
 
 
 def test_path_ind_fib():

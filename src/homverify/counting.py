@@ -82,7 +82,7 @@ EMPTY_CONSTRAINT = ListConstraint({})
 # Weighted homomorphism counting
 # ---------------------------------------------------------------------------
 
-def _hom_plan(masks, comp: int) -> tuple[list[int], list[list[int]]]:
+def _hom_plan(masks: tuple[int, ...], comp: int) -> tuple[list[int], list[list[int]]]:
     """BFS order of a component from a maximum-degree vertex (ties to the
     smallest id, neighbours ascending) and each vertex's earlier neighbours
     as positions: placed vertices border the frontier, so zeros prune early."""

@@ -101,7 +101,8 @@ def scaled_targets(draw, integers: bool):
     7 (D up to 21), or, with `integers`, are integers up to 5: D = 1 but
     not a 0/1 target."""
     k = draw(st.integers(2, 3))
-    entry = st.builds(Fraction, st.integers(0, 5), st.sampled_from((1,) if integers else (1, 3, 7)))
+    dens = (1,) if integers else (1, 3, 7)
+    entry = st.builds(Fraction, st.integers(0, 5), st.sampled_from(dens))
     mat = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
@@ -128,7 +129,7 @@ def test_hom_integer_scaling_anchor():
     t = TargetGraph.from_rows([[Fraction(1, 3), Fraction(2, 7)], [Fraction(2, 7), 3]])
     assert t.integer_rows == (((7, 6), (6, 63)), 21)
     want = sum(t.w[a][b] * t.w[b][c] for a in range(2) for b in range(2) for c in range(2))
-    assert hom_count(path_graph(3), t) == want == brute_hom(path_graph(3), t)
+    assert hom_count(path_graph(3), t) == want
 
 
 def test_hom_returns_fraction():
@@ -174,7 +175,7 @@ def test_ind_wr_guards():
         ind_count(big)
     assert ind_count(big, override_guard=True) == 2 ** big.n
     with pytest.raises(SizeGuardError):
-        ind_count(path_graph(3000))  # deeper than the recursion limit
+        ind_count(path_graph(3000))  # past the vertex guard
     # wr_count visits 2^n white sets: only ever run guarded past the bound
     with pytest.raises(SizeGuardError):
         wr_count(empty_graph(WR_GUARD_VERTICES + 1))

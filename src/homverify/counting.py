@@ -120,17 +120,21 @@ def _hom_plan(masks: tuple[int, ...], comp: int) -> tuple[list[int], list[list[i
 
 def _hom_walk(back, choices, rows) -> int:
     """Sum over the maps of one planned component of the product of the
-    integer entries on its edges, by backtracking in plan order; the last
-    vertex's compatible choices are summed in place, not recursed into."""
+    integer entries on its edges, by backtracking in plan order without
+    recursion: one choice iterator per depth, and weight[p] the product over
+    the edges among the vertices placed before p.  The last vertex's
+    compatible choices are summed in place, not descended into."""
     last = len(back) - 1
     assign = [0] * len(back)
-
-    def rec(p: int, weight: int) -> int:
+    weight = [1] * len(back)
+    its = [iter(choices[0])] + [None] * last
+    total = 0
+    p = 0
+    while p >= 0:
         nbrs = back[p]
-        total = 0
-        for t in choices[p]:
+        for t in its[p]:
             row = rows[t]
-            x = weight
+            x = weight[p]
             for q in nbrs:
                 x *= row[assign[q]]
             if x:
@@ -138,10 +142,13 @@ def _hom_walk(back, choices, rows) -> int:
                     total += x
                 else:
                     assign[p] = t
-                    total += rec(p + 1, x)
-        return total
-
-    return rec(0, 1)
+                    p += 1
+                    weight[p] = x
+                    its[p] = iter(choices[p])
+                    break
+        else:
+            p -= 1
+    return total
 
 
 def hom_count(

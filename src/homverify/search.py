@@ -2,10 +2,10 @@
 question: for which targets G does hom(H,G)/hom(H-e,G) >= hom(K_2,G)/v(G)^2
 hold for every (bipartite) H?
 
-Verdicts are exact.  The sampler prescreens with vectorized floats using an
-error bound wide enough that no true violation can be screened out, then
-confirms candidates with exact rational arithmetic in sample order, so the
-reported witness is the first one in the stream.
+Verdicts are exact.  The sampler decides each drawn target in vectorized
+integer arithmetic on its entries in tenths, then re-checks every sample it
+flags by a second route, hom_count on the Fraction target, in sample order,
+so the reported witness is the first one in the stream.
 """
 
 from __future__ import annotations
@@ -169,11 +169,23 @@ def _entries_to_target(entries: list[int], k: int) -> TargetGraph:
     return TargetGraph(tuple(tuple(row) for row in mat))
 
 
+def _weight_batch(entries, k: int, g: Graph) -> np.ndarray:
+    """Symmetric integer matrices from rows of upper-triangle entries in
+    0..10: in int64 when k^(n+2) * 10^m, a bound on every count of g and
+    g - e and on every einsum intermediate, is below 2^63, else in Python ints."""
+    dtype = np.int64 if k ** (g.n + 2) * 10 ** g.m < 2 ** 63 else object
+    iu, ju = np.triu_indices(k)
+    pos = np.empty((k, k), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    return np.asarray(entries, dtype=dtype)[:, pos]
+
+
+# keeps the float prescreen's name: perfbench's layer tracer wraps it
 def _hom_floats(g: Graph, w_batch: np.ndarray) -> np.ndarray:
-    """hom(g, .) for a batch of weight matrices, float prescreen only."""
+    """hom(g, .) for a batch of integer weight matrices, exact in its dtype."""
     nb, k, _ = w_batch.shape
     if not g.edges:
-        return np.full(nb, float(k) ** g.n)
+        return np.full(nb, k ** g.n, dtype=w_batch.dtype)
     operands = []
     for u, v in g.sorted_edges:
         operands.append(w_batch)
@@ -182,7 +194,7 @@ def _hom_floats(g: Graph, w_batch: np.ndarray) -> np.ndarray:
     touched = {x for e in g.edges for x in e}
     iso = g.n - len(touched)
     if iso:
-        out = out * float(k) ** iso
+        out = out * k ** iso
     return out
 
 
@@ -194,10 +206,10 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
     generator and return the first strict violation of
     hom(H,G)/hom(H-e,G) >= sum(w)/k^2 over the edges of H, or None.
 
-    Deterministic: the entry stream depends only on the seed, candidate
-    confirmation runs in sample order, and the float prescreen is widened
-    by a bound larger than any attainable rounding error, so it can rule
-    instances out but never rule a true violation in or out incorrectly.
+    Deterministic: the entry stream depends only on the seed.  With entries
+    E in tenths, hom(H, E/10) = hom(H, E)/10^m, so a sample violates at e
+    exactly when k^2 hom(H,E) < sum(E) hom(H-e,E), decided in integers per
+    batch.  hom_count confirms flagged samples in sample order, or raises.
     """
     if not 1 <= k <= 5:
         raise ValueError("target size k must be in 1..5")
@@ -211,34 +223,21 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
     while done < samples:
         batch = min(_BATCH, samples - done)
         all_entries = [_draw_entries(rng, k) for _ in range(batch)]
-        w = np.zeros((batch, k, k))
-        iu, ju = np.triu_indices(k)
-        ent = np.array(all_entries, dtype=float) / 10.0
-        w[:, iu, ju] = ent
-        w[:, ju, iu] = ent
+        w = _weight_batch(all_entries, k, g)
         s = w.sum(axis=(1, 2))
-        hom_g = _hom_floats(g, w)
+        lhs = k * k * _hom_floats(g, w)
         candidate = np.zeros(batch, dtype=bool)
         for _e, h_minus in deletions:
-            hom_m = _hom_floats(h_minus, w)
-            # claim violated iff k^2 * hom_g < s * hom_m; pad by an error
-            # bound no rounding can exceed at these magnitudes
-            lhs = k * k * hom_g
-            rhs = s * hom_m
-            candidate |= lhs < rhs + 1e-6 * (lhs + rhs) + 1e-9
+            candidate |= lhs < s * _hom_floats(h_minus, w)
         for idx in np.flatnonzero(candidate):
             target = _entries_to_target(all_entries[idx], k)
-            s_exact = target.edge_weight_sum
-            if s_exact == 0:
-                continue
-            threshold = s_exact / k ** 2
+            threshold = target.edge_weight_sum / k ** 2
             num = hom_count(g, target)
             for e, h_minus in deletions:
                 den = hom_count(h_minus, target)
-                if den == 0:
-                    continue
-                ratio = num / den
-                if ratio < threshold:
-                    return Counterexample(target, e, ratio, threshold, done + int(idx))
+                if den and num / den < threshold:
+                    return Counterexample(target, e, num / den, threshold, done + int(idx))
+            raise RuntimeError(f"sample {done + int(idx)}: the integer screen flags a "
+                               "violation that hom_count does not confirm")
         done += batch
     return None

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .classes import ClassTable, class_table, graph6_names, groups, remap
+from .classes import MAX_N, ClassTable, class_table, graph6_names, groups, remap
 from .graphs import (
     Graph,
     TargetGraph,
@@ -69,7 +69,7 @@ from .verify import (
     check_sidorenko_bound,
     check_wr_lemma,
 )
-from .search import MAX_N, iter_edge_sets
+from .search import iter_edge_sets
 
 BATCH_SIZE = 4096
 
@@ -546,12 +546,10 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
     return _group_summary(cfg.claim, items, t, cfg.qs)
 
 
-def sweep_reports(cfg: SweepConfig, write: Callable[[str], object],
-                  workers: int = 1) -> SweepSummary:
+def sweep_reports(cfg: SweepConfig, write: Callable[[str], object]) -> SweepSummary:
     """Write the JSON line of every Report, in enumeration order, through
     `write` (many lines per call) and return their summary, as folding the
-    lines in order would give it.  Runs in-process on the class tables;
-    `workers` is accepted for callers and unused."""
+    lines in order would give it.  Runs in-process on the class tables."""
     cfg.validate()
     total = SweepSummary(cfg.claim)
     for n in range(1, cfg.max_n + 1):

@@ -16,6 +16,7 @@ machinery itself works.  The required assertion is retained unweakened and
 fails by design.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -55,6 +56,7 @@ from homverify.sweeps import (
 )
 
 DATA = Path(__file__).parent / "data"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 WORKERS = max(1, int(os.environ.get("HOMVERIFY_WORKERS", os.cpu_count() or 1)))
 
 
@@ -210,14 +212,13 @@ def test_criterion_09_p4_weighted_counterexample():
     )
 
 
-def test_criterion_09_supporting_grid_proof():
-    """Exhaustive exact proof over the full tenths grid at k=3: for H = P_4
-    the edge ratio never drops below the threshold; the minimum margin is
-    exactly zero on both edge orbits (attained, e.g., by constant
-    matrices)."""
+def _p4_grid_formula():
+    """The hand formula for P_4 at k=3 on the whole tenths grid (entries in
+    tenths, upper triangles in itertools.product order): the margins
+    9 hom(P4) - s hom(P4 - e) of the end and middle edge orbits, p3 and s."""
     vals = np.arange(11, dtype=np.int64)
     g = np.meshgrid(*[vals] * 6, indexing="ij")
-    d0, d1, d2, a01, a02, a12 = [x.ravel() for x in g]
+    d0, a01, a02, d1, a12, d2 = [x.ravel() for x in g]
     s = d0 + d1 + d2 + 2 * (a01 + a02 + a12)
     x0 = d0 + a01 + a02
     x1 = a01 + d1 + a12
@@ -227,18 +228,39 @@ def test_criterion_09_supporting_grid_proof():
           + 2 * (a01 * x0 * x1 + a02 * x0 * x2 + a12 * x1 * x2))
     # end edge: hom(P4 - e) = 3 * p3 ; middle edge: hom(P4 - e) = s^2.
     # violation <=> 9 * p4 < s * hom(P4 - e), all exact int64
-    end_margin = 9 * p4 - 3 * s * p3
-    mid_margin = 9 * p4 - s * s * s
+    return 9 * p4 - 3 * s * p3, 9 * p4 - s * s * s, p3, s
+
+
+def test_criterion_09_supporting_grid_proof():
+    """Exhaustive exact proof over the full tenths grid at k=3: for H = P_4
+    the edge ratio never drops below the threshold; the minimum margin is
+    exactly zero on both edge orbits (attained, e.g., by constant
+    matrices)."""
+    end_margin, mid_margin, p3, s = _p4_grid_formula()
     n_end = int((end_margin[p3 > 0] < 0).sum())
     n_mid = int((mid_margin[s > 0] < 0).sum())
     min_end = int(end_margin[p3 > 0].min())
     min_mid = int(mid_margin[s > 0].min())
     announce("criterion 9 supporting grid proof", n_end == 0 and n_mid == 0,
-             f"{d0.size} grid targets; violations end={n_end} mid={n_mid}; "
+             f"{s.size} grid targets; violations end={n_end} mid={n_mid}; "
              f"min margins end={min_end} mid={min_mid}")
-    assert d0.size == 11 ** 6
+    assert s.size == 11 ** 6
     assert n_end == 0 and n_mid == 0
     assert min_end == 0 and min_mid == 0
+
+
+def test_criterion_09_supporting_grid_evaluator():
+    """The hunt script's grid scan runs the search's integer evaluator; its
+    margins and denominators equal the hand formula at every grid point."""
+    spec = importlib.util.spec_from_file_location(
+        "hunt_counterexamples", SCRIPTS / "hunt_counterexamples.py")
+    hunt = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hunt)
+    margins, dens = hunt.p4_grid_margins()
+    end_margin, mid_margin, p3, s = _p4_grid_formula()
+    assert margins.shape == dens.shape == (2, 11 ** 6)
+    assert np.array_equal(margins[0], end_margin) and np.array_equal(margins[1], mid_margin)
+    assert np.array_equal(dens[0], 3 * p3) and np.array_equal(dens[1], s * s)
 
 
 def test_criterion_09_supporting_search_machinery():

@@ -232,6 +232,14 @@ def test_count_hom_one_vertex_target_long_path(loop, count, tmp_path):
     assert json.loads(r.stdout) == {"count": count}
 
 
+def test_count_hom_override_long_path(tmp_path):
+    path3000 = _write_edgelist(tmp_path / "p3000.el", 3000, [(i, i + 1) for i in range(2999)])
+    r = run_cli("count", "hom", "--graph", path3000, "--target", "k2",
+                "--override-size-guard", timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"count": "2"}
+
+
 @pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
 def test_count_ind_override_long_path_and_cycle(cycle, tmp_path):
     n = 3000  # far deeper than the recursion limit if branched

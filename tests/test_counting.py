@@ -169,6 +169,11 @@ def test_hom_one_vertex_target_closed_form():
         hom_count(path_graph(3), loop, ListConstraint({0: {1}}))
 
 
+def test_hom_long_path_without_recursion():
+    # 3000 planned vertices: deeper than the recursion limit
+    assert hom_count(path_graph(3000), complete_target(2), override_guard=True) == 2
+
+
 def test_ind_wr_guards():
     big = empty_graph(IND_GUARD_VERTICES + 1)
     with pytest.raises(SizeGuardError):

@@ -1,12 +1,15 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homverify import search
 from homverify.graphs import (
     Graph,
+    complete_graph,
     complete_target,
     hard_core_target,
     parse_edgelist,
@@ -212,6 +215,52 @@ def test_pinned_counterexample_reverifies_from_scratch():
     threshold = target.edge_weight_sum / target.k ** 2
     assert ratio < threshold
     assert f"{ratio.numerator}/{ratio.denominator}" == manifest["ratio"]
+
+
+def test_screen_flags_only_violations(monkeypatch):
+    # the integer screen is exact: on P4, whose grid margins bottom out at
+    # 0, no tie is flagged, and on the fork only the witness is
+    flagged = []
+    confirm = search._entries_to_target
+    monkeypatch.setattr(search, "_entries_to_target",
+                        lambda entries, k: flagged.append(entries) or confirm(entries, k))
+    assert find_counterexample(path_graph(4), 3, samples=20000, seed=1) is None
+    assert flagged == []
+    manifest = json.loads((DATA / "fork_k3_manifest.json").read_text())
+    fork = parse_edgelist((DATA / manifest["H_file"]).read_text())
+    ce = find_counterexample(fork, 3, samples=20000, seed=manifest["seed"])
+    assert ce.sample_index == manifest["sample_index"] and len(flagged) == 1
+
+
+def test_unconfirmed_candidate_raises(monkeypatch):
+    # a screen that flags what hom_count does not confirm is a defect
+    manifest = json.loads((DATA / "fork_k3_manifest.json").read_text())
+    fork = parse_edgelist((DATA / manifest["H_file"]).read_text())
+    monkeypatch.setattr(search, "hom_count", lambda g, target: Fraction(1))
+    with pytest.raises(RuntimeError, match="does not confirm"):
+        find_counterexample(fork, 3, samples=manifest["sample_index"] + 1,
+                            seed=manifest["seed"])
+
+
+_TRIU5 = [(i, j) for i in range(5) for j in range(i, 5)]
+
+
+@pytest.mark.parametrize("g,diagonal", [(complete_graph(6), False), (path_graph(22), True)])
+def test_hom_batch_past_int64_is_exact(g, diagonal):
+    # k^(n+2) * 10^m passes 2^63, so the batch holds Python ints; the
+    # all-tens matrix has hom(g, E) past 2^63.  hom_count walks P_22 only
+    # on diagonal targets, one choice per vertex after the first.
+    k = 5
+    rng = random.Random(11)
+    rows = [search._draw_entries(rng, k) for _ in range(12)] + [[10] * 15]
+    if diagonal:
+        rows = [[x if i == j else 0 for (i, j), x in zip(_TRIU5, r)] for r in rows]
+    w = search._weight_batch(rows, k, g)
+    assert w.dtype == object
+    got = search._hom_floats(g, w)
+    assert got[-1] > 2 ** 63
+    for row, x in zip(rows, got):
+        assert x == hom_count(g, search._entries_to_target(row, k)) * 10 ** g.m
 
 
 def test_search_determinism():

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -52,24 +50,12 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: one command plus its parameters."""
-
-    command: str
-    args: argparse.Namespace
-    output: Optional[str] = None
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="homverify", description=__doc__)
     p.add_argument("--output", help="write output here instead of stdout")
-    # a string default goes through type=int, so a bad value is a usage error
-    p.add_argument("--workers", type=int,
-                   default=os.environ.get("HOMVERIFY_WORKERS", "1"),
+    p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; every command runs in one "
-                        "process, only the library's oracle sweep uses workers "
-                        "(default $HOMVERIFY_WORKERS or 1)")
+                        "process, only the library's oracle sweep uses workers")
     # the same flags are accepted after the subcommand; SUPPRESS keeps an
     # unset subcommand flag from stomping a value given before it
     common = argparse.ArgumentParser(add_help=False)
@@ -255,40 +241,18 @@ def _run_search(args, out: _Out) -> int:
     return 1
 
 
-def run(config: RunConfig) -> int:
-    """Execute one validated command; returns the process exit code."""
-    out = _Out(config.output)
-    try:
-        args = config.args
-        if config.command == "count":
-            code = _run_count(args, out)
-        elif config.command == "poly":
-            code = _run_poly(args, out)
-        elif config.command == "verify":
-            code = _run_verify(args, out)
-        elif config.command == "sweep":
-            code = _run_sweep(args, out)
-        elif config.command == "scan":
-            code = _run_scan(args, out)
-        elif config.command == "search":
-            code = _run_search(args, out)
-        else:  # unreachable behind argparse
-            raise UsageError(f"unknown command {config.command!r}")
-    finally:
-        out.done()
-    return code
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command line; returns the process exit code."""
     try:
-        ns = parser.parse_args(argv)
-        config = RunConfig(command=ns.command, args=ns, output=ns.output)
-        return run(config)
-    except UsageError as exc:
-        print(f"homverify: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, SizeGuardError, OSError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+        out = _Out(args.output)
+        try:
+            return {"count": _run_count, "poly": _run_poly, "verify": _run_verify,
+                    "sweep": _run_sweep, "scan": _run_scan,
+                    "search": _run_search}[args.command](args, out)
+        finally:
+            out.done()
+    except (UsageError, ParseError, SizeGuardError, OSError, ValueError) as exc:
         print(f"homverify: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, never a verdict: keep 1 for violations

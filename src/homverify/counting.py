@@ -29,11 +29,9 @@ from .graphs import (
     WR_B,
     WR_C,
     complete_target,
-    hard_core_target,
     identified_edges,
     mask_components,
     mask_vertices,
-    widom_rowlinson_target,
 )
 
 HOM_GUARD_BITS = 64          # reject hom_count when n*log2(k) exceeds this
@@ -70,9 +68,6 @@ class ListConstraint:
             for t in ts:
                 if not 0 <= t < k:
                     raise ValueError(f"allowed target {t} for vertex {v} out of range 0..{k - 1}")
-
-    def get(self, v: int) -> Optional[frozenset[int]]:
-        return self.allowed.get(v)
 
 
 EMPTY_CONSTRAINT = ListConstraint({})
@@ -493,9 +488,6 @@ def cycle_chrom_formula(length: int, q: int) -> int:
     return (q - 1) ** length + (-1) ** length * (q - 1)
 
 
-SPECTRAL_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Real spectrum of a target, descending; unit top eigenvector in
@@ -542,14 +534,9 @@ def tree_hom_lower_bound(n: int, target: TargetGraph) -> float:
     return math.exp(sd.entropy) * sd.eigenvalues[0] ** (n - 1)
 
 
-# Re-exported standard targets so counting callers rarely need graphs.*
-HARD_CORE = hard_core_target()
-WIDOM_ROWLINSON = widom_rowlinson_target()
-
 __all__ = [
     "ChromPoly",
     "EMPTY_CONSTRAINT",
-    "HARD_CORE",
     "HOM_GUARD_BITS",
     "IND_GUARD_VERTICES",
     "WR_GUARD_VERTICES",
@@ -559,7 +546,6 @@ __all__ = [
     "ListConstraint",
     "SizeGuardError",
     "SpectralData",
-    "WIDOM_ROWLINSON",
     "WR_A",
     "WR_B",
     "WR_C",

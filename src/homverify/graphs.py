@@ -72,11 +72,8 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return max((m.bit_count() for m in self.neighbor_masks), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm(u, v) in self.edges
@@ -471,65 +468,60 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [mask_vertices(c) for c in mask_components(g.neighbor_masks, (1 << g.n) - 1)]
 
 
-def _two_color(g: Graph) -> tuple[Optional[list[int]], Optional[Edge]]:
-    """BFS 2-coloring from each component minimum.  Returns (colors, None) on
-    success or (partial colors, conflicting edge) on an odd cycle."""
-    color: list[int] = [-1] * g.n
-    adj = g.adjacency
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in adj[u]:
-                    if color[v] < 0:
-                        color[v] = 1 - color[u]
-                        nxt.append(v)
-                    elif color[v] == color[u]:
-                        return color, _norm(u, v)
-            queue = nxt
-    return color, None
+def _bfs(adj: Sequence[Sequence[int]], s: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from s, neighbours taken in ascending order:
+    the visit order, then each vertex's parent and depth (-1 outside s's
+    component, and for the parent of s)."""
+    parent = [-1] * len(adj)
+    depth = [-1] * len(adj)
+    depth[s] = 0
+    order = [s]
+    for u in order:  # the loop also visits what it appends
+        for v in adj[u]:
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                order.append(v)
+    return order, parent, depth
 
 
 def bipartition(g: Graph) -> Optional[Bipartition]:
     """Deterministic bipartition: the smallest vertex of each component goes
-    left.  None when the graph has an odd cycle."""
-    color, conflict = _two_color(g)
-    if conflict is not None:
-        return None
-    left = frozenset(v for v in range(g.n) if color[v] == 0)
-    right = frozenset(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(left, right)
+    left and BFS layers alternate sides.  None when the graph has an odd
+    cycle, which is exactly an edge inside one layer."""
+    masks = g.neighbor_masks
+    sides = [0, 0]
+    for comp in mask_components(masks, (1 << g.n) - 1):
+        layer, side = comp & -comp, 0
+        while layer:
+            sides[side] |= layer
+            comp ^= layer
+            grow = 0
+            for v in mask_vertices(layer):
+                if masks[v] & layer:
+                    return None
+                grow |= masks[v]
+            layer, side = grow & comp, 1 - side
+    return Bipartition(frozenset(mask_vertices(sides[0])), frozenset(mask_vertices(sides[1])))
 
 
 def odd_closed_walk(g: Graph) -> Optional[list[int]]:
     """A closed walk of odd length witnessing non-bipartiteness, as a vertex
     list with first == last; None for bipartite graphs."""
     adj = g.adjacency
-    for s in range(g.n):
-        depth = {s: 0}
-        parent = {s: -1}
-        queue = [s]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in adj[u]:
-                    if v not in depth:
-                        depth[v] = depth[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif depth[v] == depth[u]:
-                        # same BFS level: path(s..u) + edge + path(v..s) is odd
-                        up, vp = [u], [v]
-                        while up[-1] != s:
-                            up.append(parent[up[-1]])
-                        while vp[-1] != s:
-                            vp.append(parent[vp[-1]])
-                        return list(reversed(up)) + vp
-            queue = nxt
+    for comp in connected_components(g):
+        s = comp[0]
+        order, parent, depth = _bfs(adj, s)
+        for u in order:
+            for v in adj[u]:
+                if depth[v] == depth[u]:
+                    # same BFS level: path(s..u) + edge + path(v..s) is odd
+                    up, vp = [u], [v]
+                    while up[-1] != s:
+                        up.append(parent[up[-1]])
+                    while vp[-1] != s:
+                        vp.append(parent[vp[-1]])
+                    return list(reversed(up)) + vp
     return None
 
 
@@ -570,25 +562,10 @@ def spanning_tree(g: Graph) -> Graph:
     """BFS tree from vertex 0, neighbors visited in ascending order."""
     if g.n == 0:
         return g
-    adj = g.adjacency
-    seen = [False] * g.n
-    seen[0] = True
-    tree = []
-    queue = [0]
-    count = 1
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    tree.append((u, v))
-                    nxt.append(v)
-        queue = nxt
-    if count < g.n:
+    order, parent, _ = _bfs(g.adjacency, 0)
+    if len(order) < g.n:
         raise ValueError("graph is disconnected, no spanning tree")
-    return Graph.from_edges(g.n, tree)
+    return Graph.from_edges(g.n, [(parent[v], v) for v in order[1:]])
 
 
 def _find_even_cycle(g: Graph, alive: set[int], max_len: int) -> Optional[tuple[int, ...]]:
@@ -645,24 +622,17 @@ def cycle_edges(cycle: tuple[int, ...]) -> list[Edge]:
 
 
 def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle via BFS from every vertex; None if acyclic."""
+    """Length of a shortest cycle via BFS from every vertex; None if acyclic.
+    A non-tree edge uv closes a walk of length depth u + depth v + 1 through
+    the root that contains a cycle; a root on a shortest cycle attains it."""
     best: Optional[int] = None
     adj = g.adjacency
     for s in range(g.n):
-        depth = {s: 0}
-        parent = {s: -1}
-        queue = [s]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in adj[u]:
-                    if v not in depth:
-                        depth[v] = depth[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif v != parent[u]:
-                        cand = depth[u] + depth[v] + 1
-                        if best is None or cand < best:
-                            best = cand
-            queue = nxt
+        order, parent, depth = _bfs(adj, s)
+        for u in order:
+            for v in adj[u]:
+                if v != parent[u] and parent[v] != u:
+                    cand = depth[u] + depth[v] + 1
+                    if best is None or cand < best:
+                        best = cand
     return best

@@ -140,13 +140,6 @@ class SweepSummary:
         }
 
 
-def summarize(claim: str, reports) -> SweepSummary:
-    s = SweepSummary(claim)
-    for r in reports:
-        s.record(r.instance, r.verdict, r.margin)
-    return s
-
-
 # ---------------------------------------------------------------------------
 # Parallel plumbing (the oracle sweep)
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -173,14 +172,6 @@ def test_usage_errors_exit_2(args):
     assert r.returncode == 2
     err = r.stderr.strip()
     assert err and "\n" not in err  # single-line diagnostic
-
-
-def test_bad_workers_env_exit_2():
-    r = run_cli("count", "ind", "--graph", str(DATA / "p4.el"),
-                env={**os.environ, "HOMVERIFY_WORKERS": "abc"})
-    assert r.returncode == 2
-    err = r.stderr.strip()
-    assert "abc" in err and "\n" not in err
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from homverify.graphs import (
     ParseError,
     TargetGraph,
     bipartition,
+    complete_bipartite,
     complete_graph,
     connected_components,
     contract_edge,
@@ -219,11 +222,31 @@ def test_mask_components_match_union_find(g, data):
     assert lowest == sorted(lowest)
 
 
+# Exact outputs, not only valid ones: they pin the BFS visiting order
+# (ascending neighbours, component minima as roots).  The pendant-rooted C_5
+# walks out and back along 0-1.
+C5_PENDANT = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+K33_PLUS = complete_bipartite(3, 3).add_edge(0, 1)
+P2_PLUS_C5 = disjoint_union(path_graph(2), cycle_graph(5))
+
+
+def test_odd_closed_walk_pinned():
+    assert odd_closed_walk(complete_graph(4)) == [0, 1, 2, 0]
+    assert odd_closed_walk(C5_PENDANT) == [0, 1, 2, 3, 4, 5, 1, 0]
+    assert odd_closed_walk(K33_PLUS) == [0, 1, 3, 0]
+    assert odd_closed_walk(P2_PLUS_C5) == [2, 3, 4, 5, 6, 2]
+    assert odd_closed_walk(complete_bipartite(3, 3)) is None
+
+
 def test_spanning_tree_examples():
     t = path_graph(4)
     assert spanning_tree(t) == t
     assert spanning_tree(cycle_graph(4)).edges == frozenset({(0, 1), (0, 3), (1, 2)})
     assert spanning_tree(complete_graph(4)).edges == frozenset({(0, 1), (0, 2), (0, 3)})
+    assert spanning_tree(C5_PENDANT).edges == frozenset({(0, 1), (1, 2), (1, 5), (2, 3), (4, 5)})
+    assert spanning_tree(K33_PLUS).edges == frozenset({(0, 1), (0, 3), (0, 4), (0, 5), (2, 3)})
+    assert spanning_tree(complete_bipartite(3, 3)).edges == \
+        frozenset({(0, 3), (0, 4), (0, 5), (1, 3), (2, 3)})
     with pytest.raises(ValueError):
         spanning_tree(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
@@ -245,8 +268,6 @@ def test_spanning_tree_properties(g):
 
 def _max_even_cycle_packing(g, max_len):
     """Brute-force maximum number of vertex-disjoint even cycles <= max_len."""
-    import itertools
-
     def simple_cycles():
         out = []
         for t in range(4, max_len + 1, 2):
@@ -300,6 +321,22 @@ def test_girth():
     assert girth(complete_graph(4)) == 3
     assert girth(path_graph(4)) is None
     assert girth(empty_graph(3)) is None
+
+
+def _brute_girth(g):
+    """Shortest t such that some t vertices, the first the least, close a
+    cycle in this order; None when no cycle exists."""
+    for t in range(3, g.n + 1):
+        for vs in itertools.permutations(range(g.n), t):
+            if vs[0] == min(vs) and all(g.has_edge(vs[i - 1], vs[i]) for i in range(t)):
+                return t
+    return None
+
+
+@given(graphs(max_n=7))
+@settings(max_examples=200, deadline=None)
+def test_girth_matches_brute_force(g):
+    assert girth(g) == _brute_girth(g)
 
 
 def test_target_properties():

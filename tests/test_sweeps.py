@@ -16,7 +16,6 @@ from homverify.sweeps import (
     SweepSummary,
     corollary_bundle_summary,
     oracle_equivalence_sweep,
-    summarize,
     sweep_reports,
     sweep_summary,
 )
@@ -210,15 +209,6 @@ def test_sweep_config_validation():
         SweepConfig("cor1_2", 4, qs=(1,)).validate()
     with pytest.raises(ValueError):
         SweepConfig("remark2_2", 4, qs=(3,)).validate()  # verify-only
-
-
-def test_summarize_helper():
-    from homverify.verify import check_edge_ratio
-    from homverify.graphs import path_graph
-
-    reports = [check_edge_ratio(path_graph(2), "independent", (0, 1))]
-    s = summarize("eq_ind", reports)
-    assert s.instances == 1 and s.holds == 1 and s.tight_count == 1
 
 
 # ---------------------------------------------------------------------------

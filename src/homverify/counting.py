@@ -326,16 +326,13 @@ def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     return ChromPoly(tuple(coeffs))
 
 
-def chrom_eval(g: Graph, q: int, poly: Optional[ChromPoly] = None, *,
-               override_guard: bool = False) -> int:
-    """ch(H, q): evaluated from the chromatic polynomial when one is given
-    or when the polynomial guard allows building it or is overridden, else
-    counted directly as homomorphisms into K_q under hom_count's guard.
-    The two routes must agree (tested)."""
+def chrom_eval(g: Graph, q: int, *, override_guard: bool = False) -> int:
+    """ch(H, q): evaluated from the chromatic polynomial when the polynomial
+    guard allows building it or is overridden, else counted directly as
+    homomorphisms into K_q under hom_count's guard.  The two routes must
+    agree (tested)."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if poly is not None:
-        return poly(q)
     if g.m <= CHROM_POLY_EDGE_GUARD or override_guard:
         return chrom_poly(g, override_guard=override_guard)(q)
     val = hom_count(g, complete_target(q))

@@ -57,14 +57,6 @@ class Graph:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
-
-    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         masks = [0] * self.n
         for u, v in self.edges:
@@ -248,16 +240,20 @@ def widom_rowlinson_target() -> TargetGraph:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
+def _content_lines(text: str, empty: str) -> list[tuple[int, str]]:
+    """(line number, text) of each line left once '#' comments and blank
+    lines are cut; ParseError(empty) when none is left."""
+    cut = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    rows = [(lineno, line) for lineno, line in enumerate(cut, start=1) if line]
+    if not rows:
+        raise ParseError(empty)
+    return rows
+
+
 def parse_edgelist(text: str) -> Graph:
     """Parse the "n m" header format: m lines "u v", 0-based ids,
     '#' starts a comment."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
-    if not rows:
-        raise ParseError("empty input, expected 'n m' header")
+    rows = _content_lines(text, "empty input, expected 'n m' header")
     lineno, header = rows[0]
     parts = header.split()
     if len(parts) != 2:
@@ -383,13 +379,7 @@ def parse_graph(text: str, fmt: str) -> Graph:
 def parse_target(text: str) -> TargetGraph:
     """Target file: first a vertex count k, then k rows of k entries, each an
     integer or 'p/q' rational; whitespace separated, '#' comments allowed."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
-    if not rows:
-        raise ParseError("empty target input")
+    rows = _content_lines(text, "empty target input")
     lineno, header = rows[0]
     try:
         k = int(header)
@@ -468,23 +458,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [mask_vertices(c) for c in mask_components(g.neighbor_masks, (1 << g.n) - 1)]
 
 
-def _bfs(adj: Sequence[Sequence[int]], s: int) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first search from s, neighbours taken in ascending order:
-    the visit order, then each vertex's parent and depth (-1 outside s's
-    component, and for the parent of s)."""
-    parent = [-1] * len(adj)
-    depth = [-1] * len(adj)
-    depth[s] = 0
-    order = [s]
-    for u in order:  # the loop also visits what it appends
-        for v in adj[u]:
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                order.append(v)
-    return order, parent, depth
-
-
 def bipartition(g: Graph) -> Optional[Bipartition]:
     """Deterministic bipartition: the smallest vertex of each component goes
     left and BFS layers alternate sides.  None when the graph has an odd
@@ -503,26 +476,6 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
                 grow |= masks[v]
             layer, side = grow & comp, 1 - side
     return Bipartition(frozenset(mask_vertices(sides[0])), frozenset(mask_vertices(sides[1])))
-
-
-def odd_closed_walk(g: Graph) -> Optional[list[int]]:
-    """A closed walk of odd length witnessing non-bipartiteness, as a vertex
-    list with first == last; None for bipartite graphs."""
-    adj = g.adjacency
-    for comp in connected_components(g):
-        s = comp[0]
-        order, parent, depth = _bfs(adj, s)
-        for u in order:
-            for v in adj[u]:
-                if depth[v] == depth[u]:
-                    # same BFS level: path(s..u) + edge + path(v..s) is odd
-                    up, vp = [u], [v]
-                    while up[-1] != s:
-                        up.append(parent[up[-1]])
-                    while vp[-1] != s:
-                        vp.append(parent[vp[-1]])
-                    return list(reversed(up)) + vp
-    return None
 
 
 def identified_edges(edges: Iterable[Edge], u: int, v: int) -> tuple[Edge, ...]:
@@ -562,41 +515,46 @@ def spanning_tree(g: Graph) -> Graph:
     """BFS tree from vertex 0, neighbors visited in ascending order."""
     if g.n == 0:
         return g
-    order, parent, _ = _bfs(g.adjacency, 0)
-    if len(order) < g.n:
+    masks = g.neighbor_masks
+    order, edges = [0], []
+    unseen = (1 << g.n) - 2
+    for u in order:  # the loop also visits what it appends
+        new = masks[u] & unseen
+        unseen ^= new
+        for v in mask_vertices(new):
+            order.append(v)
+            edges.append((u, v))
+    if unseen:
         raise ValueError("graph is disconnected, no spanning tree")
-    return Graph.from_edges(g.n, [(parent[v], v) for v in order[1:]])
+    return Graph.from_edges(g.n, edges)
 
 
-def _find_even_cycle(g: Graph, alive: set[int], max_len: int) -> Optional[tuple[int, ...]]:
-    """Shortest even cycle of length <= max_len inside `alive`, shortest
-    length first, then lexicographically least traversal."""
-    adj = g.adjacency
+def _find_even_cycle(masks: Sequence[int], alive: int, max_len: int) -> Optional[tuple[int, ...]]:
+    """Shortest even cycle of length <= max_len inside the vertex mask
+    `alive`, then the lexicographically least traversal from its least
+    vertex s: the first cycle met by a depth-first walk without recursion
+    that takes ascending choices, one choice iterator per depth, among the
+    vertices above s that are `free` (not on the path)."""
     for t in range(4, max_len + 1, 2):
-        for s in sorted(alive):
-            path = [s]
-            onpath = {s}
-
-            def dfs() -> Optional[tuple[int, ...]]:
-                u = path[-1]
-                if len(path) == t:
-                    if s in adj[u] and path[1] < path[-1]:
+        for s in mask_vertices(alive):
+            path = [s] * t
+            free = alive & -(2 << s)
+            its = [iter(mask_vertices(masks[s] & free))]
+            while its:
+                for v in its[-1]:
+                    p = len(its)
+                    path[p] = v
+                    if p < t - 2:
+                        free ^= 1 << v
+                        its.append(iter(mask_vertices(masks[v] & free)))
+                        break
+                    close = masks[v] & masks[s] & free
+                    if close:
+                        path[-1] = (close & -close).bit_length() - 1
                         return tuple(path)
-                    return None
-                for w in adj[u]:
-                    if w in alive and w > s and w not in onpath:
-                        path.append(w)
-                        onpath.add(w)
-                        found = dfs()
-                        if found is not None:
-                            return found
-                        path.pop()
-                        onpath.discard(w)
-                return None
-
-            found = dfs()
-            if found is not None:
-                return found
+                else:
+                    its.pop()
+                    free |= 1 << path[len(its)]
     return None
 
 
@@ -607,14 +565,14 @@ def greedy_cycle_packing(g: Graph, max_len: int) -> list[tuple[int, ...]]:
     on it."""
     if max_len < 4:
         raise ValueError("even cycles need max_len >= 4")
-    alive = set(range(g.n))
+    alive = (1 << g.n) - 1
     cycles = []
     while True:
-        c = _find_even_cycle(g, alive, max_len)
+        c = _find_even_cycle(g.neighbor_masks, alive, max_len)
         if c is None:
             return cycles
         cycles.append(c)
-        alive -= set(c)
+        alive ^= sum(1 << v for v in c)
 
 
 def cycle_edges(cycle: tuple[int, ...]) -> list[Edge]:
@@ -622,17 +580,26 @@ def cycle_edges(cycle: tuple[int, ...]) -> list[Edge]:
 
 
 def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle via BFS from every vertex; None if acyclic.
-    A non-tree edge uv closes a walk of length depth u + depth v + 1 through
-    the root that contains a cycle; a root on a shortest cycle attains it."""
+    """Length of a shortest cycle, None if acyclic.  Around every root, an
+    edge inside BFS layer d closes a cycle of length at most 2d+1, and a
+    vertex of layer d+1 with two neighbours in layer d one of at most 2d+2;
+    a root on a shortest cycle attains the bound."""
+    masks = g.neighbor_masks
     best: Optional[int] = None
-    adj = g.adjacency
     for s in range(g.n):
-        order, parent, depth = _bfs(adj, s)
-        for u in order:
-            for v in adj[u]:
-                if v != parent[u] and parent[v] != u:
-                    cand = depth[u] + depth[v] + 1
-                    if best is None or cand < best:
-                        best = cand
+        seen = layer = 1 << s
+        d = 0
+        while layer and (best is None or 2 * d + 1 < best):
+            inside = twice = grow = 0
+            for v in mask_vertices(layer):
+                inside |= masks[v] & layer
+                twice |= masks[v] & grow
+                grow |= masks[v]
+            if inside:
+                best = 2 * d + 1
+            elif twice & ~seen:
+                best = 2 * d + 2
+            layer = grow & ~seen
+            seen |= layer
+            d += 1
     return best

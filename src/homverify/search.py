@@ -215,6 +215,8 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
         raise ValueError("target size k must be in 1..5")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if g.n > 51:  # _hom_floats' einsum names the batch and each vertex by one of 52 letters
+        raise ValueError("search supports sources with at most 51 vertices")
     if not g.edges:
         return None
     rng = random.Random(seed)

@@ -236,40 +236,40 @@ def check_sidorenko_bound(g: Graph, target: TargetGraph) -> Report:
     return _ge_report(inst, "sidorenko", lhs, rhs)
 
 
+def _cycle_packing_report(g: Graph, q: int, max_len: int, claim: str, rhs_of) -> Report:
+    """What both cycle packing forms share: q >= 2, an inapplicable report
+    unless H is bipartite, the greedy packing and the instance name;
+    rhs_of(cycles) is the form's lower bound on ch(H,q)."""
+    gid = to_graph6(g)
+    if q < 2:
+        raise ValueError("cycle packing bound needs q >= 2")
+    if bipartition(g) is None:
+        return _na(f"{gid} q={q} l={max_len}", claim, "graph is not bipartite")
+    cycles = greedy_cycle_packing(g, max_len)
+    inst = f"{gid} q={q} l={max_len} cycles={len(cycles)}"
+    lhs = Fraction(chrom_eval(g, q))
+    return _ge_report(inst, claim, lhs, rhs_of(cycles))
+
+
 def check_cycle_packing_bound(g: Graph, q: int, max_len: int) -> Report:
     """Proof-form cycle packing bound: with S the greedy packing's cycles
     plus isolated vertices, ch(H,q) >= ch(S,q) ((q-1)/q)^(e(H)-e(S)).
     This is what edge-by-edge removal from H down to S gives; the headline
     constant form is reported by check_cycle_packing_headline."""
-    gid = to_graph6(g)
-    if q < 2:
-        raise ValueError("cycle packing bound needs q >= 2")
-    if bipartition(g) is None:
-        return _na(f"{gid} q={q} l={max_len}", "cor1_2", "graph is not bipartite")
-    cycles = greedy_cycle_packing(g, max_len)
-    s_edges = [e for c in cycles for e in cycle_edges(c)]
-    s_graph = Graph.from_edges(g.n, s_edges)
-    inst = f"{gid} q={q} l={max_len} cycles={len(cycles)}"
-    lhs = Fraction(chrom_eval(g, q))
-    rhs = Fraction(chrom_eval(s_graph, q)) * Fraction(q - 1, q) ** (g.m - s_graph.m)
-    return _ge_report(inst, "cor1_2", lhs, rhs)
+    def rhs(cycles):
+        s_graph = Graph.from_edges(g.n, [e for c in cycles for e in cycle_edges(c)])
+        return Fraction(chrom_eval(s_graph, q)) * Fraction(q - 1, q) ** (g.m - s_graph.m)
+    return _cycle_packing_report(g, q, max_len, "cor1_2", rhs)
 
 
 def check_cycle_packing_headline(g: Graph, q: int, max_len: int) -> Report:
     """Headline form: ch(H,q) >= (1+(q-1)^(1-l))^kappa q^n ((q-1)/q)^e(H)
     with kappa the number of packed cycles (so the epsilon-power is an
     exact rational)."""
-    gid = to_graph6(g)
-    if q < 2:
-        raise ValueError("cycle packing bound needs q >= 2")
-    if bipartition(g) is None:
-        return _na(f"{gid} q={q} l={max_len}", "cor1_2_headline", "graph is not bipartite")
-    cycles = greedy_cycle_packing(g, max_len)
-    inst = f"{gid} q={q} l={max_len} cycles={len(cycles)}"
-    lhs = Fraction(chrom_eval(g, q))
-    boost = (1 + Fraction(1, (q - 1) ** (max_len - 1))) ** len(cycles)
-    rhs = boost * Fraction(q) ** g.n * Fraction(q - 1, q) ** g.m
-    return _ge_report(inst, "cor1_2_headline", lhs, rhs)
+    def rhs(cycles):
+        boost = (1 + Fraction(1, (q - 1) ** (max_len - 1))) ** len(cycles)
+        return boost * Fraction(q) ** g.n * Fraction(q - 1, q) ** g.m
+    return _cycle_packing_report(g, q, max_len, "cor1_2_headline", rhs)
 
 
 def check_connected_ind_bound(g: Graph) -> Report:

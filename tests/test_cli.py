@@ -189,6 +189,15 @@ def _write_edgelist(path, n, edges):
     return str(path)
 
 
+@pytest.mark.parametrize("n,code", [(51, 0), (52, 2)])
+def test_search_source_size_limit(n, code, tmp_path):
+    path = _write_edgelist(tmp_path / "p.el", n, [(i, i + 1) for i in range(n - 1)])
+    r = run_cli("search", "--H", path, "--k", "2", "--samples", "10", "--seed", "1", timeout=60)
+    assert r.returncode == code, r.stderr
+    if code == 2:
+        assert r.stderr == "homverify: search supports sources with at most 51 vertices\n"
+
+
 def test_count_size_guards_exit_2(tmp_path):
     path3000 = _write_edgelist(tmp_path / "p3000.el", 3000, [(i, i + 1) for i in range(2999)])
     r = run_cli("count", "ind", "--graph", path3000, timeout=60)

@@ -51,7 +51,7 @@ def test_enumeration_connected_filter():
         stack = [0]
         while stack:
             u = stack.pop()
-            for w in g.adjacency[u]:
+            for w in (x for e in g.edges if u in e for x in e):  # u's neighbours and u
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -184,6 +184,13 @@ def test_search_validation():
         find_counterexample(path_graph(4), 6, samples=10, seed=0)
     with pytest.raises(ValueError):
         find_counterexample(path_graph(4), 3, samples=0, seed=0)
+
+
+def test_search_source_size_limit():
+    # the edge to vertex 50 takes the last einsum index letter
+    assert find_counterexample(Graph.from_edges(51, [(0, 50)]), 2, samples=10, seed=1) is None
+    with pytest.raises(ValueError, match="at most 51 vertices"):
+        find_counterexample(path_graph(52), 2, samples=10, seed=1)
 
 
 def test_pinned_fork_counterexample():

@@ -16,6 +16,9 @@ Two phases:
 Usage:
     python scripts/hunt_counterexamples.py [--k 3] [--samples 100000]
         [--seed 20250809] [--max-n 5] [--all-bipartite] [--save-dir DIR]
+
+Exit codes: 0 done (witnesses are results, not failures), 2 bad
+arguments, 3 internal error (one line on stderr).
 """
 
 import argparse
@@ -28,6 +31,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from homverify.classes import MAX_N
 from homverify.graphs import Graph, path_graph, to_graph6, to_target_text
 from homverify.search import _hom_floats, _weight_batch, enumerate_graphs, find_counterexample
 
@@ -59,17 +63,28 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and g.is_connected()
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--k", type=int, default=3)
+    ap.add_argument("--k", type=int, default=3, choices=range(1, 6), metavar="1..5")
     ap.add_argument("--samples", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=20250809)
-    ap.add_argument("--max-n", type=int, default=5)
+    ap.add_argument("--max-n", type=int, default=5, choices=range(1, MAX_N + 1),
+                    metavar=f"1..{MAX_N}")
     ap.add_argument("--all-bipartite", dest="trees_only", action="store_false",
                     help="search every connected bipartite graph, not only trees")
     ap.add_argument("--save-dir", default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.samples < 1:
+        ap.error("argument --samples: must be at least 1")
+    try:
+        return run(args)
+    except Exception as exc:  # a defect, never a verdict
+        msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"hunt_counterexamples: internal error: {msg}", file=sys.stderr)
+        return 3
 
+
+def run(args) -> int:
     exhaustive_p4_grid_scan()
 
     print(f"phase 2: seeded search, k={args.k}, {args.samples} samples, seed={args.seed}")

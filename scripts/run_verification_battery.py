@@ -10,6 +10,9 @@ plus a trailing summary record) or, with --summary-only, a single
 battery_summary.json with the aggregate counts from the fast kernels.
 Both sweep modes run in one process; --workers sets the worker count of
 the oracle equivalence pass only.
+
+Exit codes: 0 no violations or mismatches, 1 some found, 2 bad arguments,
+3 internal error (one line on stderr).
 """
 
 import argparse
@@ -20,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from homverify.classes import MAX_N
 from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
 from homverify.sweeps import (
     SweepConfig,
@@ -45,15 +49,24 @@ BATTERY = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=5)
+    ap.add_argument("--max-n", type=int, default=5, choices=range(1, MAX_N + 1),
+                    metavar=f"1..{MAX_N}")
     ap.add_argument("--workers", type=int, default=2,
                     help="worker processes for the oracle equivalence pass")
     ap.add_argument("--out", default="battery_out")
     ap.add_argument("--summary-only", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except Exception as exc:  # a defect, never a verdict: keep 1 for violations
+        msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"run_verification_battery: internal error: {msg}", file=sys.stderr)
+        return 3
 
+
+def run(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     grand = []

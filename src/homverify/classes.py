@@ -122,22 +122,19 @@ class ClassTable:
             got = self._values[name] = [fn(g) for g in self.reps]
         return got
 
-    def columns(self, keep: Optional[np.ndarray] = None, edges_only: bool = True
+    def columns(self, keep: Optional[np.ndarray] = None
                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """(b, masks, ranks) for each pair index b: the masks of the classes
         marked in keep (default all), in enumeration order, that contain
-        pair b (all of them unless edges_only), and their ranks."""
+        pair b, and their ranks."""
         if keep is None:
             ranks = np.arange(len(self.order), dtype=np.int32)
         else:
             ranks = np.flatnonzero(keep[self.cls[self.order]]).astype(np.int32)
         masks = self.order[ranks]
         for b in range(len(self.pairs)):
-            if edges_only:
-                has = (masks >> b) & 1 == 1
-                yield b, masks[has], ranks[has]
-            else:
-                yield b, masks, ranks
+            has = (masks >> b) & 1 == 1
+            yield b, masks[has], ranks[has]
 
     def edge_deletions(self, keep: Optional[np.ndarray] = None
                        ) -> Iterator[tuple[int, int, int, int, int]]:

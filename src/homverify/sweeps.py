@@ -2,21 +2,24 @@
 
 ``CLAIMS`` is the one list of claims: for each, the parameters it needs,
 its per-instance checks for ``homverify verify``, its sweep expansion and
-its summary kernel.  The CLI and both sweep modes read it.
+its slots.  The CLI and both sweep modes read it.
 
 Both sweep modes run in-process over the isomorphism-class tables of
-classes.py, in one instance enumeration order:
+classes.py, in one instance enumeration order.  A claim's slots are the
+one definition of its instance groups.  A slot is one report position of
+the labelled graphs of a table, a vertex pair or one report of a
+class-level claim, for every q of the claim; slot s at q index i is
+stream position i*S + s.  It groups its graphs (by class, or for the pair
+claims by the classes that fix the pair's margin) so that the reports of
+a group differ only in the graph6 name:
 
-* summary mode folds the comparisons into counts.  A claim with a fold
-  computes each count once per class and gathers it for every labelled
-  instance; every other claim, and the corollary bundle, runs its own
-  checker once per class representative and weights it by the class size;
-* report mode streams one JSON line per instance.  Each report position
-  of a labelled graph falls in a group (its class, or for the pair claims
-  the classes that fix the pair's margin) whose reports differ only in the
-  graph6 name.  The checker runs once per group, its report is rendered
-  once, and every line is that fragment behind the graph's name, all names
-  coming from one vectorised graph6 pass per chunk of masks.
+* summary mode folds each group's exact margin, computed from per-class
+  values (ind, wr or chromatic counts, or a class-level checker run on
+  the representative), weighted by the group's size.  The checker runs
+  only to name the instances the summary keeps;
+* report mode runs the checker once per group and q and renders its
+  report once; every line is that fragment behind the graph's name, all
+  names coming from one vectorised graph6 pass per chunk of masks.
 
 The test suite checks both modes against the per-labelled-graph checkers.
 Only the oracle sweep starts workers: they receive batches of edge sets in
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -187,9 +190,11 @@ class SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# Summary mode: folds over isomorphism-class tables
+# Instance groups: the one definition both sweep modes read
 # ---------------------------------------------------------------------------
 
+# perfbench/one_pass.py reads this cache's cache_info(); it never hits,
+# because ClassTable.values computes each class's polynomial once
 @lru_cache(maxsize=1 << 18)
 def _poly_cached(n: int, edges: tuple) -> ChromPoly:
     return chrom_poly(Graph(n, frozenset(edges)))
@@ -213,68 +218,40 @@ def _delete_map(t: ClassTable, u: int, v: int) -> list[int]:
     return [index[(pos[a], pos[b])] if a in pos and b in pos else -1 for a, b in t.pairs]
 
 
-# A fold yields instance groups (key, count, diff, den, label) from one n's
-# class table: `count` labelled instances with margin diff/den (diff None:
-# inapplicable; an integer, or a Fraction over den = 1), the first of them
-# in enumeration order at key = (rank, pair index, q index).  Its instance
-# string is `label` itself, or `label` called with the graph6 name g, the
-# pair (u, v) and q.
-_NAME = "{g}".format
-_EDGE = "{g} e=({u},{v})".format
-_Q_EDGE = "{g} q={q} e=({u},{v})".format
-_CROSS = "{g} q={q} pair=({u},{v}) cross".format
-_SAME = "{g} q={q} pair=({u},{v}) same".format
+# a group's margin at a q index where its graphs have no report
+_NO_REPORT = ()
 
 
-def _group_summary(claim: str, items, t: ClassTable, qs: tuple) -> SweepSummary:
-    """Fold instance groups exactly, as `record` would fold their instances
-    in enumeration order: each kept string names the lowest key among the
-    instances it may name, and is built for that instance only."""
-    s = SweepSummary(claim)
-    violation = tight = best = None
-    for key, count, diff, den, label in items:
-        s.instances += count
-        if diff is None:
-            s.inapplicable += count
-            continue
-        if diff < 0:
-            s.violated += count
-            if violation is None or key < violation[0]:
-                violation = (key, label)
-        else:
-            s.holds += count
-            if diff == 0:
-                s.tight_count += count
-                if tight is None or key < tight[0]:
-                    tight = (key, label)
-        if best is None or diff * best[1] < best[0] * den or (
-                diff * best[1] == best[0] * den and key < best[2]):
-            best = (diff, den, key, label)
+class _Slot(NamedTuple):
+    """One report position of the labelled graphs of a table, for every q
+    of the claim: of a table's S slots, slot s at q index i is stream
+    position i*S + s, so each graph's reports come q by q, in slot order.
 
-    def describe(key, label):
-        if isinstance(label, str):
-            return label
-        rank, b, qi = key
-        u, v = t.pairs[b] if b >= 0 else (None, None)
-        g = to_graph6(t.graph(int(t.order[rank])))
-        return label(g=g, u=u, v=v, q=qs[qi] if qs else None)
+    The graphs here are those of the classes marked in keep that contain
+    the pair bit (all of them if bit is 0).  keys(masks) puts each in a
+    group (None: its class) whose reports agree in every field but the
+    graph6 name that opens the instance string.  margins(keys) gives, per
+    q index, the exact margin of each group from per-class values: (diff,
+    den) for diff/den, None if inapplicable, or _NO_REPORT.  report(mask,
+    i) runs the checker on one labelled graph at q index i.  A report line
+    names the graph of mask, or with rename that of mask without the bit."""
 
-    if violation is not None:
-        s.first_violation = describe(*violation)
-    if tight is not None:
-        s.first_tight_instance = describe(*tight)
-    if best is not None:
-        s.min_margin = Fraction(best[0], best[1])
-        s.min_margin_instance = describe(*best[2:])
-    return s
+    keep: np.ndarray
+    bit: int
+    keys: Optional[Callable[[np.ndarray], np.ndarray]]
+    margins: Callable[[list[int]], list[list]]
+    report: Callable[[int, int], Report]
+    rename: bool = False
 
 
-def _checker_groups(t: ClassTable, reports: Callable, keep: Optional[np.ndarray] = None,
-                    label=None):
-    """The instance groups of reports(rep), the reports of each class
-    representative (of the classes marked in keep, default all): report i
-    of class c stands for its t.size[c] labelled copies at key
-    (first rank, -1, i), named by `label` or else by the report.
+def _margin(r: Report) -> Optional[tuple]:
+    return None if r.margin is None else (r.margin, 1)
+
+
+def _class_slots(t: ClassTable, sweep: Callable, keep: Optional[np.ndarray] = None
+                 ) -> list[_Slot]:
+    """Slot i is report i of sweep(rep), run once per class representative
+    (of the classes marked in keep, default all), grouped by class.
 
     This is exact because every margin the checkers compute is invariant
     under relabelling: each labelled copy then has the representative's
@@ -284,115 +261,218 @@ def _checker_groups(t: ClassTable, reports: Callable, keep: Optional[np.ndarray]
     shortest even cycle, and at n <= MAX_N = 7 at most one (two disjoint
     ones need 8 vertices); in a bipartite graph that cycle has girth
     length, so the packed subgraph's size and colorings are invariant."""
-    for c in range(len(t.reps)) if keep is None else np.flatnonzero(keep).tolist():
-        rank, count = int(t.first_rank[c]), int(t.size[c])
-        for i, r in enumerate(reports(t.reps[c])):
-            yield (rank, -1, i), count, r.margin, 1, label or r.instance
+    reports = [sweep(g) if keep is None or keep[c] else [] for c, g in enumerate(t.reps)]
+    return [_Slot(np.array([len(r) > i for r in reports]), 0, None,
+                  lambda keys, i=i: [[_margin(reports[c][i]) for c in keys]],
+                  lambda m, _, i=i: reports[t.cls[m]][i])
+            for i in range(max(map(len, reports), default=0))]
 
 
-def _ratio_groups(x: list, edges, a: int, b: int):
-    """x(G)/x(G-e) >= a/b over the edge deletions (g, h, pair, count, rank)."""
-    for g, h, pair, count, rank in edges:
-        yield (rank, pair, 0), count, x[g] * b - a * x[h], x[h] * b, _EDGE
+def _edge_slots(t: ClassTable, ratios: list[tuple], check: Callable,
+                keep: Optional[np.ndarray] = None, rename: bool = False) -> list[_Slot]:
+    """check(G, e, i) at q index i for each edge e of G (of the classes in
+    keep, default all), grouped by (class of G, class of G-e).  At q index
+    i, ratios[i] = (x, num, den) claims x(G)/x(G-e) >= num/den for the
+    per-class values x, inapplicable where x(G-e) = 0."""
+    c = len(t.reps)
+    keep = np.ones(c, dtype=bool) if keep is None else keep
+
+    def margins(keys):
+        split = [divmod(key, c) for key in keys]
+        return [[None if x[h] == 0 else (x[g] * den - num * x[h], x[h] * den) for g, h in split]
+                for x, num, den in ratios]
+
+    return [_Slot(keep, 1 << b,
+                  lambda m, bit=1 << b: t.cls[m].astype(np.int64) * c + t.cls[m ^ bit],
+                  margins, lambda m, i, e=e: check(t.graph(m), e, i), rename)
+            for b, e in enumerate(t.pairs)]
 
 
-def _fold_eq_ind(t: ClassTable, cfg: SweepConfig):
-    # i(G)/i(G-e) >= 3/4
-    return _ratio_groups(t.values("ind", ind_count), t.edge_deletions(), 3, 4)
+def _slots_eq_col(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
+    # bipartite G: ch(G)/ch(G-e) >= (q-1)/q; a report names G-e, the base
+    # graph of the ratio
+    qs = cfg.qs
+    polys = t.values("poly", _class_poly)
+    return _edge_slots(
+        t, [([p(q) for p in polys], q - 1, q) for q in qs],
+        lambda g, e, i: check_edge_ratio(g.delete_edge(*e), "coloring", e, qs[i]),
+        t.bipartite, rename=True)
 
 
-def _fold_eq_wr(t: ClassTable, cfg: SweepConfig):
-    # wr(G)/wr(G-e) >= 7/9
-    return _ratio_groups(t.values("wr", wr_count), t.edge_deletions(), 7, 9)
-
-
-def _fold_wr_lemma(t: ClassTable, cfg: SweepConfig):
+def _slots_wr_lemma(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
     # In G-e, with red/blue symmetry: u, v both red in
     # (wr(G/uv) - wr(G-u-v))/2 colorings, u red and v blue in
-    # (wr(G-e) - wr(G))/2.  The 0-vertex graph has one coloring.
+    # (wr(G-e) - wr(G))/2.  The 0-vertex graph has one coloring.  A group
+    # fixes the classes of G/uv, G-u-v, G-e and G.
     if t.n < 2:
-        return
+        return []
     t1, t2 = class_table(t.n - 1), class_table(t.n - 2)
+    c, c2 = len(t.reps), len(t2.reps)
     wr, wr1, wr2 = (np.array(s.values("wr", wr_count), dtype=np.int64) for s in (t, t1, t2))
-    for b, m, r in t.columns():
-        u, v = t.pairs[b]
-        lhs = wr1[t1.cls[remap(m, _identify_map(t, u, v))]] \
-            - wr2[t2.cls[remap(m, _delete_map(t, u, v))]]
-        rhs = wr[t.cls[m ^ (1 << b)]] - wr[t.cls[m]]
-        for diff, count, rank in groups((lhs - rhs) // 2, r):
-            yield (rank, b, 0), count, diff, 1, _EDGE
+
+    def group(m, bit, ident, dele):
+        key = (t1.cls[remap(m, ident)].astype(np.int64) * c2 + t2.cls[remap(m, dele)]) * c
+        return (key + t.cls[m ^ bit]) * c + t.cls[m]
+
+    def margins(keys):
+        key = np.array(keys, dtype=np.int64)
+        a, d, h, g = key // (c2 * c * c), key // (c * c) % c2, key // c % c, key % c
+        return [[(x, 1) for x in ((wr1[a] - wr2[d] - wr[h] + wr[g]) // 2).tolist()]]
+
+    every = np.ones(c, dtype=bool)
+    return [_Slot(every, 1 << b, lambda m, bit=1 << b, i=_identify_map(t, u, v),
+                  d=_delete_map(t, u, v): group(m, bit, i, d), margins,
+                  lambda m, _, e=(u, v): check_wr_lemma(t.graph(m), e))
+            for b, (u, v) in enumerate(t.pairs)]
 
 
-def _fold_thm1_1(t: ClassTable, cfg: SweepConfig):
+def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
     # connected bipartite G: P(u, v same color) = ch(G/uv)/ch(G), at most
-    # 1/q across the bipartition and at least 1/q within a side
+    # 1/q across the bipartition and at least 1/q within a side.  Slot b is
+    # pair b, grouped by the class of G and the pair's state; where G has
+    # no proper q-coloring the checker's one inapplicable report takes
+    # pair 0's place
     if t.n < 2:
-        return
+        return []
+    qs = cfg.qs
     t1 = class_table(t.n - 1)
-    qs = cfg.qs
-    ch = [[p(q) for q in qs] for p in t.values("poly", _class_poly)]
-    ch1 = [[p(q) for q in qs] for p in t1.values("poly", _class_poly)]
+    polys, polys1 = t.values("poly", _class_poly), t1.values("poly", _class_poly)
+    # per q: ch of each class of t, and of each class of t1 then a 0
+    ch = [([p(q) for p in polys], [p(q) for p in polys1] + [0]) for q in qs]
     width = 2 * len(t1.reps) + 1
-    for b, m, r in t.columns(t.connected & t.bipartite, edges_only=False):
-        state = _pair_state(t, m, b, _identify_map(t, *t.pairs[b]))
-        for key, count, rank in groups(t.cls[m].astype(np.int64) * width + state, r):
-            g, s = divmod(key, width)
-            ident, cross = divmod(s - 1, 2) if s else (None, True)
-            for qi, q in enumerate(qs):
-                c = ch[g][qi]
-                if c == 0:
-                    # one inapplicable instance per graph and q, as the
-                    # checker reports it: counted in pair column 0 only
-                    if b == 0:
-                        yield (rank, b, qi), count, None, None, None
+    last: dict = {}
+
+    def group(m, bit, ident):
+        # G's class and the state of pair bit = uv: 0 for an edge uv, else
+        # 1 + 2 * class of G/uv + (G+uv bipartite), with ident the bit map
+        # to G/uv.  For connected bipartite G, u and v are across iff G+uv
+        # is bipartite
+        state = np.where(m & bit, 0, 1 + 2 * t1.cls[remap(m, ident)] + t.bipartite[t.cls[m | bit]])
+        return t.cls[m].astype(np.int64) * width + state
+
+    def reports(m, i):
+        # the checker reports every pair at once, and _report_batch asks
+        # for the reports of one graph and q one after another
+        if (m, i) not in last:
+            last.clear()
+            last[m, i] = check_correlation_coloring(t.graph(m), qs[i])
+        return last[m, i]
+
+    def margins(keys, b):
+        # (g, class of G/uv, across); an edge uv, state 0, gives (g, -1,
+        # 1): G/uv's count is then the 0 that ends the t1 list.  Across,
+        # the margin is 1/q - ci/c = (c - q*ci)/(q*c); within a side its
+        # negative
+        split = [(g, *divmod(state - 1, 2)) for g, state in (divmod(key, width) for key in keys)]
+        return [[(None if b == 0 else _NO_REPORT) if c[g] == 0
+                 else ((c[g] - q * c1[x]) * (2 * cross - 1), q * c[g]) for g, x, cross in split]
+                for q, (c, c1) in zip(qs, ch)]
+
+    keep = t.connected & t.bipartite
+    return [_Slot(keep, 0, lambda m, bit=1 << b, i=_identify_map(t, u, v): group(m, bit, i),
+                  lambda keys, b=b: margins(keys, b), lambda m, i, b=b: reports(m, i)[b])
+            for b, (u, v) in enumerate(t.pairs)]
+
+
+def _sweep_slots(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
+    return _class_slots(t, lambda g: CLAIMS[cfg.claim].sweep(g, cfg))
+
+
+def _slot_groups(t: ClassTable, slots: list[_Slot]) -> Iterator[tuple[list, list]]:
+    """Per slot, its groups as (key, count, rank) rows, keys ascending,
+    each `count` labelled graphs with the first of them at `rank`, and
+    their margins per q index."""
+    kept = {}
+    for slot in slots:
+        if slot.keys is None:
+            ids = np.flatnonzero(slot.keep)
+            rows = list(zip(ids.tolist(), t.size[ids].tolist(), t.first_rank[ids].tolist()))
+        else:
+            f = slot.keep.tobytes()
+            if f not in kept:
+                ranks = np.flatnonzero(slot.keep[t.cls[t.order]]).astype(np.int32)
+                kept[f] = t.order[ranks], ranks
+            m, r = kept[f]
+            if slot.bit:
+                has = m & slot.bit != 0
+                m, r = m[has], r[has]
+            rows = list(groups(slot.keys(m), r))
+        yield rows, slot.margins([key for key, _, _ in rows])
+
+
+def _group_summary(claim: str, width: int, grouped: Iterable[tuple[list, list]],
+                   name: Callable) -> SweepSummary:
+    """Fold the groups of _slot_groups over `width` slots exactly, as
+    `record` would fold their instances in stream order: each kept
+    instance is the lowest key (rank, position) among those it may be, and
+    the summary stores name(key) for it."""
+    s = SweepSummary(claim)
+    instances = inapplicable = violated = tight_count = 0
+    violation = tight = best = None
+    for j, (rows, margins) in enumerate(grouped):
+        for i, ms in enumerate(margins):
+            pos = i * width + j
+            for (_, count, rank), margin in zip(rows, ms):
+                if margin is _NO_REPORT:
                     continue
-                ci = ch1[ident][qi] if s else 0
-                if cross:
-                    # claim ci/c <= 1/q: margin = (c - q*ci)/(q*c)
-                    yield (rank, b, qi), count, c - q * ci, q * c, _CROSS
-                else:
-                    yield (rank, b, qi), count, q * ci - c, q * c, _SAME
+                instances += count
+                if margin is None:
+                    inapplicable += count
+                    continue
+                diff, den = margin
+                if diff < 0:
+                    violated += count
+                    if violation is None or (rank, pos) < violation:
+                        violation = (rank, pos)
+                elif diff == 0:
+                    tight_count += count
+                    if tight is None or (rank, pos) < tight:
+                        tight = (rank, pos)
+                if best is None or diff * best[1] < best[0] * den or (
+                        diff * best[1] == best[0] * den and (rank, pos) < best[2]):
+                    best = (diff, den, (rank, pos))
+    s.instances, s.inapplicable, s.violated = instances, inapplicable, violated
+    s.holds, s.tight_count = instances - inapplicable - violated, tight_count
+    s.first_violation = violation and name(violation)
+    s.first_tight_instance = tight and name(tight)
+    if best is not None:
+        s.min_margin, s.min_margin_instance = Fraction(best[0], best[1]), name(best[2])
+    return s
 
 
-def _pair_state(t: ClassTable, m: np.ndarray, b: int, ident: list[int]) -> np.ndarray:
-    """The state of pair b = uv in each graph of m, for thm1_1: 0 for an
-    edge uv, else 1 + 2 * class of G/uv + (G+uv bipartite); ident is the
-    bit map to G/uv.  For connected bipartite G, u and v are across iff
-    G+uv is bipartite."""
-    bit = 1 << b
-    return np.where(m & bit, 0, 1 + 2 * class_table(t.n - 1).cls[remap(m, ident)]
-                    + t.bipartite[t.cls[m | bit]])
+# ---------------------------------------------------------------------------
+# Summary mode: margins from per-class values
+# ---------------------------------------------------------------------------
 
+def _summary_batch(t: ClassTable, cfg: SweepConfig) -> tuple[SweepSummary, Callable]:
+    """Summary of the instances on one class table, with each kept instance
+    as its key (n, rank, position), and the function that names a key's
+    instance: the graph G it was enumerated as, then the rest of its
+    report's instance string.  The checker runs only to name."""
+    slots = CLAIMS[cfg.claim].slots(t, cfg)
 
-def _fold_eq_col(t: ClassTable, cfg: SweepConfig):
-    # bipartite G: ch(G)/ch(G-e) >= (q-1)/q
-    qs = cfg.qs
-    ch = [[p(q) for q in qs] for p in t.values("poly", _class_poly)]
-    for g, h, b, count, rank in t.edge_deletions(t.bipartite):
-        for qi, q in enumerate(qs):
-            den = ch[h][qi]
-            if den == 0:
-                yield (rank, b, qi), count, None, None, None
-            else:
-                yield (rank, b, qi), count, ch[g][qi] * q - (q - 1) * den, den * q, _Q_EDGE
+    def name(rank, pos):
+        i, s = divmod(pos, len(slots))
+        m = int(t.order[rank])
+        g = to_graph6(t.graph(m))
+        return g + slots[s].report(m, i).instance[len(g):]
 
-
-def _summary_batch(t: ClassTable, cfg: SweepConfig) -> SweepSummary:
-    """Summary of the instances on one class table: the claim's fold, or
-    else its sweep run once per class."""
-    claim = CLAIMS[cfg.claim]
-    items = (claim.fold(t, cfg) if claim.fold
-             else _checker_groups(t, lambda g: claim.sweep(g, cfg)))
-    return _group_summary(cfg.claim, items, t, cfg.qs)
+    keyed = _group_summary(cfg.claim, len(slots), _slot_groups(t, slots), lambda k: (t.n, *k))
+    return keyed, name
 
 
 def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
     """Aggregate of every instance of the claim, computed in-process on the
-    class tables; `workers` is accepted for callers and unused."""
+    class tables; `workers` is accepted for callers and unused.  Only the
+    instances the aggregate keeps are named, after the merge."""
     cfg.validate()
-    total = SweepSummary(cfg.claim)
+    total, names = SweepSummary(cfg.claim), {}
     for n in range(1, cfg.max_n + 1):
-        total.merge(_summary_batch(class_table(n), cfg))
+        part, names[n] = _summary_batch(class_table(n), cfg)
+        total.merge(part)
+    for f in ("first_violation", "first_tight_instance", "min_margin_instance"):
+        if (key := getattr(total, f)) is not None:
+            setattr(total, f, names[key[0]](*key[1:]))
     return total
 
 
@@ -400,143 +480,59 @@ def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
 # Report mode: one checker call per instance group, lines from fragments
 # ---------------------------------------------------------------------------
 
-# masks per chunk of report lines: this many over the table's slot count
+# masks per chunk of report lines: this many over the table's positions
 CHUNK_LINES = 1 << 14
 _OPEN = '{"instance": "'
-
-
-class _Slot(NamedTuple):
-    """One report position of the labelled graphs of a table.  keys(masks)
-    gives the group of each mask's report here (-1: no report).  The
-    reports of a group agree in every field but the graph6 name that opens
-    the instance string, so report(mask) runs the checker on one labelled
-    graph of each group.  A line names the graph of mask ^ rename."""
-
-    keys: Callable[[np.ndarray], np.ndarray]
-    report: Callable[[int], Report]
-    rename: int = 0
-
-
-def _class_slots(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
-    """Report i of the claim's sweep, run once per class representative;
-    exact for the reason _checker_groups gives."""
-    sweep = CLAIMS[cfg.claim].sweep
-    reports = [sweep(g, cfg) for g in t.reps]
-    slots = []
-    for i in range(max(map(len, reports), default=0)):
-        ids = np.array([c if len(r) > i else -1 for c, r in enumerate(reports)], dtype=np.int32)
-        slots.append(_Slot(lambda m, ids=ids: ids[t.cls[m]],
-                           lambda m, i=i: reports[t.cls[m]][i]))
-    return slots
-
-
-def _edge_slots(t: ClassTable, check: Callable, keep: Optional[np.ndarray] = None,
-                qs: tuple = (None,), rename: bool = False) -> list[_Slot]:
-    """check(G, e, q) for each q and each edge e of G (of the classes in
-    keep, default all), grouped by (class of G, class of G-e)."""
-    c = len(t.reps)
-    keep = np.ones(c, dtype=bool) if keep is None else keep
-
-    def keys(m, bit):
-        g = t.cls[m]
-        return np.where((m & bit != 0) & keep[g], g.astype(np.int64) * c + t.cls[m ^ bit], -1)
-
-    return [_Slot(lambda m, bit=1 << b: keys(m, bit),
-                  lambda m, e=e, q=q: check(t.graph(m), e, q), 1 << b if rename else 0)
-            for q in qs for b, e in enumerate(t.pairs)]
-
-
-def _slots_wr_lemma(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
-    # grouped by the classes of G/uv, G-u-v, G-e and G, which fix both sides
-    if t.n < 2:
-        return []
-    t1, t2 = class_table(t.n - 1), class_table(t.n - 2)
-    c, c2 = len(t.reps), len(t2.reps)
-
-    def keys(m, bit, ident, dele):
-        key = (t1.cls[remap(m, ident)].astype(np.int64) * c2 + t2.cls[remap(m, dele)]) * c
-        return np.where(m & bit != 0, (key + t.cls[m ^ bit]) * c + t.cls[m], -1)
-
-    return [_Slot(lambda m, b=b, i=_identify_map(t, u, v), d=_delete_map(t, u, v):
-                  keys(m, 1 << b, i, d),
-                  lambda m, e=(u, v): check_wr_lemma(t.graph(m), e))
-            for b, (u, v) in enumerate(t.pairs)]
-
-
-def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
-    # per q, connected bipartite G: one inapplicable report if G has no
-    # proper q-coloring, else one per pair, grouped by the class of G and
-    # the pair's state in _fold_thm1_1
-    width = 2 * len(class_table(t.n - 1).reps) + 1
-    ok = t.connected & t.bipartite
-    maps = [_identify_map(t, u, v) for u, v in t.pairs]
-    last: dict = {}
-
-    def reports(m, q):
-        # the checker reports every pair at once, and _report_batch asks
-        # for the reports of one graph and q one after another
-        if (m, q) not in last:
-            last.clear()
-            last[m, q] = check_correlation_coloring(t.graph(m), q)
-        return last[m, q]
-
-    def pair_keys(m, b, some):
-        g = t.cls[m]
-        return np.where(some[g], g.astype(np.int64) * width + _pair_state(t, m, b, maps[b]), -1)
-
-    slots = []
-    for q in cfg.qs:
-        none = ok & np.array([p(q) == 0 for p in t.values("poly", _class_poly)])
-        slots.append(_Slot(lambda m, none=none: np.where(none[t.cls[m]], t.cls[m], -1),
-                           lambda m, q=q: reports(m, q)[0]))
-        slots += [_Slot(lambda m, b=b, some=ok & ~none: pair_keys(m, b, some),
-                        lambda m, b=b, q=q: reports(m, q)[b])
-                  for b in range(len(t.pairs))]
-    return slots
 
 
 def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object]
                   ) -> SweepSummary:
     """Write the report lines of one table's labelled graphs, in enumeration
-    order and each graph's reports in the claim's order, and return their
-    summary.  The checker runs once per group of each slot; its report is
+    order and each graph's reports in stream position order, and return
+    their summary.  The checker runs once per group and q; its report is
     rendered once, as the JSON after the graph6 name, and every line is
     the opening, the name and that fragment."""
-    slots = (CLAIMS[cfg.claim].slots or _class_slots)(t, cfg)
-    if not slots:
-        return SweepSummary(cfg.claim)
-    ranks = np.arange(len(t.order), dtype=np.int32)
-    found = []
-    for j, slot in enumerate(slots):
-        found += [(rank, j, key, count)
-                  for key, count, rank in groups(slot.keys(t.order), ranks) if key >= 0]
+    slots = CLAIMS[cfg.claim].slots(t, cfg)
+    grouped = list(_slot_groups(t, slots))
+    width = len(slots)
+    nq = max((len(margins) for _, margins in grouped), default=0)
     # the groups in stream order of their first instances
-    found.sort()
+    found = sorted((rows[g][2], i * width + s, g)
+                   for s, (rows, margins) in enumerate(grouped)
+                   for i, ms in enumerate(margins)
+                   for g, margin in enumerate(ms) if margin is not _NO_REPORT)
+    if not found:
+        return SweepSummary(cfg.claim)
+    # per slot and q index: the fragment and the report margin of each group
+    frag_ids = [np.full((len(rows), nq), -1, dtype=np.int64) for rows, _ in grouped]
+    reported = [(rows, [[_NO_REPORT] * len(rows) for _ in range(nq)]) for rows, _ in grouped]
     skip = 1 + -(-len(t.pairs) // 6)  # length of a graph6 name on n vertices
-    frags, items = [], []
-    lookup = [[] for _ in slots]
-    for rank, j, key, count in found:
-        r = slots[j].report(int(t.order[rank]))
+    frags, names = [], {}
+    for rank, pos, g in found:
+        i, s = divmod(pos, width)
+        r = slots[s].report(int(t.order[rank]), i)
+        frag_ids[s][g, i] = len(frags)
+        reported[s][1][i][g] = _margin(r)
+        names[rank, pos] = r.instance
         rd = json.dumps({**r.to_json_dict(), "instance": r.instance[skip:]})
-        lookup[j].append((key, len(frags)))
         frags.append(rd[len(_OPEN):] + "\n")
-        items.append(((rank, j), count, r.margin, 1, r.instance))
-    # per slot: (group key, fragment index) rows, sorted by key
-    lookup = [np.array(sorted(kf), dtype=np.int64).reshape(-1, 2) for kf in lookup]
-    rename = np.array([s.rename for s in slots], dtype=np.int64)
-    step = max(1, CHUNK_LINES // len(slots))
+    keys = [np.array([key for key, _, _ in rows], dtype=np.int64) for rows, _ in grouped]
+    rename = np.array([s.bit if s.rename else 0 for s in slots] * nq, dtype=np.int64)
+    step = max(1, CHUNK_LINES // (width * nq))
     for lo in range(0, len(t.order), step):
         m = t.order[lo:lo + step]
-        ids = np.full((len(m), len(slots)), -1, dtype=np.int64)
-        for j, (slot, kf) in enumerate(zip(slots, lookup)):
-            k = slot.keys(m)
-            have = k >= 0
-            ids[have, j] = kf[np.searchsorted(kf[:, 0], k[have]), 1]
+        ids = np.full((len(m), width * nq), -1, dtype=np.int64)
+        for s, slot in enumerate(slots):
+            have = slot.keep[t.cls[m]]
+            if slot.bit:
+                have &= m & slot.bit != 0
+            k = t.cls[m[have]] if slot.keys is None else slot.keys(m[have])
+            ids[have, s::width] = frag_ids[s][np.searchsorted(keys[s], k)]
         rows, js = np.nonzero(ids >= 0)
-        names = graph6_names(t.n, m[rows] ^ rename[js])
+        line_names = graph6_names(t.n, m[rows] ^ rename[js])
         write("".join([_OPEN + name.replace("\\", "\\\\") + frags[f]
-                       for name, f in zip(names, ids[rows, js].tolist())]))
-    return _group_summary(cfg.claim, items, t, cfg.qs)
+                       for name, f in zip(line_names, ids[rows, js].tolist())]))
+    return _group_summary(cfg.claim, width, reported, names.__getitem__)
 
 
 def sweep_reports(cfg: SweepConfig, write: Callable[[str], object]) -> SweepSummary:
@@ -561,11 +557,11 @@ class Claim:
     verify(g, p) builds the reports of `homverify verify` for one graph,
     with p carrying q, edge, target and ell.  sweep(g, cfg) applies the
     sweep filter and builds the reports of every instance of one labelled
-    graph; None marks a verify-only claim.  fold(t, cfg) is the summary
-    kernel: it yields the instance groups of one class table t; without
-    one, summaries fold the sweep's reports.  slots(t, cfg) lists the
-    report positions of report mode on one class table; without it, report
-    i of the sweep on each class representative is one.
+    graph; None marks a verify-only claim.  slots(t, cfg) lists the
+    claim's slots (_Slot) on one class table t, the one definition of its
+    instance groups: summary mode folds their margins and report mode
+    renders their checker reports.  By default slot i is report i of the
+    sweep on each class representative.
     Entries call the checkers through this module's globals at call time,
     so a wrapper installed on those names (perfbench's tracer) sees every
     call."""
@@ -573,8 +569,7 @@ class Claim:
     name: str
     verify: Callable
     sweep: Optional[Callable] = None
-    fold: Optional[Callable] = None
-    slots: Optional[Callable] = None
+    slots: Callable = _sweep_slots
     q_min: Optional[int] = None  # None: the claim takes no q
     edge: bool = False
     target: bool = False
@@ -620,29 +615,26 @@ def _sweep_balanced(g: Graph, cfg: SweepConfig) -> list[Report]:
 CLAIMS = {c.name: c for c in (
     Claim("thm1_1", q_min=1,
           verify=lambda g, p: check_correlation_coloring(g, p.q),
-          sweep=_sweep_thm1_1, fold=_fold_thm1_1, slots=_slots_thm1_1),
+          sweep=_sweep_thm1_1, slots=_slots_thm1_1),
     Claim("eq_col", q_min=1, edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "coloring", p.edge, p.q)],
-          sweep=_sweep_eq_col, fold=_fold_eq_col,
-          # a report names G-e, the base graph of the ratio
-          slots=lambda t, cfg: _edge_slots(
-              t, lambda g, e, q: check_edge_ratio(g.delete_edge(*e), "coloring", e, q),
-              t.bipartite, cfg.qs, rename=True)),
+          sweep=_sweep_eq_col, slots=_slots_eq_col),
     Claim("eq_ind", edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "independent", p.edge)],
           sweep=lambda g, cfg: [check_edge_ratio(g, "independent", e) for e in g.sorted_edges],
-          fold=_fold_eq_ind,
           slots=lambda t, cfg: _edge_slots(
-              t, lambda g, e, q: check_edge_ratio(g, "independent", e))),
+              t, [(t.values("ind", ind_count), 3, 4)],
+              lambda g, e, i: check_edge_ratio(g, "independent", e))),
     Claim("eq_wr", edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "wr", p.edge)],
           sweep=lambda g, cfg: [check_edge_ratio(g, "wr", e) for e in g.sorted_edges],
-          fold=_fold_eq_wr,
-          slots=lambda t, cfg: _edge_slots(t, lambda g, e, q: check_edge_ratio(g, "wr", e))),
+          slots=lambda t, cfg: _edge_slots(
+              t, [(t.values("wr", wr_count), 7, 9)],
+              lambda g, e, i: check_edge_ratio(g, "wr", e))),
     Claim("wr_lemma", edge=True,
           verify=lambda g, p: [check_wr_lemma(g, p.edge)],
           sweep=lambda g, cfg: [check_wr_lemma(g, e) for e in g.sorted_edges],
-          fold=_fold_wr_lemma, slots=_slots_wr_lemma),
+          slots=_slots_wr_lemma),
     Claim("sidorenko", target=True,
           verify=lambda g, p: [check_sidorenko_bound(g, p.target)],
           sweep=lambda g, cfg: [check_sidorenko_bound(g, cfg.target)] if g.is_connected() else []),
@@ -685,8 +677,12 @@ def _corollary_batch(t: ClassTable) -> dict:
         "cor1_4": (connected, lambda g: [check_connected_ind_bound(g)]),
         "cor1_6": (connected, lambda g: [check_connected_wr_bound(g)]),
     }
-    return {c: _group_summary(c, _checker_groups(t, reports, keep, _NAME), t, ())
-            for c, (keep, reports) in checks.items()}
+
+    def name(key):
+        return to_graph6(t.graph(int(t.order[key[0]])))
+
+    slots = {c: _class_slots(t, reports, keep) for c, (keep, reports) in checks.items()}
+    return {c: _group_summary(c, len(s), _slot_groups(t, s), name) for c, s in slots.items()}
 
 
 def corollary_bundle_summary(max_n: int, workers: int = 1) -> dict:

@@ -16,6 +16,7 @@ machinery itself works.  The required assertion is retained unweakened and
 fails by design.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -60,6 +61,23 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 WORKERS = max(1, int(os.environ.get("HOMVERIFY_WORKERS", os.cpu_count() or 1)))
 
 
+# SHA-256 of the canonical JSON of the summaries at these sizes, recorded
+# before both sweep modes read one slot list per claim
+SUMMARY_DIGESTS = {
+    "thm1_1": "aa4df4ba80e02a777589e7c5d2d5a0b249680f93c9099a73e3bebc7e73781636",
+    "eq_ind": "df48590bfdfd41f8dccb14318924555f33ebc126ac6ba6605391a36d74904224",
+    "eq_wr": "1d0569ba0b2027fe3990c37bc1d0fc203275f1a130f52ec806d2d0eaea0e0286",
+    "wr_lemma": "535d153359e2dcb48687eaeeff99422fa79e5b7448ac6996388175c217a59fcc",
+    "cor1_2": "2e22097967ed9fc1ba781777ef4940fbdf1c68a612f6685ba389b5d498a969f2",
+    "bundle": "70c00728f9d9cd49895c2f930c7149abb7363edd143ab0df7fc89462ecde4b13",
+}
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+                          ).hexdigest()
+
+
 def announce(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}", flush=True)
 
@@ -93,6 +111,7 @@ def test_criterion_02_pair_correlation_sweep():
     assert s.violated == 0
     assert s.inapplicable == 0  # connected bipartite always q-colorable for q >= 2
     assert s.instances == 5840248  # all pairs of all connected bipartite n <= 7, 4 q values
+    assert digest(s.to_json_dict()) == SUMMARY_DIGESTS["thm1_1"]
 
 
 def test_criterion_03_edge_ratio_sweeps():
@@ -108,6 +127,8 @@ def test_criterion_03_edge_ratio_sweeps():
     # tightness witnessed exactly at the single-edge graph (graph6 "A_")
     assert s_ind.min_margin == 0 and s_ind.first_tight_instance == "A_ e=(0,1)"
     assert s_wr.min_margin == 0 and s_wr.first_tight_instance == "A_ e=(0,1)"
+    assert digest(s_ind.to_json_dict()) == SUMMARY_DIGESTS["eq_ind"]
+    assert digest(s_wr.to_json_dict()) == SUMMARY_DIGESTS["eq_wr"]
     r = check_edge_ratio(path_graph(2), "independent", (0, 1))
     assert r.margin == 0
     r = check_edge_ratio(path_graph(2), "wr", (0, 1))
@@ -120,6 +141,7 @@ def test_criterion_04_wr_lemma_sweep():
     announce("criterion 4 conditional-color lemma sweep", ok,
              f"instances={s.instances} violated={s.violated} in {dt:.0f}s")
     assert s.violated == 0 and s.instances > 0
+    assert digest(s.to_json_dict()) == SUMMARY_DIGESTS["wr_lemma"]
 
 
 def test_criterion_05_closed_forms():
@@ -156,6 +178,8 @@ def test_criterion_06_corollary_bounds():
     assert packing.violated == 0 and packing.instances > 0
     # extremal tree: the path is tight for the independent-set floor
     assert bundle["cor1_4"].min_margin == 0
+    assert digest({c: s.to_json_dict() for c, s in bundle.items()}) == SUMMARY_DIGESTS["bundle"]
+    assert digest(packing.to_json_dict()) == SUMMARY_DIGESTS["cor1_2"]
 
 
 def test_criterion_07_spectral_anchors():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from homverify import cli, counting
 
 DATA = Path(__file__).parent / "data"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(*args, **kw):
@@ -277,3 +279,42 @@ def test_graph6_input(tmp_path):
     r = run_cli("count", "chrom", "--graph", str(g6), "--q", "3")
     assert r.returncode == 0
     assert json.loads(r.stdout)["count"] == "18"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("run_verification_battery", ["--max-n", "0"]),
+    ("run_verification_battery", ["--max-n", "8"]),
+    ("hunt_counterexamples", ["--k", "6"]),
+    ("hunt_counterexamples", ["--samples", "0"]),
+    ("hunt_counterexamples", ["--max-n", "8"]),
+])
+def test_script_bad_argument_exit_2(name, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _script(name).main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,step", [
+    ("run_verification_battery", "sweep_summary"),
+    ("hunt_counterexamples", "p4_grid_margins"),
+])
+def test_script_internal_error_exit_3(name, step, tmp_path, monkeypatch, capsys):
+    # exit 1 means violations found; a crash is a one-line exit 3
+    module = _script(name)
+
+    def crash(*args, **kw):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(module, step, crash)
+    assert module.main(["--max-n", "2", "--summary-only", "--out", str(tmp_path)]
+                       if name == "run_verification_battery" else ["--max-n", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"{name}: internal error: RuntimeError: boom second line\n"

@@ -5,7 +5,9 @@ Fraction at the end of hom_count.  Floating point appears only in the
 spectral helpers, which feed advisory bounds, never verdicts.
 
 Routes are deliberately redundant: the generic weighted backtracking
-counter, the chromatic polynomial via deletion-contraction, the
+counter (its candidates at each vertex are bitmasks, cut down by the
+support masks of the images of the placed neighbours, so it never forms
+a zero product), the chromatic polynomial via deletion-contraction, the
 independent-set branching recursion and the Widom-Rowlinson white-set
 decomposition are four independent algorithms whose pairwise agreement is
 enforced by the test suite.
@@ -84,28 +86,29 @@ def _hom_plan(masks: tuple[int, ...], comp: int) -> tuple[list[int], list[list[i
     start = deg = -1
     m = comp
     while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
+        rest = m & (m - 1)
+        v = (m ^ rest).bit_length() - 1
+        m = rest
         d = masks[v].bit_count()
         if d > deg:
             start, deg = v, d
     order = [start]
-    pos = {start: 0}
+    pos = [0] * len(masks)
     placed = 1 << start
     back: list[list[int]] = [[]]
     for u in order:
         new = masks[u] & ~placed
         while new:
-            b = new & -new
-            new ^= b
+            rest = new & (new - 1)
+            b = new ^ rest
+            new = rest
             w = b.bit_length() - 1
             earlier = masks[w] & placed
             ps = []
             while earlier:
-                c = earlier & -earlier
-                earlier ^= c
-                ps.append(pos[c.bit_length() - 1])
+                rest = earlier & (earlier - 1)
+                ps.append(pos[(earlier ^ rest).bit_length() - 1])
+                earlier = rest
             back.append(ps)
             pos[w] = len(order)
             order.append(w)
@@ -113,37 +116,65 @@ def _hom_plan(masks: tuple[int, ...], comp: int) -> tuple[list[int], list[list[i
     return order, back
 
 
-def _hom_walk(back, choices, rows) -> int:
+def _hom_walk(back, choices, target: TargetGraph) -> int:
     """Sum over the maps of one planned component of the product of the
     integer entries on its edges, by backtracking in plan order without
-    recursion: one choice iterator per depth, and weight[p] the product over
-    the edges among the vertices placed before p.  The last vertex's
-    compatible choices are summed in place, not descended into."""
+    recursion.  Candidates are bitmasks over the target's vertices: those
+    of depth p are choices[p] ANDed with the support masks of the images
+    of p's placed neighbours, so no zero product is ever formed and a dead
+    end is never entered.  The last depth is summed in place: a 0/1 target,
+    whose products are all 1, adds the candidates' popcount; any other
+    target adds its products over the candidate bits, weight[p] being the
+    product over the edges among the vertices placed before depth p.  A
+    lone vertex has no edges, so it counts its choices."""
     last = len(back) - 1
-    assign = [0] * len(back)
+    if not last or not choices[0]:
+        return choices[0].bit_count()
+    rows = target.integer_rows[0]
+    supp = target.support_masks
+    simple = target.is_simple
+    img = [0] * last          # support mask of the image at each depth
+    img_row = [()] * last     # integer row of the image at each depth
     weight = [1] * len(back)
-    its = [iter(choices[0])] + [None] * last
+    cand = [choices[0]] + [0] * (last - 1)
     total = 0
     p = 0
-    while p >= 0:
-        nbrs = back[p]
-        for t in its[p]:
-            row = rows[t]
-            x = weight[p]
-            for q in nbrs:
-                x *= row[assign[q]]
-            if x:
-                if p == last:
-                    total += x
-                else:
-                    assign[p] = t
-                    p += 1
-                    weight[p] = x
-                    its[p] = iter(choices[p])
-                    break
+    while True:
+        c = cand[p]
+        rest = cand[p] = c & (c - 1)
+        t = (c ^ rest).bit_length() - 1
+        img[p] = supp[t]
+        nxt = p + 1
+        if not simple:
+            img_row[p] = rows[t]
+            x = 1
+            for q in back[p]:
+                x *= img_row[q][t]
+            x = weight[nxt] = x * weight[p]
+        m = choices[nxt]
+        nbrs = back[nxt]
+        for q in nbrs:
+            m &= img[q]
+        if nxt < last:
+            if m:
+                p = nxt
+                cand[p] = m
+                continue
+        elif simple:
+            total += m.bit_count()
         else:
+            leaf = 0
+            for u in range(m.bit_length()):
+                if m >> u & 1:
+                    y = 1
+                    for q in nbrs:
+                        y *= img_row[q][u]
+                    leaf += y
+            total += x * leaf
+        while not cand[p]:
+            if not p:
+                return total
             p -= 1
-    return total
 
 
 def hom_count(
@@ -156,8 +187,11 @@ def hom_count(
     """Weighted homomorphism count: sum over all maps respecting the
     constraint of the product of edge weights.  Exact: the entries are
     scaled to integers by D, the lcm of their denominators, so the search
-    multiplies integers only and the count is total / D^m.  Counts per
-    connected component of the source are multiplied."""
+    multiplies integers only and the count is total / D^m.  The allowed
+    sets become one bitmask per vertex per call (all k bits for a vertex
+    the constraint leaves free), each connected component of the source is
+    planned from its neighbour masks and walked by _hom_walk on the
+    target's support masks, and the component counts are multiplied."""
     k = target.k
     n = g.n
     if k > 1 and n * math.log2(k) > HOM_GUARD_BITS and not override_guard:
@@ -171,17 +205,17 @@ def hom_count(
         return Fraction(target.w[0][0]) ** g.m
     if n == 0:
         return Fraction(1)
-    rows, d = target.integer_rows
-    full = tuple(range(k))
+    full = (1 << k) - 1
+    allowed = {v: sum(1 << t for t in ts) for v, ts in c.allowed.items()}
     masks = g.neighbor_masks
     total = 1
     for comp in mask_components(masks, (1 << n) - 1):
         order, back = _hom_plan(masks, comp)
-        choices = [tuple(sorted(c.allowed[v])) if v in c.allowed else full for v in order]
-        total *= _hom_walk(back, choices, rows)
+        choices = [allowed.get(v, full) for v in order] if allowed else [full] * len(order)
+        total *= _hom_walk(back, choices, target)
         if not total:
             return Fraction(0)
-    return Fraction(total, d ** g.m)
+    return Fraction(total, target.integer_rows[1] ** g.m)
 
 
 # ---------------------------------------------------------------------------

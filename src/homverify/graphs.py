@@ -153,6 +153,11 @@ class TargetGraph:
         d = math.lcm(*(x.denominator for row in self.w for x in row))
         return tuple(tuple(int(x * d) for x in row) for row in self.w), d
 
+    @cached_property
+    def support_masks(self) -> tuple[int, ...]:
+        """Bit j of entry t is set when the entry (t, j) is nonzero."""
+        return tuple(sum(1 << j for j, x in enumerate(row) if x) for row in self.w)
+
     def is_connected(self) -> bool:
         """Connectivity of the support graph (loops join nothing)."""
         return _spans([sum(1 << j for j, x in enumerate(row) if x and j != i)

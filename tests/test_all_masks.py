@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from homverify.classes import class_table, vertex_pairs
-from homverify.counting import hom_count, ind_count
+from homverify.counting import chrom_poly, hom_count, ind_count, wr_count
 from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
 
 
@@ -59,3 +59,15 @@ def test_all_masks_match_hom_count(name, target):
         got = all_masks_hom(n, target)
         for mask in range(1 << len(t.pairs)):
             assert hom_count(t.graph(mask), target) == got[mask], (name, n, mask)
+
+
+def test_all_masks_match_class_tables_at_seven():
+    # every labelled 7-vertex mask against its class's wr_count and
+    # chromatic polynomial at q = 2 and 3, gathered through the class map
+    t = class_table(7)
+    wr = np.array(t.values("wr", wr_count), dtype=np.int64)
+    assert np.array_equal(all_masks_hom(7, widom_rowlinson_target()), wr[t.cls])
+    polys = t.values("poly", chrom_poly)
+    for q in (2, 3):
+        per_class = np.array([p(q) for p in polys], dtype=np.int64)
+        assert np.array_equal(all_masks_hom(7, complete_target(q)), per_class[t.cls]), q

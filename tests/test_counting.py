@@ -132,6 +132,38 @@ def test_hom_integer_scaling_anchor():
     assert hom_count(path_graph(3), t) == want
 
 
+def test_support_masks():
+    assert HC.support_masks == (0b11, 0b01)
+    assert WR.support_masks == (0b011, 0b111, 0b110)
+    half = TargetGraph.from_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 3]])
+    assert half.support_masks == (0b10, 0b11)
+
+
+def _doubled(t: TargetGraph) -> TargetGraph:
+    return TargetGraph(tuple(tuple(2 * x for x in row) for row in t.w))
+
+
+@pytest.mark.parametrize("name,t", [("hard_core", HC), ("widom_rowlinson", WR),
+                                    ("k3", complete_target(3))])
+def test_hom_doubled_target_scales_by_edges(name, t):
+    # 2T has entries 0 and 2, so its count takes the products over the
+    # candidate bits while T's takes the popcount: hom(g, 2T) = 2^m hom(g, T)
+    t2 = _doubled(t)
+    assert t.is_simple and not t2.is_simple
+    for n in range(6):
+        for g in all_graphs(n):
+            assert hom_count(g, t2) == 2 ** g.m * hom_count(g, t), (name, g)
+
+
+def test_hom_support_anchors():
+    both_in = ListConstraint({0: {IND_IN}, 1: {IND_IN}})
+    assert hom_count(path_graph(2), HC, both_in) == 0
+    assert hom_count(path_graph(2), HC, ListConstraint({0: {IND_IN}})) == 1
+    none = TargetGraph.from_rows([])
+    for g in (empty_graph(1), path_graph(3), cycle_graph(4)):
+        assert hom_count(g, none) == 0
+
+
 def test_hom_returns_fraction():
     weighted = TargetGraph.from_rows([[Fraction(1, 3), 2], [2, 0]])
     for t in (HC, complete_target(3), weighted, TargetGraph.from_rows([[2, 1], [1, 0]])):

@@ -5,7 +5,8 @@ hold for every (bipartite) H?
 Verdicts are exact.  The sampler decides each drawn target in vectorized
 integer arithmetic on its entries in tenths, then re-checks every sample it
 flags by a second route, hom_count on the Fraction target, in sample order,
-so the reported witness is the first one in the stream.
+so the reported witness is the first one in the stream.  The entry stream is
+random.Random(seed).randrange(11), drawn in bulk one batch at a time.
 """
 
 from __future__ import annotations
@@ -153,9 +154,27 @@ class Counterexample:
         }
 
 
-def _draw_entries(rng: random.Random, k: int) -> list[int]:
-    """Upper triangle (row-major, diagonal included) in tenths."""
-    return [rng.randrange(WEIGHT_LEVELS) for _ in range(k * (k + 1) // 2)]
+def _draw_entries(rng: random.Random, k: int, count: int) -> np.ndarray:
+    """`count` upper triangles (row-major, diagonal included) in tenths, as
+    a (count, k(k+1)/2) uint8 array: the values of as many calls of
+    rng.randrange(11), leaving rng in the state those calls would.
+
+    CPython's randrange(11) takes the top 4 bits of one 32-bit generator
+    word and draws again while they are 11 or more; getrandbits(32 r)
+    returns the next r words, least significant first.  Each round draws
+    one word per value still missing and keeps fewer, so no round draws
+    past the last word those calls would use."""
+    size = count * (k * (k + 1) // 2)
+    out = np.empty(size, dtype=np.uint8)
+    got = 0
+    while got < size:
+        need = size - got
+        tops = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                             "<u4") >> 28
+        kept = tops[tops < WEIGHT_LEVELS]
+        out[got:got + kept.size] = kept
+        got += kept.size
+    return out.reshape(count, -1)
 
 
 def _entries_to_target(entries: list[int], k: int) -> TargetGraph:
@@ -206,7 +225,9 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
     generator and return the first strict violation of
     hom(H,G)/hom(H-e,G) >= sum(w)/k^2 over the edges of H, or None.
 
-    Deterministic: the entry stream depends only on the seed.  With entries
+    Deterministic: the entries, upper triangles row by row and sample by
+    sample, are the stream of random.Random(seed).randrange(11), drawn in
+    bulk one batch at a time, so batch size does not move it.  With entries
     E in tenths, hom(H, E/10) = hom(H, E)/10^m, so a sample violates at e
     exactly when k^2 hom(H,E) < sum(E) hom(H-e,E), decided in integers per
     batch.  hom_count confirms flagged samples in sample order, or raises.
@@ -224,7 +245,7 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
     done = 0
     while done < samples:
         batch = min(_BATCH, samples - done)
-        all_entries = [_draw_entries(rng, k) for _ in range(batch)]
+        all_entries = _draw_entries(rng, k, batch)
         w = _weight_batch(all_entries, k, g)
         s = w.sum(axis=(1, 2))
         lhs = k * k * _hom_floats(g, w)
@@ -232,7 +253,7 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
         for _e, h_minus in deletions:
             candidate |= lhs < s * _hom_floats(h_minus, w)
         for idx in np.flatnonzero(candidate):
-            target = _entries_to_target(all_entries[idx], k)
+            target = _entries_to_target(all_entries[idx].tolist(), k)
             threshold = target.edge_weight_sum / k ** 2
             num = hom_count(g, target)
             for e, h_minus in deletions:

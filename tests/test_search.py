@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -210,6 +211,21 @@ def test_pinned_fork_counterexample():
     assert pinned == ce.target
 
 
+@pytest.mark.parametrize("batch", [1, 7, 1000])
+def test_pinned_fork_counterexample_across_batch_sizes(monkeypatch, batch):
+    # batch boundaries cut the entry stream anywhere without moving it; the
+    # witness holds Python ints, not the draw's numpy scalars
+    monkeypatch.setattr(search, "_BATCH", batch)
+    manifest = json.loads((DATA / "fork_k3_manifest.json").read_text())
+    fork = parse_edgelist((DATA / manifest["H_file"]).read_text())
+    ce = find_counterexample(fork, manifest["k"], samples=manifest["sample_index"] + 1,
+                             seed=manifest["seed"])
+    assert ce.sample_index == manifest["sample_index"]
+    assert ce.target == parse_target((DATA / "fork_k3_counterexample.tg").read_text())
+    assert {type(y) for row in ce.target.w for x in row
+            for y in (x.numerator, x.denominator)} == {int}
+
+
 def test_pinned_counterexample_reverifies_from_scratch():
     manifest = json.loads((DATA / "fork_k3_manifest.json").read_text())
     fork = parse_edgelist((DATA / manifest["H_file"]).read_text())
@@ -249,6 +265,20 @@ def test_unconfirmed_candidate_raises(monkeypatch):
                             seed=manifest["seed"])
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("seed", [0, 1, 20250809, 2 ** 64 + 12345])
+def test_draw_entries_is_the_randrange_stream(seed, k):
+    # the bulk draw reads CPython's randrange(11) word by word: the same
+    # values and the same generator state after, batch after batch
+    bulk, calls = random.Random(seed), random.Random(seed)
+    for count in (1, 7, 16384):
+        got = search._draw_entries(bulk, k, count)
+        want = [[calls.randrange(11) for _ in range(k * (k + 1) // 2)]
+                for _ in range(count)]
+        assert got.dtype == np.uint8 and got.tolist() == want
+        assert bulk.getstate() == calls.getstate()
+
+
 _TRIU5 = [(i, j) for i in range(5) for j in range(i, 5)]
 
 
@@ -258,15 +288,16 @@ def test_hom_batch_past_int64_is_exact(g, diagonal):
     # all-tens matrix has hom(g, E) past 2^63.  hom_count walks P_22 only
     # on diagonal targets, one choice per vertex after the first.
     k = 5
-    rng = random.Random(11)
-    rows = [search._draw_entries(rng, k) for _ in range(12)] + [[10] * 15]
+    rows = search._draw_entries(random.Random(11), k, 13)
+    rows[-1] = 10
     if diagonal:
-        rows = [[x if i == j else 0 for (i, j), x in zip(_TRIU5, r)] for r in rows]
+        rows[:, [i != j for i, j in _TRIU5]] = 0
     w = search._weight_batch(rows, k, g)
     assert w.dtype == object
+    assert {type(x) for x in w.flat} == {int}
     got = search._hom_floats(g, w)
     assert got[-1] > 2 ** 63
-    for row, x in zip(rows, got):
+    for row, x in zip(rows.tolist(), got):
         assert x == hom_count(g, search._entries_to_target(row, k)) * 10 ** g.m
 
 

@@ -30,6 +30,7 @@ from .graphs import (
 )
 from .counting import (
     SizeGuardError,
+    check_hom_guard,
     chrom_eval,
     chrom_poly,
     hom_count,
@@ -176,6 +177,9 @@ def _run_count(args, out: _Out) -> int:
     if args.what == "hom":
         if not args.target:
             raise UsageError("count hom needs --target")
+        kq = _KQ.match(args.target)
+        if kq and not args.override_size_guard:
+            check_hom_guard(g.n, int(kq.group(1)))  # before K_q's q^2 entries
         val = hom_count(g, _load_target(args.target), **kw)
     elif args.what == "chrom":
         val = chrom_eval(g, _need_q(args), **kw)

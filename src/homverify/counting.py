@@ -4,13 +4,21 @@ Everything here is exact: integer arithmetic for every target, with one
 Fraction at the end of hom_count.  Floating point appears only in the
 spectral helpers, which feed advisory bounds, never verdicts.
 
-Routes are deliberately redundant: the generic weighted backtracking
-counter (its candidates at each vertex are bitmasks, cut down by the
-support masks of the images of the placed neighbours, so it never forms
-a zero product), the chromatic polynomial via deletion-contraction, the
-independent-set branching recursion and the Widom-Rowlinson white-set
-decomposition are four independent algorithms whose pairwise agreement is
-enforced by the test suite.
+Routes are deliberately redundant: the generic homomorphism counter, the
+chromatic polynomial via deletion-contraction, the independent-set
+branching recursion and the Widom-Rowlinson white-set decomposition are
+four independent algorithms whose pairwise agreement is enforced by the
+test suite.
+
+The generic counter has two routes, chosen by the input size.  For a 0/1
+target with k > 1 and k**n at most MAP_BITS it counts maps: each map is one
+bit of an int, and the count is the popcount of the AND of one mask per
+edge and per constrained vertex.  Every other call backtracks over the
+weighted walk, whose candidates at each vertex are bitmasks cut down by
+the support masks of the images of the placed neighbours, so it never
+forms a zero product.  The tests check both routes on 0/1 targets against
+each other and against an all-masks zeta counter, with MAP_BITS set to 0
+to force the walk.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .graphs import (
 )
 
 HOM_GUARD_BITS = 64          # reject hom_count when n*log2(k) exceeds this
+MAP_BITS = 1 << 12           # hom_count's map-bit route takes k**n up to this
 IND_GUARD_VERTICES = 40      # reject ind_count beyond this many vertices
 WR_GUARD_VERTICES = 24       # reject wr_count beyond this many (2^n white sets)
 CHROM_POLY_EDGE_GUARD = 40   # reject chrom_poly beyond this many edges
@@ -45,6 +54,13 @@ FOREST_MIN_VERTICES = 6      # below this, branching beats ind_count's forest DP
 
 class SizeGuardError(ValueError):
     """Instance exceeds the desk-scale size guard."""
+
+
+def check_hom_guard(n: int, k: int) -> None:
+    """hom_count's guard on n source vertices into k target vertices, which
+    callers that would build a large target can test before building it."""
+    if k > 1 and n * math.log2(k) > HOM_GUARD_BITS:
+        raise SizeGuardError(f"hom_count guard: {n} vertices into {k} targets")
 
 
 @dataclass(frozen=True)
@@ -177,6 +193,46 @@ def _hom_walk(back, choices, target: TargetGraph) -> int:
             p -= 1
 
 
+def _within(row: list[int], s: int) -> int:
+    """The maps whose digit lies in the target set s, given row[t], the
+    maps whose digit is t."""
+    out = 0
+    while s:
+        rest = s & (s - 1)
+        out |= row[(s ^ rest).bit_length() - 1]
+        s = rest
+    return out
+
+
+def _map_tables(target: TargetGraph, n: int) -> tuple[int, list[list[int]], dict]:
+    """(full, digit, edge) for the k**n maps of n vertices into a 0/1
+    target, each map one bit of an int: bit i sends vertex v to digit v of
+    i in base k.  digit[v][t] holds the maps with v -> t, and edge[(u, v)]
+    those that send the pair u < v onto a nonzero entry.  They depend on
+    the target and n only, so they are built on first use and kept in the
+    target's map_tables."""
+    got = target.map_tables.get(n)
+    if got is None:
+        k = target.k
+        full = (1 << k ** n) - 1
+        digit = []
+        for v in range(n):
+            block = k ** v
+            # a block of ones per digit value, repeated every k blocks
+            rep = full // ((1 << block * k) - 1)
+            digit.append([((1 << block) - 1 << t * block) * rep for t in range(k)])
+        near = [[_within(row, s) for s in target.support_masks] for row in digit]
+        edge = {}
+        for v in range(n):
+            for u in range(v):
+                e = 0
+                for du, nv in zip(digit[u], near[v]):
+                    e |= du & nv
+                edge[u, v] = e
+        got = target.map_tables[n] = full, digit, edge
+    return got
+
+
 def hom_count(
     g: Graph,
     target: TargetGraph,
@@ -189,13 +245,18 @@ def hom_count(
     scaled to integers by D, the lcm of their denominators, so the search
     multiplies integers only and the count is total / D^m.  The allowed
     sets become one bitmask per vertex per call (all k bits for a vertex
-    the constraint leaves free), each connected component of the source is
-    planned from its neighbour masks and walked by _hom_walk on the
+    the constraint leaves free).
+
+    A 0/1 target (D = 1) with k > 1 and k**n at most MAP_BITS counts maps,
+    not walks: the count is the popcount of the maps that every edge's mask
+    and every constrained vertex's allowed digits keep, from the target's
+    _map_tables for n.  Otherwise each connected component of the source
+    is planned from its neighbour masks and walked by _hom_walk on the
     target's support masks, and the component counts are multiplied."""
     k = target.k
     n = g.n
-    if k > 1 and n * math.log2(k) > HOM_GUARD_BITS and not override_guard:
-        raise SizeGuardError(f"hom_count guard: {n} vertices into {k} targets")
+    if not override_guard:
+        check_hom_guard(n, k)
     c = constraint or EMPTY_CONSTRAINT
     c.validate(n, k)
 
@@ -205,8 +266,15 @@ def hom_count(
         return Fraction(target.w[0][0]) ** g.m
     if n == 0:
         return Fraction(1)
-    full = (1 << k) - 1
     allowed = {v: sum(1 << t for t in ts) for v, ts in c.allowed.items()}
+    if k > 1 and target.is_simple and k ** n <= MAP_BITS:
+        live, digit, edge = _map_tables(target, n)
+        for e in g.edges:
+            live &= edge[e]
+        for v, s in allowed.items():
+            live &= _within(digit[v], s)
+        return Fraction(live.bit_count())
+    full = (1 << k) - 1
     masks = g.neighbor_masks
     total = 1
     for comp in mask_components(masks, (1 << n) - 1):
@@ -363,12 +431,13 @@ def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
 def chrom_eval(g: Graph, q: int, *, override_guard: bool = False) -> int:
     """ch(H, q): evaluated from the chromatic polynomial when the polynomial
     guard allows building it or is overridden, else counted directly as
-    homomorphisms into K_q under hom_count's guard.  The two routes must
-    agree (tested)."""
+    homomorphisms into K_q under hom_count's guard, which is tested before
+    K_q's q^2 entries are built.  The two routes must agree (tested)."""
     if q < 0:
         raise ValueError("q must be nonnegative")
     if g.m <= CHROM_POLY_EDGE_GUARD or override_guard:
         return chrom_poly(g, override_guard=override_guard)(q)
+    check_hom_guard(g.n, q)
     val = hom_count(g, complete_target(q))
     return int(val)
 
@@ -580,6 +649,7 @@ __all__ = [
     "WR_A",
     "WR_B",
     "WR_C",
+    "check_hom_guard",
     "chrom_eval",
     "chrom_poly",
     "cycle_chrom_formula",

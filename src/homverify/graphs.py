@@ -158,6 +158,13 @@ class TargetGraph:
         """Bit j of entry t is set when the entry (t, j) is nonzero."""
         return tuple(sum(1 << j for j, x in enumerate(row) if x) for row in self.w)
 
+    @cached_property
+    def map_tables(self) -> dict:
+        """Per source size n, the map-bitset tables that counting.hom_count
+        builds for a 0/1 target on first use (a pure function of the
+        target and n)."""
+        return {}
+
     def is_connected(self) -> bool:
         """Connectivity of the support graph (loops join nothing)."""
         return _spans([sum(1 << j for j, x in enumerate(row) if x and j != i)

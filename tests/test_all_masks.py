@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+from homverify import counting
 from homverify.classes import class_table, vertex_pairs
 from homverify.counting import chrom_poly, hom_count, ind_count, wr_count
 from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
@@ -47,13 +48,23 @@ def test_all_masks_hard_core_matches_class_tables(n):
     assert np.array_equal(all_masks_hom(n, hard_core_target()), per_class[t.cls])
 
 
-@pytest.mark.parametrize("name,target", [
+HOM_TARGETS = [
     ("hard_core", hard_core_target()),
     ("widom_rowlinson", widom_rowlinson_target()),
     ("k2", complete_target(2)),
     ("k3", complete_target(3)),
+]
+
+
+@pytest.mark.parametrize("name,target,route", [
+    pytest.param(name, target, route, id=f"{name}-target{i}" + ("-walk" if route == "walk" else ""))
+    for route in ("bits", "walk") for i, (name, target) in enumerate(HOM_TARGETS)
 ])
-def test_all_masks_match_hom_count(name, target):
+def test_all_masks_match_hom_count(name, target, route, monkeypatch):
+    # these targets take the map bits at n <= 5; a cap of 0 sends every
+    # call to the walk, so the zeta counter checks both routes
+    if route == "walk":
+        monkeypatch.setattr(counting, "MAP_BITS", 0)
     for n in range(6):
         t = class_table(n)
         got = all_masks_hom(n, target)

@@ -266,6 +266,13 @@ def test_count_chrom_override_size_guard(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == {"count": "24"}
 
 
+def test_count_hom_kq_guard_before_building(capsys):
+    # p4 into K_q, q = 10^9: exit 2 before building K_q's q^2 entries
+    argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target", f"k{10 ** 9}"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "homverify: hom_count guard: 4 vertices into 1000000000 targets\n"
+
+
 def test_malformed_graph_exit_2(tmp_path):
     bad = tmp_path / "bad.el"
     bad.write_text("3 1\n0 0\n")

@@ -16,6 +16,7 @@ from homverify.graphs import (
     path_graph,
     widom_rowlinson_target,
 )
+from homverify import counting
 from homverify.counting import (
     FOREST_MIN_VERTICES,
     IND_GUARD_VERTICES,
@@ -147,7 +148,8 @@ def _doubled(t: TargetGraph) -> TargetGraph:
                                     ("k3", complete_target(3))])
 def test_hom_doubled_target_scales_by_edges(name, t):
     # 2T has entries 0 and 2, so its count takes the products over the
-    # candidate bits while T's takes the popcount: hom(g, 2T) = 2^m hom(g, T)
+    # candidate bits while T's takes the popcount: hom(g, 2T) = 2^m hom(g, T).
+    # It is also a cross-route check: T takes the map bits and 2T the walk
     t2 = _doubled(t)
     assert t.is_simple and not t2.is_simple
     for n in range(6):
@@ -162,6 +164,46 @@ def test_hom_support_anchors():
     none = TargetGraph.from_rows([])
     for g in (empty_graph(1), path_graph(3), cycle_graph(4)):
         assert hom_count(g, none) == 0
+    assert none.map_tables == {}  # vacuously 0/1, but k = 0 has no map bits
+
+
+ROUTE_CASES = {  # target, largest n, and whether the ends are constrained
+    "hard_core": (HC, 6, False),
+    "widom_rowlinson": (WR, 5, False),
+    "widom_rowlinson_list": (WR, 5, True),
+    "k2": (complete_target(2), 5, False),
+    "k3": (complete_target(3), 5, False),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_hom_routes_agree(name, monkeypatch):
+    # every labelled graph: these 0/1 targets take the map bits, and a cap
+    # of 0 sends the same calls to the walk
+    t, max_n, ends = ROUTE_CASES[name]
+    calls = [(g, ListConstraint({0: {WR_B, WR_C}, n - 1: {WR_A}}) if ends and n > 1 else None)
+             for n in range(max_n + 1) for g in all_graphs(n)]
+    bits = [hom_count(g, t, c) for g, c in calls]
+    monkeypatch.setattr(counting, "MAP_BITS", 0)
+    assert [hom_count(g, t, c) for g, c in calls] == bits
+
+
+@pytest.mark.parametrize("name,n,bits", [("hard_core", 12, True), ("hard_core", 13, False),
+                                         ("k3", 7, True), ("k3", 8, False)])
+def test_hom_map_bits_boundary(name, n, bits, monkeypatch):
+    # the last n with k**n <= MAP_BITS takes the bits, one vertex more the
+    # walk; each route forced on a fresh target agrees with the closed forms
+    make = {"hard_core": hard_core_target, "k3": lambda: complete_target(3)}[name]
+    want = {"hard_core": [path_ind_fib(n), path_ind_fib(n - 3) + path_ind_fib(n - 1)],
+            "k3": [3 * 2 ** (n - 1), cycle_chrom_formula(n, 3)]}[name]
+    gs = (path_graph(n), cycle_graph(n))
+    t = make()
+    assert [hom_count(g, t) for g in gs] == want
+    assert (n in t.map_tables) == bits
+    assert all(t.k ** m <= counting.MAP_BITS for m in t.map_tables)
+    for cap in (t.k ** n, 0):
+        monkeypatch.setattr(counting, "MAP_BITS", cap)
+        assert [hom_count(g, make()) for g in gs] == want, cap
 
 
 def test_hom_returns_fraction():
@@ -289,6 +331,12 @@ def test_chrom_eval_override_guard(monkeypatch):
         chrom_poly(cycle_graph(4))
     assert chrom_eval(cycle_graph(4), 3) == 18  # counted by hom_count
     assert chrom_eval(cycle_graph(4), 3, override_guard=True) == 18
+
+
+def test_chrom_eval_guard_before_building_kq():
+    # building K_q is quadratic in q: the guard refuses first, at once
+    with pytest.raises(SizeGuardError, match="^hom_count guard: 10 vertices into 1000000000 targets$"):
+        chrom_eval(complete_graph(10), 10 ** 9)
 
 
 def test_chrom_eval_matches_poly():

@@ -122,29 +122,18 @@ class ClassTable:
             got = self._values[name] = [fn(g) for g in self.reps]
         return got
 
-    def columns(self, keep: Optional[np.ndarray] = None
-                ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(b, masks, ranks) for each pair index b: the masks of the classes
-        marked in keep (default all), in enumeration order, that contain
-        pair b, and their ranks."""
-        if keep is None:
-            ranks = np.arange(len(self.order), dtype=np.int32)
-        else:
-            ranks = np.flatnonzero(keep[self.cls[self.order]]).astype(np.int32)
+    def edge_deletions(self, keep: np.ndarray) -> Iterator[tuple[int, int, int, int, int]]:
+        """(g, h, b, count, rank): `count` labelled graphs G of the classes
+        marked in keep with an edge e at pair b, G in class g and G-e in
+        class h, the first of them at `rank`."""
+        ranks = np.flatnonzero(keep[self.cls[self.order]]).astype(np.int32)
         masks = self.order[ranks]
+        c = len(self.reps)
         for b in range(len(self.pairs)):
             has = (masks >> b) & 1 == 1
-            yield b, masks[has], ranks[has]
-
-    def edge_deletions(self, keep: Optional[np.ndarray] = None
-                       ) -> Iterator[tuple[int, int, int, int, int]]:
-        """(g, h, b, count, rank): `count` labelled graphs G of the classes
-        marked in keep (default all) with an edge e at pair b, G in class g
-        and G-e in class h, the first of them at `rank`."""
-        c = len(self.reps)
-        for b, m, r in self.columns(keep):
+            m = masks[has]
             keys = self.cls[m].astype(np.int64) * c + self.cls[m ^ (1 << b)]
-            for key, count, rank in groups(keys, r):
+            for key, count, rank in groups(keys, ranks[has]):
                 g, h = divmod(key, c)
                 yield g, h, b, count, rank
 

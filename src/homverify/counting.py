@@ -10,22 +10,23 @@ branching recursion and the Widom-Rowlinson white-set decomposition are
 four independent algorithms whose pairwise agreement is enforced by the
 test suite.
 
-The generic counter has two routes, chosen by the input size.  For a 0/1
-target with k > 1 and k**n at most MAP_BITS it counts maps: each map is one
-bit of an int, and the count is the popcount of the AND of one mask per
-edge and per constrained vertex.  Every other call backtracks over the
-weighted walk, whose candidates at each vertex are bitmasks cut down by
-the support masks of the images of the placed neighbours, so it never
-forms a zero product.  The tests check both routes on 0/1 targets against
-each other and against an all-masks zeta counter, with MAP_BITS set to 0
-to force the walk.
+The generic counter has three routes.  A target that is not 0/1 goes to
+hom_batch, variable elimination over a batch of integer matrices, which the
+search's screen shares.  A 0/1 target with k > 1 and k**n at most MAP_BITS
+counts maps as the bits of one int: the popcount of the AND of one mask per
+edge and per constrained vertex.  Any other 0/1 call walks popcounts on the
+target's support masks, which beats elimination on dense sources whose
+counts are small.  The tests check the routes against each other, against
+the other counters and against brute force.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from string import ascii_letters
 from typing import Mapping, Optional
 
 import numpy as np
@@ -44,7 +45,8 @@ from .graphs import (
     mask_vertices,
 )
 
-HOM_GUARD_BITS = 64          # reject hom_count when n*log2(k) exceeds this
+HOM_GUARD_BITS = 64          # reject hom_count into a 0/1 target past n*log2(k) bits
+HOM_FACTOR_GUARD = 1 << 22   # reject a weighted count whose elimination sums more entries
 MAP_BITS = 1 << 12           # hom_count's map-bit route takes k**n up to this
 IND_GUARD_VERTICES = 40      # reject ind_count beyond this many vertices
 WR_GUARD_VERTICES = 24       # reject wr_count beyond this many (2^n white sets)
@@ -92,115 +94,142 @@ EMPTY_CONSTRAINT = ListConstraint({})
 
 
 # ---------------------------------------------------------------------------
-# Weighted homomorphism counting
+# Homomorphism counting
 # ---------------------------------------------------------------------------
 
 def _hom_plan(masks: tuple[int, ...], comp: int) -> tuple[list[int], list[list[int]]]:
     """BFS order of a component from a maximum-degree vertex (ties to the
     smallest id, neighbours ascending) and each vertex's earlier neighbours
     as positions: placed vertices border the frontier, so zeros prune early."""
-    start = deg = -1
-    m = comp
-    while m:
-        rest = m & (m - 1)
-        v = (m ^ rest).bit_length() - 1
-        m = rest
-        d = masks[v].bit_count()
-        if d > deg:
-            start, deg = v, d
+    start = max(mask_vertices(comp), key=lambda v: masks[v].bit_count())
     order = [start]
     pos = [0] * len(masks)
     placed = 1 << start
     back: list[list[int]] = [[]]
     for u in order:
-        new = masks[u] & ~placed
-        while new:
-            rest = new & (new - 1)
-            b = new ^ rest
-            new = rest
-            w = b.bit_length() - 1
-            earlier = masks[w] & placed
-            ps = []
-            while earlier:
-                rest = earlier & (earlier - 1)
-                ps.append(pos[(earlier ^ rest).bit_length() - 1])
-                earlier = rest
-            back.append(ps)
+        for w in mask_vertices(masks[u] & ~placed):
+            back.append([pos[x] for x in mask_vertices(masks[w] & placed)])
             pos[w] = len(order)
             order.append(w)
-            placed |= b
+            placed |= 1 << w
     return order, back
 
 
-def _hom_walk(back, choices, target: TargetGraph) -> int:
-    """Sum over the maps of one planned component of the product of the
-    integer entries on its edges, by backtracking in plan order without
-    recursion.  Candidates are bitmasks over the target's vertices: those
-    of depth p are choices[p] ANDed with the support masks of the images
-    of p's placed neighbours, so no zero product is ever formed and a dead
-    end is never entered.  The last depth is summed in place: a 0/1 target,
-    whose products are all 1, adds the candidates' popcount; any other
-    target adds its products over the candidate bits, weight[p] being the
-    product over the edges among the vertices placed before depth p.  A
-    lone vertex has no edges, so it counts its choices."""
+def _hom_walk(back, choices, supp: tuple[int, ...]) -> int:
+    """Number of maps of one planned component into a 0/1 target with
+    support masks supp, by backtracking in plan order without recursion.
+    The candidates of depth p are the bits of choices[p] ANDed with the
+    support masks of the images of p's placed neighbours, so a dead end is
+    never entered; the last depth adds their popcount."""
     last = len(back) - 1
     if not last or not choices[0]:
         return choices[0].bit_count()
-    rows = target.integer_rows[0]
-    supp = target.support_masks
-    simple = target.is_simple
     img = [0] * last          # support mask of the image at each depth
-    img_row = [()] * last     # integer row of the image at each depth
-    weight = [1] * len(back)
     cand = [choices[0]] + [0] * (last - 1)
     total = 0
     p = 0
     while True:
         c = cand[p]
         rest = cand[p] = c & (c - 1)
-        t = (c ^ rest).bit_length() - 1
-        img[p] = supp[t]
+        img[p] = supp[(c ^ rest).bit_length() - 1]
         nxt = p + 1
-        if not simple:
-            img_row[p] = rows[t]
-            x = 1
-            for q in back[p]:
-                x *= img_row[q][t]
-            x = weight[nxt] = x * weight[p]
         m = choices[nxt]
-        nbrs = back[nxt]
-        for q in nbrs:
+        for q in back[nxt]:
             m &= img[q]
         if nxt < last:
             if m:
                 p = nxt
                 cand[p] = m
                 continue
-        elif simple:
-            total += m.bit_count()
         else:
-            leaf = 0
-            for u in range(m.bit_length()):
-                if m >> u & 1:
-                    y = 1
-                    for q in nbrs:
-                        y *= img_row[q][u]
-                    leaf += y
-            total += x * leaf
+            total += m.bit_count()
         while not cand[p]:
             if not p:
                 return total
             p -= 1
 
 
+def _min_degree_order(masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(v, mask of v's neighbours not yet eliminated) for every vertex, the
+    least degree first (ties to the smallest id), each eliminated vertex's
+    neighbours joined pairwise.  Stale heap entries are skipped."""
+    adj = list(masks)
+    heap = [(m.bit_count(), v) for v, m in enumerate(adj)]
+    heapq.heapify(heap)
+    alive = (1 << len(adj)) - 1
+    steps = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if alive >> v & 1 and adj[v].bit_count() == d:
+            alive ^= 1 << v
+            steps.append((v, adj[v]))
+            for u in mask_vertices(adj[v]):
+                adj[u] = (adj[u] | adj[v]) & alive & ~(1 << u)
+                heapq.heappush(heap, (adj[u].bit_count(), u))
+    return steps
+
+
+def _contract(factors: list, out: tuple[int, ...]) -> np.ndarray:
+    """One einsum over (scope, array) factors, batch axis first, keeping
+    the batch and out; letters are local, so they bound the scope, not n."""
+    letter = {u: ascii_letters[1 + i] for i, u in enumerate({u for s, _ in factors for u in s})}
+    spec = ",".join("a" + "".join(letter[u] for u in s) for s, _ in factors)
+    return np.einsum(spec + "->a" + "".join(letter[u] for u in out),
+                     *(f for _, f in factors))
+
+
+def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = None, *,
+              override_guard: bool = False) -> np.ndarray:
+    """hom(g, W) for each integer matrix W of the batch w, shape (B, k, k),
+    exact in w's dtype (int64, or object for Python ints), by variable
+    elimination in min-degree order.  Each edge is a factor, each
+    constrained vertex a 0/1 unary one, and each waits in the bucket of its
+    first vertex in the order.  Eliminating v contracts its bucket by one
+    einsum; an empty bucket is an isolated vertex, a factor k.  That sums
+    over v and its d remaining neighbours, k**(d + 1) entries per matrix:
+    past HOM_FACTOR_GUARD the call is refused unless the guard is
+    overridden, and below it the batch goes in slices of as many entries."""
+    b, k, _ = w.shape
+    if k == 1:  # one map, and no bound on the scopes of an elimination
+        return w[:, 0, 0] ** g.m
+    steps = _min_degree_order(g.neighbor_masks)
+    top = max((nb.bit_count() + 1 for _, nb in steps), default=0)
+    if k ** top > HOM_FACTOR_GUARD and not override_guard:
+        raise SizeGuardError(f"hom_count guard: elimination sums over {k}^{top} entries")
+    step = max(1, HOM_FACTOR_GUARD // k ** top)
+    if b > step:
+        return np.concatenate([hom_batch(g, w[i:i + step], constraint, override_guard=True)
+                               for i in range(0, b, step)])
+    pos = {v: i for i, (v, _) in enumerate(steps)}
+    buckets: list[list] = [[] for _ in steps]
+
+    def put(scope: tuple[int, ...], f: np.ndarray) -> None:
+        buckets[min(pos[u] for u in scope)].append((scope, f))
+
+    for e in g.sorted_edges:
+        put(e, w)
+    for v, ts in (constraint or EMPTY_CONSTRAINT).allowed.items():
+        put((v,), np.broadcast_to(np.array([int(t in ts) for t in range(k)], w.dtype), (b, k)))
+    total = np.ones(b, dtype=w.dtype)
+    for (v, _), ops in zip(steps, buckets):
+        while len(ops) > 32:  # np.einsum's operand limit before numpy 2
+            s = tuple(sorted({u for s, _ in ops[:31] for u in s}))
+            ops[:31] = [(s, _contract(ops[:31], s))]
+        out = tuple(sorted({u for s, _ in ops for u in s} - {v}))
+        f = _contract(ops, out) if ops else k
+        if out:
+            put(out, f)
+        else:
+            total = total * f
+    return total
+
+
 def _within(row: list[int], s: int) -> int:
     """The maps whose digit lies in the target set s, given row[t], the
     maps whose digit is t."""
     out = 0
-    while s:
-        rest = s & (s - 1)
-        out |= row[(s ^ rest).bit_length() - 1]
-        s = rest
+    for t in mask_vertices(s):
+        out |= row[t]
     return out
 
 
@@ -233,29 +262,20 @@ def _map_tables(target: TargetGraph, n: int) -> tuple[int, list[list[int]], dict
     return got
 
 
-def hom_count(
-    g: Graph,
-    target: TargetGraph,
-    constraint: Optional[ListConstraint] = None,
-    *,
-    override_guard: bool = False,
-) -> Fraction:
+def hom_count(g: Graph, target: TargetGraph, constraint: Optional[ListConstraint] = None, *,
+              override_guard: bool = False) -> Fraction:
     """Weighted homomorphism count: sum over all maps respecting the
-    constraint of the product of edge weights.  Exact: the entries are
-    scaled to integers by D, the lcm of their denominators, so the search
-    multiplies integers only and the count is total / D^m.  The allowed
-    sets become one bitmask per vertex per call (all k bits for a vertex
-    the constraint leaves free).
-
-    A 0/1 target (D = 1) with k > 1 and k**n at most MAP_BITS counts maps,
-    not walks: the count is the popcount of the maps that every edge's mask
-    and every constrained vertex's allowed digits keep, from the target's
-    _map_tables for n.  Otherwise each connected component of the source
-    is planned from its neighbour masks and walked by _hom_walk on the
-    target's support masks, and the component counts are multiplied."""
+    constraint of the product of edge weights, exact.  A target that is not
+    0/1 goes to hom_batch as one matrix of Python ints, its entries scaled
+    by D, the lcm of their denominators, so the count is total / D^m.  A
+    0/1 target is guarded by n*log2(k).  With k > 1 and k**n at most
+    MAP_BITS it counts the maps that every edge's mask and every
+    constrained vertex's allowed digits keep (_map_tables); otherwise
+    _hom_walk walks each component of the source on the support masks,
+    with the allowed sets as one bitmask per vertex."""
     k = target.k
     n = g.n
-    if not override_guard:
+    if not override_guard and target.is_simple:
         check_hom_guard(n, k)
     c = constraint or EMPTY_CONSTRAINT
     c.validate(n, k)
@@ -264,10 +284,12 @@ def hom_count(
         # the one map sends every vertex to the one target vertex: a
         # valid constraint allows it, and each edge weighs the loop
         return Fraction(target.w[0][0]) ** g.m
-    if n == 0:
-        return Fraction(1)
+    if not target.is_simple:
+        rows, d = target.integer_rows
+        got = hom_batch(g, np.array([rows], dtype=object), c, override_guard=override_guard)
+        return Fraction(int(got[0]), d ** g.m)
     allowed = {v: sum(1 << t for t in ts) for v, ts in c.allowed.items()}
-    if k > 1 and target.is_simple and k ** n <= MAP_BITS:
+    if k > 1 and k ** n <= MAP_BITS:
         live, digit, edge = _map_tables(target, n)
         for e in g.edges:
             live &= edge[e]
@@ -280,10 +302,10 @@ def hom_count(
     for comp in mask_components(masks, (1 << n) - 1):
         order, back = _hom_plan(masks, comp)
         choices = [allowed.get(v, full) for v in order] if allowed else [full] * len(order)
-        total *= _hom_walk(back, choices, target)
+        total *= _hom_walk(back, choices, target.support_masks)
         if not total:
             return Fraction(0)
-    return Fraction(total, target.integer_rows[1] ** g.m)
+    return Fraction(total)
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +659,7 @@ def tree_hom_lower_bound(n: int, target: TargetGraph) -> float:
 __all__ = [
     "ChromPoly",
     "EMPTY_CONSTRAINT",
+    "HOM_FACTOR_GUARD",
     "HOM_GUARD_BITS",
     "IND_GUARD_VERTICES",
     "WR_GUARD_VERTICES",
@@ -654,6 +677,7 @@ __all__ = [
     "chrom_poly",
     "cycle_chrom_formula",
     "cycle_hom_spectral",
+    "hom_batch",
     "hom_count",
     "ind_count",
     "path_ind_fib",

@@ -2,11 +2,11 @@
 question: for which targets G does hom(H,G)/hom(H-e,G) >= hom(K_2,G)/v(G)^2
 hold for every (bipartite) H?
 
-Verdicts are exact.  The sampler decides each drawn target in vectorized
-integer arithmetic on its entries in tenths, then re-checks every sample it
-flags by a second route, hom_count on the Fraction target, in sample order,
-so the reported witness is the first one in the stream.  The entry stream is
-random.Random(seed).randrange(11), drawn in bulk one batch at a time.
+Verdicts are exact.  The sampler decides each batch of drawn targets, in
+tenths, with counting.hom_batch, and confirms each flagged sample in sample
+order by hom_count on the Fraction target (the same elimination in Python
+ints, which catches a wrong int64 result), so the reported witness is the
+first in the stream of random.Random(seed).randrange(11), drawn per batch.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .classes import MAX_N, class_table, vertex_pairs
 from .graphs import Graph, TargetGraph, bipartition, to_graph6
-from .counting import hom_count
+from .counting import hom_batch, hom_count
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,9 @@ def _entries_to_target(entries: list[int], k: int) -> TargetGraph:
 
 def _weight_batch(entries, k: int, g: Graph) -> np.ndarray:
     """Symmetric integer matrices from rows of upper-triangle entries in
-    0..10: in int64 when k^(n+2) * 10^m, a bound on every count of g and
-    g - e and on every einsum intermediate, is below 2^63, else in Python ints."""
+    0..10: in int64 when k^(n+2) * 10^m is below 2^63, else in Python ints.
+    Every factor entry of hom_batch on g or g - e is at most k^n * 10^m,
+    and the screen multiplies its counts by k^2 or by sum(E) <= 10 k^2."""
     dtype = np.int64 if k ** (g.n + 2) * 10 ** g.m < 2 ** 63 else object
     iu, ju = np.triu_indices(k)
     pos = np.empty((k, k), dtype=np.intp)
@@ -202,19 +203,7 @@ def _weight_batch(entries, k: int, g: Graph) -> np.ndarray:
 # keeps the float prescreen's name: perfbench's layer tracer wraps it
 def _hom_floats(g: Graph, w_batch: np.ndarray) -> np.ndarray:
     """hom(g, .) for a batch of integer weight matrices, exact in its dtype."""
-    nb, k, _ = w_batch.shape
-    if not g.edges:
-        return np.full(nb, k ** g.n, dtype=w_batch.dtype)
-    operands = []
-    for u, v in g.sorted_edges:
-        operands.append(w_batch)
-        operands.append([0, 1 + u, 1 + v])
-    out = np.einsum(*operands, [0], optimize=True)
-    touched = {x for e in g.edges for x in e}
-    iso = g.n - len(touched)
-    if iso:
-        out = out * k ** iso
-    return out
+    return hom_batch(g, w_batch)
 
 
 _BATCH = 16384
@@ -236,8 +225,6 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
         raise ValueError("target size k must be in 1..5")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if g.n > 51:  # _hom_floats' einsum names the batch and each vertex by one of 52 letters
-        raise ValueError("search supports sources with at most 51 vertices")
     if not g.edges:
         return None
     rng = random.Random(seed)

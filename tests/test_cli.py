@@ -191,13 +191,13 @@ def _write_edgelist(path, n, edges):
     return str(path)
 
 
-@pytest.mark.parametrize("n,code", [(51, 0), (52, 2)])
-def test_search_source_size_limit(n, code, tmp_path):
-    path = _write_edgelist(tmp_path / "p.el", n, [(i, i + 1) for i in range(n - 1)])
+def test_search_long_path_source(tmp_path):
+    # the screen's elimination names each vertex by a letter local to one
+    # step, so a source past the old 51-vertex limit is searched
+    path = _write_edgelist(tmp_path / "p.el", 60, [(i, i + 1) for i in range(59)])
     r = run_cli("search", "--H", path, "--k", "2", "--samples", "10", "--seed", "1", timeout=60)
-    assert r.returncode == code, r.stderr
-    if code == 2:
-        assert r.stderr == "homverify: search supports sources with at most 51 vertices\n"
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"found": False, "seed": 1, "samples": 10}
 
 
 def test_count_size_guards_exit_2(tmp_path):
@@ -271,6 +271,34 @@ def test_count_hom_kq_guard_before_building(capsys):
     argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target", f"k{10 ** 9}"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "homverify: hom_count guard: 4 vertices into 1000000000 targets\n"
+
+
+def _write_tenths_target(path, k):
+    # every entry 1/10 on the diagonal and 2/10 off it: no 0/1 target
+    path.write_text(f"{k}\n" + "".join(" ".join("1/10" if i == j else "2/10" for j in range(k))
+                                        + "\n" for i in range(k)))
+    return str(path)
+
+
+def test_count_hom_weighted_elimination_guard_exit_2(tmp_path):
+    k12 = _write_edgelist(tmp_path / "k12.el", 12,
+                          [(u, v) for u in range(12) for v in range(u + 1, 12)])
+    r = run_cli("count", "hom", "--graph", k12, "--target",
+                _write_tenths_target(tmp_path / "t.tg", 5), timeout=60)
+    assert r.returncode == 2
+    assert r.stderr == "homverify: hom_count guard: elimination sums over 5^12 entries\n"
+
+
+def test_count_hom_weighted_override_size_guard(monkeypatch, capsys, tmp_path):
+    # p4 sums over 3^2 entries per step, past a cap lowered to 8
+    monkeypatch.setattr(counting, "HOM_FACTOR_GUARD", 8)
+    argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target",
+            _write_tenths_target(tmp_path / "t.tg", 3)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "homverify: hom_count guard: elimination sums over 3^2 entries\n"
+    assert cli.main([*argv, "--override-size-guard"]) == 0
+    # 1^T W^3 1 for W = (J + I)/10 on 3 vertices: every row sums to 5/10
+    assert json.loads(capsys.readouterr().out) == {"count": "3/8"}
 
 
 def test_malformed_graph_exit_2(tmp_path):

@@ -1,6 +1,10 @@
+import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +36,7 @@ from homverify.counting import (
     chrom_poly,
     cycle_chrom_formula,
     cycle_hom_spectral,
+    hom_batch,
     hom_count,
     ind_count,
     path_ind_fib,
@@ -144,17 +149,24 @@ def _doubled(t: TargetGraph) -> TargetGraph:
     return TargetGraph(tuple(tuple(2 * x for x in row) for row in t.w))
 
 
+def _random_graph(seed: int, min_n: int, max_n: int, max_m: int) -> Graph:
+    # n vertices in min_n..max_n and between n - 2 and max_m edges
+    rng = random.Random(seed)
+    n = rng.randint(min_n, max_n)
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, rng.sample(pairs, rng.randint(n - 2, min(max_m, len(pairs)))))
+
+
 @pytest.mark.parametrize("name,t", [("hard_core", HC), ("widom_rowlinson", WR),
                                     ("k3", complete_target(3))])
 def test_hom_doubled_target_scales_by_edges(name, t):
-    # 2T has entries 0 and 2, so its count takes the products over the
-    # candidate bits while T's takes the popcount: hom(g, 2T) = 2^m hom(g, T).
-    # It is also a cross-route check: T takes the map bits and 2T the walk
+    # 2T has entries 0 and 2, so hom(g, 2T) = 2^m hom(g, T).  It is also a
+    # cross-route check: T takes the map bits or the walk, 2T elimination
     t2 = _doubled(t)
     assert t.is_simple and not t2.is_simple
-    for n in range(6):
-        for g in all_graphs(n):
-            assert hom_count(g, t2) == 2 ** g.m * hom_count(g, t), (name, g)
+    gs = [g for n in range(6) for g in all_graphs(n)]
+    for g in gs + [_random_graph(seed, 8, 12, 20) for seed in range(24)]:
+        assert hom_count(g, t2) == 2 ** g.m * hom_count(g, t), (name, g)
 
 
 def test_hom_support_anchors():
@@ -204,6 +216,113 @@ def test_hom_map_bits_boundary(name, n, bits, monkeypatch):
     for cap in (t.k ** n, 0):
         monkeypatch.setattr(counting, "MAP_BITS", cap)
         assert [hom_count(g, make()) for g in gs] == want, cap
+
+
+def _batch(*targets: TargetGraph, dtype=np.int64) -> np.ndarray:
+    return np.array([t.integer_rows[0] for t in targets], dtype=dtype)
+
+
+def _transfer_count(n: int, t: TargetGraph) -> Fraction:
+    # hom(P_n, T) = 1^T W^(n-1) 1, in Fractions
+    vec = [Fraction(1)] * t.k
+    for _ in range(n - 1):
+        vec = [sum(x * y for x, y in zip(row, vec)) for row in t.w]
+    return sum(vec)
+
+
+def _dense_tenths(k: int, seed: int) -> TargetGraph:
+    rng = random.Random(seed)
+    mat = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            mat[i][j] = mat[j][i] = Fraction(rng.randint(1, 10), 10)
+    return TargetGraph(tuple(tuple(row) for row in mat))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_hom_batch_differential(seed, monkeypatch):
+    # 8-16 vertices: the elimination itself against the specialised
+    # counters and both 0/1 routes of hom_count, with list constraints
+    g = _random_graph(seed, 8, 16, 24)
+    rng = random.Random(seed)
+    u, v = rng.sample(range(g.n), 2)
+    ind_c = ListConstraint({u: {IND_IN}, v: {IND_OUT}})
+    wr_c = ListConstraint({u: {WR_A, WR_B}, v: {WR_C}})
+    k3_c = ListConstraint({u: {0}, v: {1, 2}})
+    assert hom_batch(g, _batch(HC)).tolist() == [ind_count(g)]
+    assert hom_batch(g, _batch(HC), ind_c).tolist() == [ind_count(g, ind_c)]
+    assert hom_batch(g, _batch(WR)).tolist() == [wr_count(g)]
+    assert hom_batch(g, _batch(WR), wr_c).tolist() == [wr_count(g, wr_c)]
+    assert hom_batch(g, _batch(complete_target(3))).tolist() == [chrom_poly(g)(3)]
+    # a batch of Python ints holding both doubled and plain targets
+    got = hom_batch(g, _batch(_doubled(WR), WR, dtype=object), wr_c)
+    assert got.tolist() == [2 ** g.m * wr_count(g, wr_c), wr_count(g, wr_c)]
+    calls = [(HC, ind_c), (WR, wr_c), (complete_target(3), k3_c), (complete_target(3), None)]
+    for cap in (1 << 16, 0):  # the map bits up to 2^16 maps, then the walk
+        monkeypatch.setattr(counting, "MAP_BITS", cap)
+        for t, c in calls:
+            assert hom_count(g, t, c) == hom_batch(g, _batch(t), c)[0], (cap, t, c)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hom_weighted_eight_vertices_matches_brute(seed):
+    g = _random_graph(seed, 6, 8, 14)
+    rng = random.Random(seed)
+    mat = [[Fraction(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            mat[i][j] = mat[j][i] = Fraction(rng.randrange(11), 10)
+    t = TargetGraph(tuple(tuple(row[:2 + seed % 2]) for row in mat[:2 + seed % 2]))
+    c = ListConstraint({rng.randrange(g.n): {rng.randrange(t.k)}})
+    assert hom_count(g, t) == brute_hom(g, t)
+    assert hom_count(g, t, c) == brute_hom(g, t, c)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (9, 5), (22, 5), (40, 3), (200, 5)])
+def test_hom_weighted_path_matches_transfer_matrix(n, k):
+    # P_22 into a dense 5-vertex target visited 5^22 maps on the weighted
+    # walk; elimination takes one step per vertex
+    t = _dense_tenths(k, n)
+    start = time.perf_counter()
+    assert hom_count(path_graph(n), t) == _transfer_count(n, t)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_hom_weighted_guard_refuses_at_once():
+    # eliminating any vertex of K_12 sums over 5^12 entries, past the cap
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="elimination"):
+        hom_count(complete_graph(12), _dense_tenths(5, 1))
+    assert time.perf_counter() - start < 0.5
+    # K_9 sums over 5^9, under it; 0/1 targets keep the n*log2(k) guard
+    assert 5 ** 9 <= counting.HOM_FACTOR_GUARD < 5 ** 10
+    with pytest.raises(SizeGuardError, match="vertices into"):
+        hom_count(empty_graph(28), complete_target(5))
+    assert hom_count(empty_graph(28), _doubled(complete_target(5))) == 5 ** 28
+
+
+def test_hom_batch_slices_and_chunks(monkeypatch):
+    # slices of the batch and chunks of a bucket past einsum's operand
+    # limit give the same counts.  Vertex 0 is eliminated with 63 factors:
+    # one from each vertex joined to it and to a distinct subset of 1..6
+    subsets = [sub for r in range(1, 7) for sub in itertools.combinations(range(1, 7), r)]
+    edges = [(0, x) for x in range(1, 7)]
+    for y, sub in enumerate(subsets, 7):
+        edges += [(0, y)] + [(x, y) for x in sub]
+    g = Graph.from_edges(7 + len(subsets), edges)
+    sizes = []
+    contract = counting._contract
+    monkeypatch.setattr(counting, "_contract",
+                        lambda ops, out: sizes.append(len(ops)) or contract(ops, out))
+    assert hom_batch(g, _batch(_doubled(HC), dtype=object)).tolist() == [
+        2 ** g.m * ind_count(g, override_guard=True)]
+    assert max(sizes) == 31
+    ts = [_dense_tenths(3, seed) for seed in range(10)]
+    k5 = complete_graph(5)
+    whole = hom_batch(k5, _batch(*ts))
+    monkeypatch.setattr(counting, "HOM_FACTOR_GUARD", 3 ** 5 * 3)
+    assert hom_batch(k5, _batch(*ts)).tolist() == whole.tolist()
+    assert whole.tolist() == [hom_count(k5, t) * 10 ** k5.m for t in ts]
 
 
 def test_hom_returns_fraction():

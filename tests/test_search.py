@@ -187,11 +187,36 @@ def test_search_validation():
         find_counterexample(path_graph(4), 3, samples=0, seed=0)
 
 
-def test_search_source_size_limit():
-    # the edge to vertex 50 takes the last einsum index letter
-    assert find_counterexample(Graph.from_edges(51, [(0, 50)]), 2, samples=10, seed=1) is None
-    with pytest.raises(ValueError, match="at most 51 vertices"):
-        find_counterexample(path_graph(52), 2, samples=10, seed=1)
+def _transfer_counts(n: int, w: np.ndarray) -> list[int]:
+    # hom(P_n, W) = 1^T W^(n-1) 1 for each integer matrix of the batch
+    out = []
+    for mat in w.tolist():
+        vec = [1] * len(mat)
+        for _ in range(n - 1):
+            vec = [sum(x * y for x, y in zip(row, vec)) for row in mat]
+        out.append(sum(vec))
+    return out
+
+
+def test_hom_floats_long_path_matches_transfer_matrix():
+    # 60 vertices, past the 51 of an einsum with one letter per vertex
+    g = path_graph(60)
+    rows = search._draw_entries(random.Random(3), 4, 6)
+    rows[-1] = 10
+    w = search._weight_batch(rows, 4, g)
+    assert w.dtype == object
+    assert search._hom_floats(g, w).tolist() == _transfer_counts(60, w)
+
+
+def test_search_long_path_finishes(monkeypatch):
+    # P_22 at k = 5: the weighted walk visited up to 5^22 maps per
+    # hom_count, so the first flagged sample hung; a screen forced to flag
+    # every sample now has its first one refuted at once
+    assert find_counterexample(path_graph(22), 5, samples=300, seed=1) is None
+    screen = search._hom_floats
+    monkeypatch.setattr(search, "_hom_floats", lambda g, w: screen(g, w) * (g.m < 21))
+    with pytest.raises(RuntimeError, match="sample 0: .* does not confirm"):
+        find_counterexample(path_graph(22), 5, samples=300, seed=1)
 
 
 def test_pinned_fork_counterexample():
@@ -282,14 +307,17 @@ def test_draw_entries_is_the_randrange_stream(seed, k):
 _TRIU5 = [(i, j) for i in range(5) for j in range(i, 5)]
 
 
-@pytest.mark.parametrize("g,diagonal", [(complete_graph(6), False), (path_graph(22), True)])
+@pytest.mark.parametrize("g,diagonal", [(complete_graph(6), False), (path_graph(22), True),
+                                        (path_graph(22), False)])
 def test_hom_batch_past_int64_is_exact(g, diagonal):
-    # k^(n+2) * 10^m passes 2^63, so the batch holds Python ints; the
-    # all-tens matrix has hom(g, E) past 2^63.  hom_count walks P_22 only
-    # on diagonal targets, one choice per vertex after the first.
+    # k^(n+2) * 10^m passes 2^63, so the batch holds Python ints; the last
+    # matrix has hom(g, E) past 2^63.  One entry 9 keeps its Fraction
+    # target off the 0/1 walk, which would visit all 5^22 maps of P_22.
+    # Diagonal targets, whose support is only loops, are checked too.
     k = 5
     rows = search._draw_entries(random.Random(11), k, 13)
     rows[-1] = 10
+    rows[-1, 0] = 9
     if diagonal:
         rows[:, [i != j for i, j in _TRIU5]] = 0
     w = search._weight_batch(rows, k, g)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 

@@ -190,7 +190,7 @@ def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = No
     past HOM_FACTOR_GUARD the call is refused unless the guard is
     overridden, and below it the batch goes in slices of as many entries."""
     b, k, _ = w.shape
-    if k == 1:  # one map, and no bound on the scopes of an elimination
+    if k == 1:  # the one map: any valid constraint allows it; each edge weighs the loop
         return w[:, 0, 0] ** g.m
     steps = _min_degree_order(g.neighbor_masks)
     top = max((nb.bit_count() + 1 for _, nb in steps), default=0)
@@ -262,17 +262,22 @@ def _map_tables(target: TargetGraph, n: int) -> tuple[int, list[list[int]], dict
     return got
 
 
-def hom_count(g: Graph, target: TargetGraph, constraint: Optional[ListConstraint] = None, *,
-              override_guard: bool = False) -> Fraction:
+def hom_count(
+    g: Graph,
+    target: TargetGraph,
+    constraint: Optional[ListConstraint] = None,
+    *,
+    override_guard: bool = False,
+) -> Fraction:
     """Weighted homomorphism count: sum over all maps respecting the
     constraint of the product of edge weights, exact.  A target that is not
-    0/1 goes to hom_batch as one matrix of Python ints, its entries scaled
-    by D, the lcm of their denominators, so the count is total / D^m.  A
-    0/1 target is guarded by n*log2(k).  With k > 1 and k**n at most
-    MAP_BITS it counts the maps that every edge's mask and every
-    constrained vertex's allowed digits keep (_map_tables); otherwise
-    _hom_walk walks each component of the source on the support masks,
-    with the allowed sets as one bitmask per vertex."""
+    0/1, or has one vertex, goes to hom_batch as one matrix of Python ints,
+    its entries scaled by D, the lcm of their denominators, so the count is
+    total / D^m.  Any other 0/1 target is guarded by n*log2(k).  With k**n
+    at most MAP_BITS (and k > 1) it counts the maps that every edge's mask
+    and every constrained vertex's allowed digits keep (_map_tables);
+    otherwise _hom_walk walks each component of the source on the support
+    masks, with the allowed sets as one bitmask per vertex."""
     k = target.k
     n = g.n
     if not override_guard and target.is_simple:
@@ -280,11 +285,7 @@ def hom_count(g: Graph, target: TargetGraph, constraint: Optional[ListConstraint
     c = constraint or EMPTY_CONSTRAINT
     c.validate(n, k)
 
-    if k == 1:
-        # the one map sends every vertex to the one target vertex: a
-        # valid constraint allows it, and each edge weighs the loop
-        return Fraction(target.w[0][0]) ** g.m
-    if not target.is_simple:
+    if k == 1 or not target.is_simple:
         rows, d = target.integer_rows
         got = hom_batch(g, np.array([rows], dtype=object), c, override_guard=override_guard)
         return Fraction(int(got[0]), d ** g.m)

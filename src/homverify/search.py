@@ -190,9 +190,8 @@ def _entries_to_target(entries: list[int], k: int) -> TargetGraph:
 
 def _weight_batch(entries, k: int, g: Graph) -> np.ndarray:
     """Symmetric integer matrices from rows of upper-triangle entries in
-    0..10: in int64 when k^(n+2) * 10^m is below 2^63, else in Python ints.
-    Every factor entry of hom_batch on g or g - e is at most k^n * 10^m,
-    and the screen multiplies its counts by k^2 or by sum(E) <= 10 k^2."""
+    0..10, in int64 when k^(n+2) * 10^m < 2^63, else in Python ints: each
+    factor entry of g or g - e is at most k^n * 10^m, each screen product k^2 times that."""
     dtype = np.int64 if k ** (g.n + 2) * 10 ** g.m < 2 ** 63 else object
     iu, ju = np.triu_indices(k)
     pos = np.empty((k, k), dtype=np.intp)

@@ -191,12 +191,14 @@ def _write_edgelist(path, n, edges):
     return str(path)
 
 
-def test_search_long_path_source(tmp_path):
-    # the screen's elimination names each vertex by a letter local to one
-    # step, so a source past the old 51-vertex limit is searched
-    path = _write_edgelist(tmp_path / "p.el", 60, [(i, i + 1) for i in range(59)])
+# the screen's elimination names each vertex by a letter local to one step,
+# so sources on both sides of the old 51-vertex limit, and past it, are
+# searched: 52 vertices exited 2 while that limit stood
+@pytest.mark.parametrize("n,code", [(51, 0), (52, 0), (60, 0)])
+def test_search_source_size_limit(n, code, tmp_path):
+    path = _write_edgelist(tmp_path / "p.el", n, [(i, i + 1) for i in range(n - 1)])
     r = run_cli("search", "--H", path, "--k", "2", "--samples", "10", "--seed", "1", timeout=60)
-    assert r.returncode == 0, r.stderr
+    assert r.returncode == code, r.stderr
     assert json.loads(r.stdout) == {"found": False, "seed": 1, "samples": 10}
 
 

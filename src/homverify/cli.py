@@ -29,6 +29,7 @@ from .graphs import (
     widom_rowlinson_target,
 )
 from .counting import (
+    HOM_FACTOR_GUARD,
     SizeGuardError,
     check_hom_guard,
     chrom_eval,
@@ -125,10 +126,14 @@ def _load_graph(path: str, fmt: Optional[str]) -> Graph:
 _KQ = re.compile(r"^k(\d+)$")
 
 
-def _load_target(token: str) -> TargetGraph:
+def _load_target(token: str, override_guard: bool = False) -> TargetGraph:
     m = _KQ.match(token)
     if m:
-        return complete_target(int(m.group(1)))
+        q = int(m.group(1))
+        if q * q > HOM_FACTOR_GUARD and not override_guard:
+            raise SizeGuardError(f"target guard: {token} has {q * q} entries, "
+                                 f"more than {HOM_FACTOR_GUARD}")
+        return complete_target(q)
     if token in ("hardcore", "looped-k2"):
         return hard_core_target()
     if token in ("wr", "p3loop"):
@@ -180,7 +185,7 @@ def _run_count(args, out: _Out) -> int:
         kq = _KQ.match(args.target)
         if kq and not args.override_size_guard:
             check_hom_guard(g.n, int(kq.group(1)))  # before K_q's q^2 entries
-        val = hom_count(g, _load_target(args.target), **kw)
+        val = hom_count(g, _load_target(args.target, args.override_size_guard), **kw)
     elif args.what == "chrom":
         val = chrom_eval(g, _need_q(args), **kw)
     elif args.what == "ind":

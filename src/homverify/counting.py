@@ -6,7 +6,7 @@ spectral helpers, which feed advisory bounds, never verdicts.
 
 Routes are deliberately redundant: the generic homomorphism counter, the
 chromatic polynomial via deletion-contraction, the independent-set
-branching recursion and the Widom-Rowlinson white-set decomposition are
+branching recursion and the Widom-Rowlinson red-set sum are
 four independent algorithms whose pairwise agreement is enforced by the
 test suite.
 
@@ -49,9 +49,9 @@ HOM_GUARD_BITS = 64          # reject hom_count into a 0/1 target past n*log2(k)
 HOM_FACTOR_GUARD = 1 << 22   # reject a weighted count whose elimination sums more entries
 MAP_BITS = 1 << 12           # hom_count's map-bit route takes k**n up to this
 IND_GUARD_VERTICES = 40      # reject ind_count beyond this many vertices
-WR_GUARD_VERTICES = 24       # reject wr_count beyond this many (2^n white sets)
+WR_GUARD_VERTICES = 24       # reject wr_count beyond this many (up to 2^n red sets)
 CHROM_POLY_EDGE_GUARD = 40   # reject chrom_poly beyond this many edges
-FOREST_MIN_VERTICES = 6      # below this, branching beats ind_count's forest DP
+FOREST_MIN_VERTICES = 6      # ind_count branches on the lowest vertex below this many
 
 
 class SizeGuardError(ValueError):
@@ -238,27 +238,25 @@ def _map_tables(target: TargetGraph, n: int) -> tuple[int, list[list[int]], dict
     target, each map one bit of an int: bit i sends vertex v to digit v of
     i in base k.  digit[v][t] holds the maps with v -> t, and edge[(u, v)]
     those that send the pair u < v onto a nonzero entry.  They depend on
-    the target and n only, so they are built on first use and kept in the
-    target's map_tables."""
-    got = target.map_tables.get(n)
-    if got is None:
-        k = target.k
-        full = (1 << k ** n) - 1
-        digit = []
-        for v in range(n):
-            block = k ** v
-            # a block of ones per digit value, repeated every k blocks
-            rep = full // ((1 << block * k) - 1)
-            digit.append([((1 << block) - 1 << t * block) * rep for t in range(k)])
-        near = [[_within(row, s) for s in target.support_masks] for row in digit]
-        edge = {}
-        for v in range(n):
-            for u in range(v):
-                e = 0
-                for du, nv in zip(digit[u], near[v]):
-                    e |= du & nv
-                edge[u, v] = e
-        got = target.map_tables[n] = full, digit, edge
+    the target and n only, so hom_count builds them on first use and keeps
+    them in the target's map_tables."""
+    k = target.k
+    full = (1 << k ** n) - 1
+    digit = []
+    for v in range(n):
+        block = k ** v
+        # a block of ones per digit value, repeated every k blocks
+        rep = full // ((1 << block * k) - 1)
+        digit.append([((1 << block) - 1 << t * block) * rep for t in range(k)])
+    near = [[_within(row, s) for s in target.support_masks] for row in digit]
+    edge = {}
+    for v in range(n):
+        for u in range(v):
+            e = 0
+            for du, nv in zip(digit[u], near[v]):
+                e |= du & nv
+            edge[u, v] = e
+    target.map_tables[n] = got = full, digit, edge
     return got
 
 
@@ -289,14 +287,14 @@ def hom_count(
         rows, d = target.integer_rows
         got = hom_batch(g, np.array([rows], dtype=object), c, override_guard=override_guard)
         return Fraction(int(got[0]), d ** g.m)
-    allowed = {v: sum(1 << t for t in ts) for v, ts in c.allowed.items()}
     if k > 1 and k ** n <= MAP_BITS:
-        live, digit, edge = _map_tables(target, n)
+        live, digit, edge = target.map_tables.get(n) or _map_tables(target, n)
         for e in g.edges:
             live &= edge[e]
-        for v, s in allowed.items():
-            live &= _within(digit[v], s)
+        for v, ts in c.allowed.items():
+            live &= _within(digit[v], sum(1 << t for t in ts))
         return Fraction(live.bit_count())
+    allowed = {v: sum(1 << t for t in ts) for v, ts in c.allowed.items()}
     full = (1 << k) - 1
     masks = g.neighbor_masks
     total = 1
@@ -488,11 +486,31 @@ def _ind_forest(nbr: tuple[int, ...], alive: int) -> int:
     return 0 if alive else out[-1]
 
 
+def _ind_small(nbr: tuple[int, ...], alive: int) -> int:
+    """i of the subgraph induced on `alive`, fewer than FOREST_MIN_VERTICES
+    vertices, by i(H) = i(H - v) + i(H - N[v]) on the lowest vertex v (an
+    isolated v doubles), with no degree scan; depth stays below
+    FOREST_MIN_VERTICES."""
+    f = 1
+    while alive:
+        b = alive & -alive
+        alive ^= b
+        near = nbr[b.bit_length() - 1] & alive
+        if near:
+            return f * (_ind_small(nbr, alive) + _ind_small(nbr, alive & ~near))
+        f <<= 1
+    return f
+
+
 def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
-    """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex.  A matching
-    of e edges and r other vertices has 3^e 2^r sets; with fewer edges than
-    vertices, FOREST_MIN_VERTICES or more, _ind_forest is tried first, so a
-    path or a cycle needs at most one branch."""
+    """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex.  Fewer than
+    FOREST_MIN_VERTICES vertices go to _ind_small.  A matching of e edges
+    and r other vertices has 3^e 2^r sets; with fewer edges than vertices,
+    _ind_forest is tried first, so a path or a cycle needs at most one
+    branch."""
+    v = alive.bit_count()
+    if v < FOREST_MIN_VERTICES:
+        return _ind_small(nbr, alive)
     best = bestd = degs = 0
     m = alive
     while m:
@@ -503,10 +521,9 @@ def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
         if d > bestd:
             bestd = d
             best = b.bit_length() - 1
-    v = alive.bit_count()
     if bestd <= 1:
         return 3 ** (degs >> 1) << (v - degs)
-    if degs < 2 * v and v >= FOREST_MIN_VERTICES:
+    if degs < 2 * v:
         forest = _ind_forest(nbr, alive)
         if forest:
             return forest
@@ -517,25 +534,28 @@ def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
 def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
               override_guard: bool = False) -> int:
     """Number of independent sets compatible with the constraint (targets
-    are subsets of {IND_OUT, IND_IN} of the hard-core target).  Branching
-    recursion per connected component; equals hom_count against the
-    hard-core target."""
+    are subsets of {IND_OUT, IND_IN} of the hard-core target).  A
+    constraint removes its forced-out vertices and the closed
+    neighbourhoods of its forced-in ones (without one nothing is removed),
+    then _ind_branch counts each connected component of the rest.  Equals
+    hom_count against the hard-core target."""
     if g.n > IND_GUARD_VERTICES and not override_guard:
         raise SizeGuardError(f"ind_count guard: {g.n} vertices")
     c = constraint or EMPTY_CONSTRAINT
     c.validate(g.n, 2)
 
     masks = g.neighbor_masks
-    forced_in = [v for v, ts in c.allowed.items() if IND_OUT not in ts]
-    in_mask = sum(1 << v for v in forced_in)
-    dead = in_mask
-    for v, ts in c.allowed.items():
-        if IND_IN not in ts:
-            dead |= 1 << v
-    for v in forced_in:
-        if masks[v] & in_mask:
-            return 0  # two adjacent vertices forced into the set
-        dead |= masks[v]
+    dead = 0
+    if c.allowed:
+        forced_in = [v for v, ts in c.allowed.items() if IND_OUT not in ts]
+        in_mask = dead = sum(1 << v for v in forced_in)
+        for v, ts in c.allowed.items():
+            if IND_IN not in ts:
+                dead |= 1 << v
+        for v in forced_in:
+            if masks[v] & in_mask:
+                return 0  # two adjacent vertices forced into the set
+            dead |= masks[v]
 
     total = 1
     for comp in mask_components(masks, ((1 << g.n) - 1) & ~dead):
@@ -560,11 +580,12 @@ def path_ind_fib(n: int) -> int:
 def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
              override_guard: bool = False) -> int:
     """Red/white/blue colorings where red and blue are never adjacent,
-    restricted by the constraint (targets in {WR_A, WR_B, WR_C}).
+    restricted by the constraint (targets WR_A red, WR_B white, WR_C blue).
 
-    Counts by conditioning on the white set: once the white vertices are
-    fixed, every remaining component is monochromatic red or blue, so each
-    component contributes the number of end colors its vertices all allow.
+    Counts by summing over red sets R, per component: N(R) - R must be
+    white and every other vertex is white or blue, so R adds 2 to the
+    power of the number of those free vertices that allow both, or 0 when
+    a vertex of N(R) - R may not be white or a free vertex allows neither.
     Independent of (and checked against) the homomorphism route."""
     if g.n > WR_GUARD_VERTICES and not override_guard:
         raise SizeGuardError(f"wr_count guard: {g.n} vertices")
@@ -580,21 +601,37 @@ def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
             allow_b ^= 1 << v
         if WR_C not in ts:
             allow_c ^= 1 << v
+    not_b = full & ~allow_b
+    neither = full & ~(allow_b | allow_c)
+    both = allow_b & allow_c
 
     masks = g.neighbor_masks
-    total = 0
-    # iterate white sets B over subsets of the b-allowing vertices
-    white = allow_b
-    while True:
-        prod = 1
-        for comp in mask_components(masks, full & ~white):
-            prod *= ((comp & ~allow_a) == 0) + ((comp & ~allow_c) == 0)
-            if not prod:
+    total = 1
+    for comp in mask_components(masks, full):
+        reds = mask_vertices(comp & allow_a)
+        # (R, N[R]) for every red set R of the first 12 red vertices; the
+        # red sets of the other ones are walked, so the table stays small
+        table = [(0, 0)]
+        for v in reds[:12]:
+            b = 1 << v
+            table += [(r | b, nr | b | masks[v]) for r, nr in table]
+        rest = sum(1 << v for v in reds[12:])
+        hi = part = 0
+        while True:
+            near = hi
+            for v in mask_vertices(hi):
+                near |= masks[v]
+            free = comp & both & ~near
+            wall = not_b & ~hi              # no white: red or outside N[R]
+            lone = neither & comp & ~near   # no white or blue: inside N[R]
+            part += sum(1 << (free & ~nr).bit_count() for r, nr in table
+                        if not (wall and (nr | near) & wall & ~r or lone and lone & ~nr))
+            if hi == rest:
                 break
-        total += prod
-        if white == 0:
-            break
-        white = (white - 1) & allow_b
+            hi = (hi - rest) & rest
+        total *= part
+        if not total:
+            return 0
     return total
 
 

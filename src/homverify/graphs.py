@@ -11,7 +11,7 @@ operations may run concurrently on shared inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -34,15 +34,23 @@ class Graph:
 
     n: int
     edges: frozenset[Edge]
+    # bit u of neighbor_masks[v] is set when uv is an edge; built with the
+    # graph, and left out of equality, hashing and repr
+    neighbor_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"negative vertex count {self.n}")
+        n = self.n
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
+        masks = [0] * n
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range or not normalized for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u},{v}) out of range or not normalized for n={n}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "neighbor_masks", tuple(masks))
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -55,14 +63,6 @@ class Graph:
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
 
     def max_degree(self) -> int:
         return max((m.bit_count() for m in self.neighbor_masks), default=0)

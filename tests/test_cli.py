@@ -2,6 +2,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,7 +209,7 @@ def test_count_size_guards_exit_2(tmp_path):
     assert r.returncode == 2 and "guard" in r.stderr
     k40 = _write_edgelist(tmp_path / "k40.el", 40,
                           [(u, v) for u in range(40) for v in range(u + 1, 40)])
-    # guarded only: unguarded, this would visit 2^40 white sets
+    # guarded only: unguarded, this would sum over 2^40 red sets
     r = run_cli("count", "wr", "--graph", k40, timeout=60)
     assert r.returncode == 2 and "guard" in r.stderr
 
@@ -273,6 +274,28 @@ def test_count_hom_kq_guard_before_building(capsys):
     argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target", f"k{10 ** 9}"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "homverify: hom_count guard: 4 vertices into 1000000000 targets\n"
+
+
+def test_count_hom_kq_entries_guard(tmp_path, capsys):
+    # P_3 into K_q, q = 2*10^6, passes hom_count's guard (3 log2 q < 64),
+    # but K_q has 4*10^12 entries: refused before any is built
+    p3 = _write_edgelist(tmp_path / "p3.el", 3, [(0, 1), (1, 2)])
+    start = time.perf_counter()
+    assert cli.main(["count", "hom", "--graph", p3, "--target", "k2000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "homverify: target guard: k2000000 has 4000000000000 entries, more than 4194304\n")
+    assert cli.main(["scan", "--target", "k2049", "--max-n", "2"]) == 2
+    assert "target guard" in capsys.readouterr().err
+
+
+def test_count_hom_kq_entries_override(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "HOM_FACTOR_GUARD", 8)  # K_3's 9 entries are past it
+    argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target", "k3"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "homverify: target guard: k3 has 9 entries, more than 8\n"
+    assert cli.main([*argv, "--override-size-guard"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": "24"}
 
 
 def _write_tenths_target(path, k):

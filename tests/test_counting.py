@@ -15,6 +15,7 @@ from homverify.graphs import (
     complete_graph,
     complete_target,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     hard_core_target,
     path_graph,
@@ -374,7 +375,7 @@ def test_ind_wr_guards():
     assert ind_count(big, override_guard=True) == 2 ** big.n
     with pytest.raises(SizeGuardError):
         ind_count(path_graph(3000))  # past the vertex guard
-    # wr_count visits 2^n white sets: only ever run guarded past the bound
+    # wr_count sums over up to 2^n red sets: only ever run guarded past the bound
     with pytest.raises(SizeGuardError):
         wr_count(empty_graph(WR_GUARD_VERTICES + 1))
     with pytest.raises(SizeGuardError):
@@ -567,6 +568,67 @@ def test_wr_exhaustive_small():
             w = wr_count(g)
             assert w == brute_wr(g)
             assert w == hom_count(g, WR)
+
+
+_WR_SETS = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations((WR_A, WR_B, WR_C), r)]
+
+
+def _split_graphs() -> list[Graph]:
+    # seeded 8-16 vertex graphs, every other one a union of two parts
+    gs = []
+    for seed in range(10):
+        if seed % 2:
+            gs.append(disjoint_union(_random_graph(seed, 4, 8, 10),
+                                     _random_graph(seed + 50, 4, 8, 10)))
+        else:
+            gs.append(_random_graph(seed, 12, 16, 20))
+    assert sum(not g.is_connected() for g in gs) >= 5
+    return gs
+
+
+@pytest.mark.parametrize("cap", ["map_bits", 0])
+def test_wr_constraint_coverage(cap, monkeypatch):
+    # every nonempty allowed set at every vertex, alone and with the other
+    # vertices constrained too, against both 0/1 routes of hom_count
+    if cap == 0:
+        monkeypatch.setattr(counting, "MAP_BITS", 0)
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            cs = [ListConstraint({v: s}) for v in range(n) for s in _WR_SETS]
+            cs += [ListConstraint({v: _WR_SETS[(i + 2 * v) % 7] for v in range(n)})
+                   for i in range(7)]
+            for c in cs:
+                assert wr_count(g, c) == hom_count(g, WR, c), (g, c)
+    for seed, g in enumerate(_split_graphs()):
+        rng = random.Random(seed)
+        for s in _WR_SETS:
+            # the last vertex is past the red-set table when 13 or more are red
+            c = ListConstraint({v: rng.choice(_WR_SETS) for v in rng.sample(range(g.n - 1), 3)}
+                               | {g.n - 1: s})
+            assert wr_count(g, c) == hom_batch(g, _batch(WR), c)[0], (g, c)
+            assert wr_count(g, c) == hom_count(g, WR, c), (g, c)
+
+
+@pytest.mark.parametrize("cap", ["map_bits", 0])
+def test_ind_constraint_coverage_disconnected(cap, monkeypatch):
+    if cap == 0:
+        monkeypatch.setattr(counting, "MAP_BITS", 0)
+    small = [g for n in range(2, 6) for g in all_graphs(n) if not g.is_connected()]
+    for seed, g in enumerate(small + _split_graphs()):
+        rng = random.Random(seed)
+        for _ in range(4):
+            c = ListConstraint({v: rng.choice(({IND_IN}, {IND_OUT}, {IND_IN, IND_OUT}))
+                                for v in rng.sample(range(g.n), 2)})
+            assert ind_count(g, c) == hom_count(g, HC, c), (g, c)
+
+
+def test_wr_long_path_transfer_count():
+    # the red-set sum walks past its table here: 20 red vertices, 2^12
+    # tabulated; hom(P_20, WR) = 1^T W^19 1
+    start = time.perf_counter()
+    got = wr_count(path_graph(20))
+    assert time.perf_counter() - start < 1.0
+    assert got == _transfer_count(20, WR)
 
 
 @given(graphs_with_edge(max_n=6))

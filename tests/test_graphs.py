@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,25 @@ def test_graph_rejects_loops_and_bad_ids():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(2, frozenset({(1, 0)}))  # not normalized
+
+
+def test_graph_value_semantics():
+    g = Graph.from_edges(4, [(2, 1), (0, 1), (3, 1)])
+    # the neighbour masks are set when the graph is built, not on first read
+    assert vars(g)["neighbor_masks"] == (0b10, 0b1101, 0b10, 0b10)
+    assert Graph(0, frozenset()).neighbor_masks == ()
+    h = Graph.from_edges(4, iter([(1, 3), (1, 0), (1, 2)]))
+    assert g == h and hash(g) == hash(h)
+    assert g != Graph.from_edges(5, g.edges)
+    assert repr(g) == "Graph(n=4, edges=frozenset({(0, 1), (1, 2), (1, 3)}))"
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) and back.neighbor_masks == g.neighbor_masks
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        Graph(3, frozenset({(1, 1)}))
+    with pytest.raises(ValueError, match=r"^edge \(0,2\) out of range or not normalized for n=2$"):
+        Graph(2, frozenset({(0, 2)}))
+    with pytest.raises(ValueError, match=r"^negative vertex count -1$"):
+        Graph(-1, frozenset())
 
 
 def test_edge_ops():

@@ -10,6 +10,10 @@ founds one and labels its whole orbit under the n! vertex permutations in
 one numpy operation.  A class's representative is therefore its first mask
 in enumeration order, and any invariant of a graph is computed once per
 class, on the representative, and read for every labelled copy by a gather.
+An invariant may also be derived from the tables alone: the sweeps take
+each class's chromatic polynomial by deletion-contraction across them,
+from the class of G-e in the same table and that of G/e in the table on
+n-1 vertices, and store it under ``ClassTable.cached``'s "poly" name.
 """
 
 from __future__ import annotations
@@ -89,10 +93,13 @@ class ClassTable:
         self.order = enumeration_order(p)
         self.rank = np.empty(1 << p, dtype=np.int32)
         self.rank[self.order] = np.arange(1 << p, dtype=np.int32)
-        # image bit of every pair under every vertex permutation
-        images = np.array([[1 << self.index[tuple(sorted((s[a], s[b])))] for a, b in self.pairs]
-                           for s in permutations(range(n))], dtype=np.int32)
-        images = images.reshape(math.factorial(n), p)
+        # image bit of every pair under every vertex permutation, gathered
+        # from a symmetric table of pair ids
+        a, b = np.array(self.pairs, dtype=np.intp).reshape(p, 2).T
+        pair_id = np.zeros((n, n), dtype=np.int32)
+        pair_id[a, b] = pair_id[b, a] = np.arange(p)
+        perms = np.array(list(permutations(range(n))), dtype=np.intp).reshape(math.factorial(n), n)
+        images = 1 << pair_id[perms[:, a], perms[:, b]]
         self.cls = np.full(1 << p, -1, dtype=np.int32)
         reps = []
         # walk the masks in enumeration order, a block at a time, so that
@@ -116,10 +123,18 @@ class ClassTable:
         return Graph(self.n, frozenset(e for i, e in enumerate(self.pairs) if mask >> i & 1))
 
     def values(self, name: str, fn: Callable[[Graph], object]) -> list:
-        """fn of each class representative, computed once per name."""
+        """fn of each class representative, computed once per name, under
+        the names that cached keeps: the sweeps read ind_count and
+        wr_count here as "ind" and "wr".  The chromatic polynomials are
+        not a call per representative: sweeps._class_polys derives them
+        across the tables and keeps them as "poly"."""
+        return self.cached(name, lambda: [fn(g) for g in self.reps])
+
+    def cached(self, name: str, build: Callable[[], list]) -> list:
+        """build(), one value per class, computed once per name."""
         got = self._values.get(name)
         if got is None:
-            got = self._values[name] = [fn(g) for g in self.reps]
+            got = self._values[name] = build()
         return got
 
     def edge_deletions(self, keep: np.ndarray) -> Iterator[tuple[int, int, int, int, int]]:

@@ -193,15 +193,12 @@ class SweepConfig:
 # Instance groups: the one definition both sweep modes read
 # ---------------------------------------------------------------------------
 
-# perfbench/one_pass.py reads this cache's cache_info(); it never hits,
-# because ClassTable.values computes each class's polynomial once
+# kept only because perfbench/one_pass.py reads its cache_info(), until
+# ROADMAP item 1's benchmark PR stops reading it; nothing calls it, since
+# _class_polys takes every class's polynomial from the tables
 @lru_cache(maxsize=1 << 18)
 def _poly_cached(n: int, edges: tuple) -> ChromPoly:
     return chrom_poly(Graph(n, frozenset(edges)))
-
-
-def _class_poly(g: Graph) -> ChromPoly:
-    return _poly_cached(g.n, g.sorted_edges)
 
 
 def _identify_map(t: ClassTable, u: int, v: int) -> list[int]:
@@ -216,6 +213,38 @@ def _delete_map(t: ClassTable, u: int, v: int) -> list[int]:
     index = class_table(t.n - 2).index
     pos = {w: i for i, w in enumerate(w for w in range(t.n) if w not in (u, v))}
     return [index[(pos[a], pos[b])] if a in pos and b in pos else -1 for a, b in t.pairs]
+
+
+def _class_polys(t: ClassTable) -> list[ChromPoly]:
+    """The chromatic polynomial of every class of t, once per table, by
+    deletion-contraction over the tables: P(G) = P(G-e) - P(G/e), with e
+    the lowest pair of G's representative, G-e a class of t with one edge
+    fewer and G/e a class of the n-1 table.  The classes go by edge count
+    from the edgeless one, q^n, so P(G-e) is ready when P(G) is formed.
+    At n <= MAX_N the coefficients fit in int64."""
+    def build():
+        if t.n == 0:
+            return [ChromPoly((1,))]
+        t1 = class_table(t.n - 1)
+        prev = np.zeros((len(t1.reps), t.n + 1), dtype=np.int64)
+        prev[:, :t.n] = [p.coeffs for p in _class_polys(t1)]
+        reps = t.order[t.first_rank]
+        low = reps & -reps
+        minus = t.cls[reps ^ low]
+        contracted = np.zeros(len(reps), dtype=np.int64)
+        for b, (u, v) in enumerate(t.pairs):
+            at = low == 1 << b
+            if at.any():
+                contracted[at] = t1.cls[remap(reps[at], _identify_map(t, u, v))]
+        edges = np.array([g.m for g in t.reps])
+        coeffs = np.zeros((len(reps), t.n + 1), dtype=np.int64)
+        coeffs[edges == 0, t.n] = 1
+        for k in range(1, edges.max() + 1):
+            at = edges == k
+            coeffs[at] = coeffs[minus[at]] - prev[contracted[at]]
+        return [ChromPoly(tuple(c)) for c in coeffs.tolist()]
+
+    return t.cached("poly", build)
 
 
 # a group's margin at a q index where its graphs have no report
@@ -245,7 +274,7 @@ class _Slot(NamedTuple):
 
 
 def _margin(r: Report) -> Optional[tuple]:
-    return None if r.margin is None else (r.margin, 1)
+    return None if r.margin is None else (r.margin.numerator, r.margin.denominator)
 
 
 def _class_slots(t: ClassTable, sweep: Callable, keep: Optional[np.ndarray] = None
@@ -292,7 +321,7 @@ def _slots_eq_col(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
     # bipartite G: ch(G)/ch(G-e) >= (q-1)/q; a report names G-e, the base
     # graph of the ratio
     qs = cfg.qs
-    polys = t.values("poly", _class_poly)
+    polys = _class_polys(t)
     return _edge_slots(
         t, [([p(q) for p in polys], q - 1, q) for q in qs],
         lambda g, e, i: check_edge_ratio(g.delete_edge(*e), "coloring", e, qs[i]),
@@ -336,7 +365,7 @@ def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
         return []
     qs = cfg.qs
     t1 = class_table(t.n - 1)
-    polys, polys1 = t.values("poly", _class_poly), t1.values("poly", _class_poly)
+    polys, polys1 = _class_polys(t), _class_polys(t1)
     # per q: ch of each class of t, and of each class of t1 then a 0
     ch = [([p(q) for p in polys], [p(q) for p in polys1] + [0]) for q in qs]
     width = 2 * len(t1.reps) + 1

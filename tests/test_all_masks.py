@@ -19,6 +19,7 @@ from homverify import counting
 from homverify.classes import class_table, vertex_pairs
 from homverify.counting import chrom_poly, hom_count, ind_count, wr_count
 from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
+from homverify.sweeps import _class_polys
 
 
 def all_masks_hom(n: int, target) -> np.ndarray:
@@ -74,11 +75,14 @@ def test_all_masks_match_hom_count(name, target, route, monkeypatch):
 
 def test_all_masks_match_class_tables_at_seven():
     # every labelled 7-vertex mask against its class's wr_count and
-    # chromatic polynomial at q = 2 and 3, gathered through the class map
+    # chromatic polynomial at q = 2 and 3, gathered through the class map;
+    # the table's polynomials, derived by deletion-contraction over the
+    # class tables, against chrom_poly on each representative
     t = class_table(7)
     wr = np.array(t.values("wr", wr_count), dtype=np.int64)
     assert np.array_equal(all_masks_hom(7, widom_rowlinson_target()), wr[t.cls])
-    polys = t.values("poly", chrom_poly)
+    polys = [chrom_poly(g) for g in t.reps]
+    assert _class_polys(t) == polys
     for q in (2, 3):
         per_class = np.array([p(q) for p in polys], dtype=np.int64)
         assert np.array_equal(all_masks_hom(7, complete_target(q)), per_class[t.cls]), q

@@ -1,6 +1,7 @@
 """The isomorphism-class tables: class counts, orbit sizes, relabelling
-invariance, enumeration order, the bit maps the sweeps gather through, and
-the vectorised graph6 namer."""
+invariance, the class of every mask against a brute-force canonical form,
+enumeration order, the bit maps the sweeps gather through, the chromatic
+polynomials derived over the tables, and the vectorised graph6 namer."""
 
 import math
 import random
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homverify.classes import class_table, graph6_names, groups, remap, vertex_pairs
+from homverify.counting import chrom_poly
 from homverify.graphs import Graph, identify_vertices, to_graph6
 from homverify.search import iter_edge_sets
-from homverify.sweeps import _delete_map, _identify_map
+from homverify.sweeps import _class_polys, _delete_map, _identify_map
 
 # OEIS A000088: graphs on n unlabelled vertices
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -37,6 +39,33 @@ def test_class_counts_and_orbit_sizes(n):
     # orbit sizes n!/|Aut| cover every labelled graph exactly once
     assert int(t.size.sum()) == 2 ** (n * (n - 1) // 2)
     assert all(math.factorial(n) % int(s) == 0 for s in t.size)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_classes_are_orbits_of_the_minimum_relabelled_mask(n):
+    # canonical form of every mask: its minimum over all n! relabellings,
+    # each relabelling moving the mask's bits one pair at a time; two masks
+    # share a class exactly when they share this form
+    pairs = vertex_pairs(n)
+    index = {p: i for i, p in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    canon = masks.copy()
+    for perm in permutations(range(n)):
+        moved = np.zeros_like(masks)
+        for i, (a, b) in enumerate(pairs):
+            moved |= ((masks >> i) & 1) << index[tuple(sorted((perm[a], perm[b])))]
+        np.minimum(canon, moved, out=canon)
+    t = class_table(n)
+    assert len(np.unique(canon)) == len(t.reps)
+    assert len(np.unique(t.cls.astype(np.int64) << 32 | canon)) == len(t.reps)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_class_polys_match_chrom_poly(n):
+    # the recurrence over the tables against deletion-contraction on each
+    # representative
+    t = class_table(n)
+    assert _class_polys(t) == [chrom_poly(g) for g in t.reps]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -123,11 +123,11 @@ class ClassTable:
         return Graph(self.n, frozenset(e for i, e in enumerate(self.pairs) if mask >> i & 1))
 
     def values(self, name: str, fn: Callable[[Graph], object]) -> list:
-        """fn of each class representative, computed once per name, under
-        the names that cached keeps: the sweeps read ind_count and
+        """fn of each class representative, computed once per name and
+        kept beside the lists of cached: the sweeps keep ind_count and
         wr_count here as "ind" and "wr".  The chromatic polynomials are
         not a call per representative: sweeps._class_polys derives them
-        across the tables and keeps them as "poly"."""
+        across the tables and keeps them in cached as "poly"."""
         return self.cached(name, lambda: [fn(g) for g in self.reps])
 
     def cached(self, name: str, build: Callable[[], list]) -> list:

@@ -194,7 +194,7 @@ class SweepConfig:
 # ---------------------------------------------------------------------------
 
 # kept only because perfbench/one_pass.py reads its cache_info(), until
-# ROADMAP item 1's benchmark PR stops reading it; nothing calls it, since
+# the benchmark stops reading it (ROADMAP item 1); nothing calls it, since
 # _class_polys takes every class's polynomial from the tables
 @lru_cache(maxsize=1 << 18)
 def _poly_cached(n: int, edges: tuple) -> ChromPoly:

@@ -23,6 +23,11 @@ class ParseError(ValueError):
     """Malformed graph or target text; names the offending line or byte."""
 
 
+# an edgelist header may name at most this many vertices: a Graph builds one
+# neighbour mask per vertex, before any counter's size guard runs
+EDGELIST_MAX_VERTICES = 1 << 16
+
+
 def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
@@ -276,6 +281,9 @@ def parse_edgelist(text: str) -> Graph:
         raise ParseError(f"line {lineno}: header must be two integers, got {header!r}") from None
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: negative count in header")
+    if n > EDGELIST_MAX_VERTICES:
+        raise ParseError(f"line {lineno}: header names {n} vertices, "
+                         f"more than {EDGELIST_MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise ParseError(f"header promises {m} edges, found {len(rows) - 1} edge lines")
     edges = set()

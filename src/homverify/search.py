@@ -160,20 +160,29 @@ def _draw_entries(rng: random.Random, k: int, count: int) -> np.ndarray:
     rng.randrange(11), leaving rng in the state those calls would.
 
     CPython's randrange(11) takes the top 4 bits of one 32-bit generator
-    word and draws again while they are 11 or more; getrandbits(32 r)
-    returns the next r words, least significant first.  Each round draws
-    one word per value still missing and keeps fewer, so no round draws
-    past the last word those calls would use."""
+    word and draws again while they are 11 or more.  numpy's MT19937 is the
+    same Mersenne Twister and yields the same words from the same key and
+    position, so the words come from an MT19937 loaded with rng's state,
+    and its final key and position go back to rng (gauss_next is kept).
+    Each round draws one word per value still missing and keeps fewer, so
+    no round draws past the last word those calls would use."""
+    from numpy.random import MT19937  # imported at the first draw, not at set-up
+
+    version, internal, gauss_next = rng.getstate()
+    bits = MT19937(0)
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                            "pos": internal[-1]}}
     size = count * (k * (k + 1) // 2)
     out = np.empty(size, dtype=np.uint8)
     got = 0
     while got < size:
-        need = size - got
-        tops = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
-                             "<u4") >> 28
-        kept = tops[tops < WEIGHT_LEVELS]
+        tops = (bits.random_raw(size - got) >> 28).astype(np.uint8)
+        kept = np.compress(tops < WEIGHT_LEVELS, tops)  # faster than a mask index
         out[got:got + kept.size] = kept
         got += kept.size
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
     return out.reshape(count, -1)
 
 

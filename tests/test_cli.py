@@ -214,6 +214,21 @@ def test_count_size_guards_exit_2(tmp_path):
     assert r.returncode == 2 and "guard" in r.stderr
 
 
+@pytest.mark.parametrize("n", [2_000_000, 1_000_000_000])
+@pytest.mark.parametrize("argv", [["count", "ind"], ["count", "chrom", "--q", "3"], ["poly"],
+                                  ["search", "--k", "3", "--samples", "10", "--seed", "1"]],
+                         ids=["ind", "chrom", "poly", "search"])
+def test_edgelist_header_past_vertex_bound_exit_2(n, argv, tmp_path, capsys):
+    # refused by the parser, before a Graph builds one mask per vertex
+    path = _write_edgelist(tmp_path / "big.el", n, [])
+    flag = "--H" if argv[0] == "search" else "--graph"
+    start = time.perf_counter()
+    assert cli.main([*argv, flag, path]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"homverify: line 1: header names {n} vertices, more than 65536\n")
+
+
 @pytest.mark.parametrize("what,guard,count", [
     ("ind", "IND_GUARD_VERTICES", "8"),
     ("wr", "WR_GUARD_VERTICES", "41"),

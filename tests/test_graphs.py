@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homverify.graphs import (
+    EDGELIST_MAX_VERTICES,
     Graph,
     ParseError,
     TargetGraph,
@@ -103,6 +104,14 @@ def test_parse_edgelist_comments_and_errors():
         parse_edgelist("two one\n")
     with pytest.raises(ParseError, match="promises"):
         parse_edgelist("3 2\n0 1\n")
+
+
+def test_parse_edgelist_vertex_bound():
+    # the bound admits the 3000-vertex CLI inputs and refuses a header one past it
+    assert parse_edgelist(f"{EDGELIST_MAX_VERTICES} 1\n0 1\n").n == EDGELIST_MAX_VERTICES
+    with pytest.raises(ParseError, match=f"line 2: header names {EDGELIST_MAX_VERTICES + 1} "
+                                         f"vertices, more than {EDGELIST_MAX_VERTICES}"):
+        parse_edgelist(f"# big\n{EDGELIST_MAX_VERTICES + 1} 0\n")
 
 
 def test_graph6_k4():

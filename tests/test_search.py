@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -302,6 +305,52 @@ def test_draw_entries_is_the_randrange_stream(seed, k):
                 for _ in range(count)]
         assert got.dtype == np.uint8 and got.tolist() == want
         assert bulk.getstate() == calls.getstate()
+
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("prefix", ["gauss", "odd_words", "gauss_odd_words"])
+def test_draw_entries_hands_back_the_whole_state(prefix, k):
+    # gauss() leaves gauss_next set, and an odd number of 32-bit words moves
+    # the position off 624; the bulk draw must keep both as the calls would
+    bulk, calls = random.Random(7), random.Random(7)
+    for rng in (bulk, calls):
+        if "gauss" in prefix:
+            rng.gauss(0, 1)
+        if "odd_words" in prefix:
+            for _ in range(3):
+                rng.getrandbits(32)
+    assert bulk.getstate() == calls.getstate()
+    if "gauss" in prefix:
+        assert bulk.getstate()[2] is not None
+    for count in (1, 5, 1000, 16384):
+        got = search._draw_entries(bulk, k, count)
+        want = [[calls.randrange(11) for _ in range(k * (k + 1) // 2)]
+                for _ in range(count)]
+        assert got.tolist() == want
+        assert bulk.getstate() == calls.getstate()
+        # both generators go on alike after the hand-back
+        assert bulk.gauss(0, 1) == calls.gauss(0, 1)
+        assert bulk.getrandbits(32) == calls.getrandbits(32)
+
+
+def test_setup_does_not_import_numpy_random():
+    # numpy.random is imported at the first draw, so the CLI's set-up stays
+    # lean; numpy 1.x loads it with numpy itself, where there is nothing to test
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def loaded(modules: str) -> bool:
+        code = f"import sys, {modules}; print('numpy.random' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=60)
+        assert r.returncode == 0, r.stderr
+        return r.stdout.strip() == "True"
+
+    if loaded("numpy"):
+        pytest.skip("importing numpy alone loads numpy.random")
+    assert not loaded("homverify.cli, homverify.search, homverify.sweeps")
 
 
 _TRIU5 = [(i, j) for i in range(5) for j in range(i, 5)]

@@ -169,7 +169,7 @@ def _draw_entries(rng: random.Random, k: int, count: int) -> np.ndarray:
     from numpy.random import MT19937  # imported at the first draw, not at set-up
 
     version, internal, gauss_next = rng.getstate()
-    bits = MT19937(0)
+    bits = MT19937(0)  # a fixed seed skips OS entropy; the state is replaced next
     bits.state = {"bit_generator": "MT19937",
                   "state": {"key": np.array(internal[:-1], dtype=np.uint32),
                             "pos": internal[-1]}}
@@ -182,7 +182,7 @@ def _draw_entries(rng: random.Random, k: int, count: int) -> np.ndarray:
         out[got:got + kept.size] = kept
         got += kept.size
     state = bits.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
     return out.reshape(count, -1)
 
 

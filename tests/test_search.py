@@ -307,7 +307,6 @@ def test_draw_entries_is_the_randrange_stream(seed, k):
         assert bulk.getstate() == calls.getstate()
 
 
-
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("prefix", ["gauss", "odd_words", "gauss_odd_words"])
 def test_draw_entries_hands_back_the_whole_state(prefix, k):

@@ -10,14 +10,24 @@ branching recursion and the Widom-Rowlinson red-set sum are
 four independent algorithms whose pairwise agreement is enforced by the
 test suite.
 
-The generic counter has three routes.  A target that is not 0/1 goes to
+The generic counter has three routes.  A 0/1 target with k > 1 and k**n at
+most MAP_BITS is taken first, before the guard, which it cannot reach: it
+counts maps as the bits of one int, the popcount of the AND of one mask per
+edge and per constrained vertex.  A target that is not 0/1 goes to
 hom_batch, variable elimination over a batch of integer matrices, which the
-search's screen shares.  A 0/1 target with k > 1 and k**n at most MAP_BITS
-counts maps as the bits of one int: the popcount of the AND of one mask per
-edge and per constrained vertex.  Any other 0/1 call walks popcounts on the
+search's screen shares.  Any other 0/1 call walks popcounts on the
 target's support masks, which beats elimination on dense sources whose
 counts are small.  The tests check the routes against each other, against
 the other counters and against brute force.
+
+The chromatic polynomial works on neighbour masks.  A simplicial vertex,
+one whose neighbours form a clique, contributes a factor (q - d) for its d
+neighbours and is removed (Read 1968); that alone takes forests and chordal
+graphs apart.  What remains is relabelled by maximum cardinality search and
+deleted and contracted from its lowest vertex, memoised per call on the
+masks (Haggard, Pearce & Royle 2010), with a closed form for unions of
+cycles.  The independent-set count branches on whole graphs below
+FOREST_MIN_VERTICES vertices and per component above.
 """
 
 from __future__ import annotations
@@ -40,7 +50,6 @@ from .graphs import (
     WR_B,
     WR_C,
     complete_target,
-    identified_edges,
     mask_components,
     mask_vertices,
 )
@@ -51,7 +60,7 @@ MAP_BITS = 1 << 12           # hom_count's map-bit route takes k**n up to this
 IND_GUARD_VERTICES = 40      # reject ind_count beyond this many vertices
 WR_GUARD_VERTICES = 24       # reject wr_count beyond this many (up to 2^n red sets)
 CHROM_POLY_EDGE_GUARD = 40   # reject chrom_poly beyond this many edges
-FOREST_MIN_VERTICES = 6      # ind_count branches on the lowest vertex below this many
+FOREST_MIN_VERTICES = 8      # ind_count branches on the lowest vertex below this many
 
 
 class SizeGuardError(ValueError):
@@ -268,16 +277,27 @@ def hom_count(
     override_guard: bool = False,
 ) -> Fraction:
     """Weighted homomorphism count: sum over all maps respecting the
-    constraint of the product of edge weights, exact.  A target that is not
-    0/1, or has one vertex, goes to hom_batch as one matrix of Python ints,
-    its entries scaled by D, the lcm of their denominators, so the count is
-    total / D^m.  Any other 0/1 target is guarded by n*log2(k).  With k**n
-    at most MAP_BITS (and k > 1) it counts the maps that every edge's mask
-    and every constrained vertex's allowed digits keep (_map_tables);
-    otherwise _hom_walk walks each component of the source on the support
-    masks, with the allowed sets as one bitmask per vertex."""
+    constraint of the product of edge weights, exact.  A 0/1 target with
+    k > 1 and k**n at most MAP_BITS counts the maps that every edge's mask
+    and every constrained vertex's allowed digits keep (_map_tables).  A
+    target that is not 0/1, or has one vertex, goes to hom_batch as one
+    matrix of Python ints, its entries scaled by D, the lcm of their
+    denominators, so the count is total / D^m.  Any other 0/1 target is
+    guarded by n*log2(k), and _hom_walk walks each component of the source
+    on the support masks, with the allowed sets as one bitmask per
+    vertex."""
     k = target.k
     n = g.n
+    if 1 < k and k ** n <= MAP_BITS and target.is_simple:
+        # no guard test: k**n <= MAP_BITS keeps n*log2(k) far below it
+        live, digit, edge = target.map_tables.get(n) or _map_tables(target, n)
+        for e in g.edges:
+            live &= edge[e]
+        if constraint is not None:
+            constraint.validate(n, k)
+            for v, ts in constraint.allowed.items():
+                live &= _within(digit[v], sum(1 << t for t in ts))
+        return Fraction(live.bit_count())
     if not override_guard and target.is_simple:
         check_hom_guard(n, k)
     c = constraint or EMPTY_CONSTRAINT
@@ -287,13 +307,6 @@ def hom_count(
         rows, d = target.integer_rows
         got = hom_batch(g, np.array([rows], dtype=object), c, override_guard=override_guard)
         return Fraction(int(got[0]), d ** g.m)
-    if k > 1 and k ** n <= MAP_BITS:
-        live, digit, edge = target.map_tables.get(n) or _map_tables(target, n)
-        for e in g.edges:
-            live &= edge[e]
-        for v, ts in c.allowed.items():
-            live &= _within(digit[v], sum(1 << t for t in ts))
-        return Fraction(live.bit_count())
     allowed = {v: sum(1 << t for t in ts) for v, ts in c.allowed.items()}
     full = (1 << k) - 1
     masks = g.neighbor_masks
@@ -360,93 +373,144 @@ def _psub(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _qminus1_pow(m: int) -> list[int]:
-    # coefficients of (q-1)^m
-    return [(-1) ** (m - i) * math.comb(m, i) for i in range(m + 1)]
-
-
-def _tree_poly(nverts: int) -> list[int]:
-    # q (q-1)^(n-1)
-    return [0] + _qminus1_pow(nverts - 1)
+def _qminus_pow(d: int, m: int) -> list[int]:
+    # coefficients of (q-d)^m: C(m, i) (-d)^i at q^(m-i), each from the last
+    out = [0] * (m + 1)
+    c = 1
+    for i in range(m + 1):
+        out[m - i] = c
+        c = c * (m - i) * -d // (i + 1)
+    return out
 
 
 def _cycle_poly(length: int) -> list[int]:
     # (q-1)^l + (-1)^l (q-1)
-    out = _qminus1_pow(length)
+    out = _qminus_pow(1, length)
     s = (-1) ** length
     out[0] += -s
     out[1] += s
     return out
 
 
-def _chrom_rec(n: int, edges: tuple, memo: dict) -> list[int]:
-    """Deletion-contraction with closed forms for forests and cycles.
-    `edges` is a sorted tuple over vertex ids 0..n-1; isolated vertices
-    contribute a factor q each."""
-    if not edges:
-        return [0] * n + [1]
-    key = (n, edges)
-    got = memo.get(key)
-    if got is not None:
-        return got
-
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    poly = [1]
-    iso = 0
-    for comp in mask_components(masks, (1 << n) - 1):
-        verts = mask_vertices(comp)
-        cn = len(verts)
-        degs = [masks[v].bit_count() for v in verts]
-        ce = sum(degs) // 2
-        if ce == 0:
-            iso += 1
+def _simplicial(masks: list[int], live: int, seeds: list[int], factors: list[int]) -> int:
+    """Remove simplicial vertices, those whose neighbours form a clique,
+    from the graph induced on live, starting from the vertices in seeds:
+    each appends its degree d to factors, for a factor (q - d), and puts its
+    neighbours back in question.  Returns what is left of live."""
+    while seeds:
+        v = seeds.pop()
+        nb = masks[v]
+        if not live >> v & 1:
             continue
-        if ce == cn - 1:
-            cpoly = _tree_poly(cn)
-        elif ce == cn and all(d == 2 for d in degs):
-            cpoly = _cycle_poly(cn)
+        m = nb
+        while m:
+            b = m & -m
+            m ^= b
+            if nb & ~b & ~masks[b.bit_length() - 1]:
+                break
         else:
-            # relabel the component to 0..cn-1 (order kept, so the edges
-            # stay sorted) and recurse on delete/contract
-            remap = {v: i for i, v in enumerate(verts)}
-            cpoly = _chrom_del_con(cn, tuple((remap[u], remap[v]) for u, v in edges
-                                             if comp >> u & 1), memo)
-        poly = _pmul(poly, cpoly)
-    if iso:
-        poly = [0] * iso + poly
-    memo[key] = poly
+            factors.append(nb.bit_count())
+            live ^= 1 << v
+            masks[v] = 0
+            keep = ~(1 << v)
+            for c in mask_vertices(nb):
+                masks[c] &= keep
+                seeds.append(c)
+    return live
+
+
+def _times_roots(poly: list[int], roots: list[int]) -> list[int]:
+    """poly times (q - d) for each d of roots, (q - d)^m at once for a
+    root repeated m times."""
+    for d in set(roots):
+        f = _qminus_pow(d, roots.count(d))
+        poly = _pmul(poly, f) if len(poly) > 1 else f
     return poly
 
 
-def _chrom_del_con(n: int, edges: tuple, memo: dict) -> list[int]:
-    key = (n, edges)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    # pick an edge at a maximum-degree vertex for fast collapse
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    e = max(edges, key=lambda f: (deg[f[0]] + deg[f[1]], f))
-    deleted = tuple(f for f in edges if f != e)
-    contracted = identified_edges(deleted, *e)
-    poly = _psub(_chrom_rec(n, deleted, memo), _chrom_rec(n - 1, contracted, memo))
-    memo[key] = poly
-    return poly
+def _search_order(masks: list[int], live: int) -> list[int]:
+    """The live vertices by maximum cardinality search: each next vertex
+    has the most placed neighbours, ties to the fewest unplaced ones, then
+    the lowest id, so the placed vertices with unplaced neighbours stay
+    few.  Deletion-contraction that follows such an order meets the same
+    graph through many branches, and the memo holds it once."""
+    order = []
+    placed = near = 0
+    rest = live
+    while rest:
+        best = key = None
+        # a vertex next to none placed never wins over one next to some
+        for v in mask_vertices(near & rest or rest):
+            k = ((masks[v] & placed).bit_count(), -(masks[v] & rest).bit_count())
+            if key is None or k > key:
+                best, key = v, k
+        order.append(best)
+        placed |= 1 << best
+        rest ^= 1 << best
+        near |= masks[best]
+    return order
+
+
+def _chrom_masks(masks: list[int], live: int, seeds: list[int], memo: dict) -> list[int]:
+    """Chromatic polynomial of the graph induced on the vertex mask live,
+    masks[v] being v's live neighbours (the list is taken over), in which
+    only the vertices in seeds may be simplicial.  Memoised on (live,
+    masks) once the simplicial vertices are gone."""
+    factors: list[int] = []
+    live = _simplicial(masks, live, seeds, factors)
+    poly = [1]
+    if live:
+        key = (live, tuple(masks))
+        poly = memo.get(key)
+        if poly is None:
+            poly = memo[key] = _chrom_branch(masks, live, memo)
+    return _times_roots(poly, factors)
+
+
+def _chrom_branch(masks: list[int], live: int, memo: dict) -> list[int]:
+    """_chrom_masks of a graph with no simplicial vertex, so every degree
+    is at least 2.  All degrees 2 is a union of cycles.  Otherwise
+    P(G) = P(G - uv) - P(G / uv) on the edge from v, the lowest live
+    vertex, to its highest neighbour u; G / uv merges v into u, so each
+    branch works v off before it reaches a higher vertex."""
+    if all(masks[w].bit_count() == 2 for w in mask_vertices(live)):
+        poly = [1]
+        for comp in mask_components(masks, live):
+            poly = _pmul(poly, _cycle_poly(comp.bit_count()))
+        return poly
+    bv = live & -live
+    v = bv.bit_length() - 1
+    nv = masks[v]
+    u = nv.bit_length() - 1
+    bu = 1 << u
+    deleted = list(masks)
+    deleted[v] ^= bu
+    deleted[u] ^= bv
+    nv ^= bu
+    for w in mask_vertices(nv):
+        masks[w] = masks[w] & ~bv | bu
+    masks[u] = (masks[u] | nv) & ~bv
+    masks[v] = 0
+    return _psub(_chrom_masks(deleted, live, [u, v], memo),
+                 _chrom_masks(masks, live ^ bv, [u, *mask_vertices(nv)], memo))
 
 
 def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
-    """Exact chromatic polynomial via deletion-contraction; memoization is
-    local to the call and keyed by the (n, sorted edge set) signature."""
+    """Exact chromatic polynomial: simplicial vertices go first
+    (_simplicial), then deletion-contraction (_chrom_branch) on the rest,
+    relabelled in _search_order.  Memoization is local to the call."""
     if g.m > CHROM_POLY_EDGE_GUARD and not override_guard:
         raise SizeGuardError(f"chrom_poly guard: {g.m} edges")
-    memo: dict = {}
-    coeffs = _chrom_rec(g.n, g.sorted_edges, memo)
-    return ChromPoly(tuple(coeffs))
+    masks = list(g.neighbor_masks)
+    factors: list[int] = []
+    live = _simplicial(masks, (1 << g.n) - 1, list(range(g.n)), factors)
+    poly = [1]
+    if live:
+        order = _search_order(masks, live)
+        pos = {v: i for i, v in enumerate(order)}
+        poly = _chrom_branch([sum(1 << pos[w] for w in mask_vertices(masks[v])) for v in order],
+                             (1 << len(order)) - 1, {})
+    return ChromPoly(tuple(_times_roots(poly, factors)))
 
 
 def chrom_eval(g: Graph, q: int, *, override_guard: bool = False) -> int:
@@ -536,29 +600,31 @@ def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     """Number of independent sets compatible with the constraint (targets
     are subsets of {IND_OUT, IND_IN} of the hard-core target).  A
     constraint removes its forced-out vertices and the closed
-    neighbourhoods of its forced-in ones (without one nothing is removed),
-    then _ind_branch counts each connected component of the rest.  Equals
-    hom_count against the hard-core target."""
+    neighbourhoods of its forced-in ones.  Fewer than FOREST_MIN_VERTICES
+    vertices left go to _ind_small whole; otherwise _ind_branch counts each
+    connected component of the rest.  Equals hom_count against the
+    hard-core target."""
     if g.n > IND_GUARD_VERTICES and not override_guard:
         raise SizeGuardError(f"ind_count guard: {g.n} vertices")
-    c = constraint or EMPTY_CONSTRAINT
-    c.validate(g.n, 2)
-
     masks = g.neighbor_masks
-    dead = 0
-    if c.allowed:
-        forced_in = [v for v, ts in c.allowed.items() if IND_OUT not in ts]
+    alive = (1 << g.n) - 1
+    if constraint is not None:
+        constraint.validate(g.n, 2)
+        forced_in = [v for v, ts in constraint.allowed.items() if IND_OUT not in ts]
         in_mask = dead = sum(1 << v for v in forced_in)
-        for v, ts in c.allowed.items():
+        for v, ts in constraint.allowed.items():
             if IND_IN not in ts:
                 dead |= 1 << v
         for v in forced_in:
             if masks[v] & in_mask:
                 return 0  # two adjacent vertices forced into the set
             dead |= masks[v]
+        alive &= ~dead
 
+    if alive.bit_count() < FOREST_MIN_VERTICES:
+        return _ind_small(masks, alive)
     total = 1
-    for comp in mask_components(masks, ((1 << g.n) - 1) & ~dead):
+    for comp in mask_components(masks, alive):
         total *= _ind_branch(masks, comp)
     return total
 

@@ -68,6 +68,16 @@ def test_class_polys_match_chrom_poly(n):
     assert _class_polys(t) == [chrom_poly(g) for g in t.reps]
 
 
+def test_class_polys_match_chrom_poly_on_every_labelled_graph():
+    # chrom_poly on every labelled graph, each against its class's
+    # polynomial from the recurrence over the tables
+    for n in range(7):
+        t = class_table(n)
+        polys = _class_polys(t)
+        for mask in range(1 << len(t.pairs)):
+            assert chrom_poly(t.graph(mask)) == polys[t.cls[mask]], (n, mask)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_order_is_enumeration_order(n):
     t = class_table(n)

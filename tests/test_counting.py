@@ -465,6 +465,45 @@ def test_chrom_eval_matches_poly():
     assert p(3) == chrom_eval(g, 3)
 
 
+def test_chrom_poly_long_inputs_without_recursion():
+    # 3000 vertices: far deeper than the recursion limit if reduced one
+    # vertex per call; a path is removed leaf by leaf, a cycle is the
+    # closed form, and K_12 is simplicial vertices alone
+    q_minus_1 = [(-1) ** (2999 - i) * math.comb(2999, i) for i in range(3000)]
+    assert chrom_poly(path_graph(3000), override_guard=True).coeffs == (0, *q_minus_1)
+    # (q-1)^3000 + (q-1)
+    want = [(-1) ** (3000 - i) * math.comb(3000, i) for i in range(3001)]
+    want[0] -= 1
+    want[1] += 1
+    cyc = chrom_poly(cycle_graph(3000), override_guard=True)
+    assert cyc.coeffs == tuple(want)
+    assert cyc(7) == cycle_chrom_formula(3000, 7)
+    assert chrom_poly(complete_graph(12), override_guard=True)(12) == math.factorial(12)
+
+
+def _dense_graph(seed: int) -> Graph:
+    # 8-16 vertices and at most 40 edges, enough of them that the proper
+    # 4-colourings stay few for hom_count's walk
+    rng = random.Random(seed)
+    n = rng.randint(8, 16)
+    pairs = list(itertools.combinations(range(n), 2))
+    low = max(0, math.ceil(math.log(4 ** n / 10 ** 5) / math.log(4 / 3)))
+    return Graph.from_edges(n, rng.sample(pairs, rng.randint(min(low, 40), min(40, len(pairs)))))
+
+
+def test_chrom_poly_matches_hom_past_seven():
+    # the roadmap's slow 40-edge graph first: deletion-contraction on
+    # edge tuples took about a minute on it
+    slow = Graph.from_edges(16, random.Random(1).sample(list(itertools.combinations(range(16), 2)), 40))
+    start = time.perf_counter()
+    p = chrom_poly(slow)
+    assert time.perf_counter() - start < 5
+    for g, poly in [(slow, p)] + [(g, chrom_poly(g)) for g in map(_dense_graph, range(48))]:
+        assert poly.degree == g.n
+        for q in (2, 3, 4):
+            assert poly(q) == hom_count(g, complete_target(q)), (g, q)
+
+
 # ---------------------------------------------------------------------------
 # Independent sets
 # ---------------------------------------------------------------------------
@@ -540,6 +579,44 @@ def sparse_graphs(draw):
 @settings(max_examples=80, deadline=None)
 def test_ind_sparse_matches_brute(g):
     assert ind_count(g) == brute_ind(g)
+
+
+@pytest.mark.parametrize("n", [FOREST_MIN_VERTICES - 1, FOREST_MIN_VERTICES,
+                               FOREST_MIN_VERTICES + 1])
+def test_ind_around_whole_graph_threshold(n):
+    # below FOREST_MIN_VERTICES live vertices the whole graph is branched
+    # at once, from it up per component; constraints that force vertices
+    # in or out move the live count across the threshold
+    sides = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, 2 * n)))
+        assert ind_count(g) == brute_ind(g) == hom_count(g, HC), g
+        for _ in range(4):
+            allowed = {v: rng.choice(({IND_IN}, {IND_OUT}, {IND_IN, IND_OUT}))
+                       for v in rng.sample(range(n), rng.randint(1, 3))}
+            c = ListConstraint(allowed)
+            assert ind_count(g, c) == brute_hom(g, HC, c) == hom_count(g, HC, c), (g, c)
+            dead = set()
+            for v, ts in allowed.items():
+                if ts == {IND_IN}:
+                    dead |= {v} | {w for w in range(n) if g.neighbor_masks[v] >> w & 1}
+                elif ts == {IND_OUT}:
+                    dead.add(v)
+            sides.add(n - len(dead) < FOREST_MIN_VERTICES)
+    assert sides == ({True} if n < FOREST_MIN_VERTICES else {True, False})
+
+
+def test_hom_map_bits_without_constraint():
+    # the map-bit route without a constraint and with an empty one, on
+    # fresh targets whose map tables show the route was taken
+    for t in (hard_core_target(), widom_rowlinson_target(), complete_target(3)):
+        for n in range(5):
+            for g in all_graphs(n):
+                got = hom_count(g, t)
+                assert got == hom_count(g, t, counting.EMPTY_CONSTRAINT) == brute_hom(g, t)
+        assert sorted(t.map_tables) == list(range(5))
 
 
 def test_path_ind_fib():

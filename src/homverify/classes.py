@@ -58,6 +58,37 @@ def remap(masks: np.ndarray, dest: list[int]) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=MAX_N + 1)
+def _byte_tables(n: int) -> list[tuple[int, list, list, np.ndarray]]:
+    """Per byte of a mask over vertex_pairs(n), n <= MAX_N: its lowest bit,
+    and for each of the 256 byte values the sorted tuple of its edges and
+    their neighbour masks packed n bits a vertex (vertex v's at bit n*v),
+    as a list and as an int64 array."""
+    pairs = vertex_pairs(n)
+    out = []
+    for lo in range(0, len(pairs), 8):
+        edges = [tuple(e for j, e in enumerate(pairs[lo:lo + 8]) if x >> j & 1)
+                 for x in range(256)]
+        packed = [sum(1 << (n * u + v) | 1 << (n * v + u) for u, v in es) for es in edges]
+        out.append((lo, edges, packed, np.array(packed, dtype=np.int64)))
+    return out
+
+
+def mask_graphs(n: int, masks: np.ndarray) -> list[Graph]:
+    """The Graph of every mask on n <= MAX_N vertices, built by
+    Graph.trusted: the neighbour masks of all of them in one numpy pass,
+    each sorted edge tuple joined from per-byte lookups."""
+    edges = [()] * len(masks)
+    packed = np.zeros(len(masks), dtype=np.int64)
+    for lo, table, _, packed_table in _byte_tables(n):
+        byte = (masks >> lo) & 255
+        packed |= packed_table[byte]
+        edges = [e + table[b] for e, b in zip(edges, byte.tolist())]
+    nbrs = (packed >> (n * np.arange(n))[:, None]) & ((1 << n) - 1)
+    rows = zip(*nbrs.tolist()) if n else [()] * len(edges)
+    return [Graph.trusted(n, frozenset(e), nm) for e, nm in zip(edges, rows)]
+
+
 def graph6_names(n: int, masks: np.ndarray) -> list[str]:
     """``to_graph6`` of the graph of every mask on n <= 62 vertices: the
     pair bits moved into graph6 order (column by column of the upper
@@ -112,7 +143,7 @@ class ClassTable:
                     bits = [j for j in range(p) if m >> j & 1]
                     self.cls[images[:, bits].sum(axis=1)] = len(reps)
                     reps.append(m)
-        self.reps = [self.graph(m) for m in reps]
+        self.reps = mask_graphs(n, np.array(reps, dtype=np.int32))
         self.first_rank = self.rank[reps]
         self.size = np.bincount(self.cls, minlength=len(reps))
         self.connected = np.array([g.is_connected() for g in self.reps])
@@ -120,7 +151,14 @@ class ClassTable:
         self._values: dict = {}
 
     def graph(self, mask: int) -> Graph:
-        return Graph(self.n, frozenset(e for i, e in enumerate(self.pairs) if mask >> i & 1))
+        """mask_graphs for one mask, in Python ints."""
+        n, edges, packed = self.n, (), 0
+        for lo, table, packed_table, _ in _byte_tables(n):
+            byte = mask >> lo & 255
+            edges += table[byte]
+            packed |= packed_table[byte]
+        full = (1 << n) - 1
+        return Graph.trusted(n, frozenset(edges), tuple(packed >> n * v & full for v in range(n)))
 
     def values(self, name: str, fn: Callable[[Graph], object]) -> list:
         """fn of each class representative, computed once per name and

@@ -61,6 +61,15 @@ class Graph:
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return Graph(n, frozenset(_norm(u, v) for u, v in pairs))
 
+    @staticmethod
+    def trusted(n: int, edges: frozenset[Edge], neighbor_masks: tuple[int, ...]) -> "Graph":
+        """The graph Graph(n, edges) without re-validation, for callers
+        whose normalized edges and matching neighbour masks come from
+        ``classes.vertex_pairs(n)`` (``classes.mask_graphs``)."""
+        g = object.__new__(Graph)
+        g.__dict__.update(n=n, edges=edges, neighbor_masks=neighbor_masks)
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)

@@ -22,9 +22,11 @@ a group differ only in the graph6 name:
   names coming from one vectorised graph6 pass per chunk of masks.
 
 The test suite checks both modes against the per-labelled-graph checkers.
-Only the oracle sweep starts workers: they receive batches of edge sets in
-enumeration order and results are merged in submission order, so its
-result is the same for any worker count.
+Only the oracle sweep starts workers: they receive batches of edge masks,
+consecutive slices of ``classes.enumeration_order``, build each batch's
+graphs from the masks with ``classes.mask_graphs``, and their results are
+merged in submission order, so its result is the same for any worker
+count.
 """
 
 from __future__ import annotations
@@ -39,7 +41,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .classes import MAX_N, ClassTable, class_table, graph6_names, groups, remap
+from .classes import (
+    MAX_N,
+    ClassTable,
+    class_table,
+    enumeration_order,
+    graph6_names,
+    groups,
+    mask_graphs,
+    remap,
+)
 from .graphs import (
     Graph,
     TargetGraph,
@@ -72,7 +83,7 @@ from .verify import (
     check_sidorenko_bound,
     check_wr_lemma,
 )
-from .search import iter_edge_sets
+from .search import iter_edge_sets  # noqa: F401  (perfbench's layer tracer wraps sweeps.iter_edge_sets)
 
 BATCH_SIZE = 4096
 
@@ -147,16 +158,17 @@ class SweepSummary:
 # Parallel plumbing (the oracle sweep)
 # ---------------------------------------------------------------------------
 
-def _batches(max_n: int) -> Iterator[tuple[int, list]]:
+def _check_max_n(max_n: int) -> None:
+    if not 1 <= max_n <= MAX_N:
+        raise ValueError(f"sweeps support max_n in 1..{MAX_N}")
+
+
+def _batches(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(n, BATCH_SIZE masks) for n = 1..max_n, in enumeration order."""
     for n in range(1, max_n + 1):
-        buf = []
-        for edges in iter_edge_sets(n):
-            buf.append(edges)
-            if len(buf) >= BATCH_SIZE:
-                yield (n, buf)
-                buf = []
-        if buf:
-            yield (n, buf)
+        order = enumeration_order(n * (n - 1) // 2)
+        for lo in range(0, len(order), BATCH_SIZE):
+            yield n, order[lo:lo + BATCH_SIZE]
 
 
 def _map_batches(fn: Callable, jobs, workers: int):
@@ -184,8 +196,7 @@ class SweepConfig:
         claim = CLAIMS.get(self.claim)
         if claim is None or claim.sweep is None:
             raise ValueError(f"unknown sweep claim {self.claim!r}")
-        if not 1 <= self.max_n <= MAX_N:
-            raise ValueError(f"sweeps support max_n in 1..{MAX_N}")
+        _check_max_n(self.max_n)
         claim.check(self.qs, self.target)
 
 
@@ -743,30 +754,30 @@ class OracleSummary:
 
 
 def _oracle_batch(args) -> OracleSummary:
-    n, edge_sets, wr_chrom_max_n, chrom_qs = args
-    s = OracleSummary()
+    """Every counter on the graph of every mask of the batch; a mismatch
+    names the graph by its sorted edge tuple."""
+    n, masks, wr_chrom_max_n, chrom_qs = args
     small = n <= wr_chrom_max_n
+    s = OracleSummary(checked_ind=len(masks), checked_wr=len(masks) if small else 0,
+                      checked_chrom=len(masks) * len(chrom_qs) if small else 0)
     kqs = [(q, complete_target(q)) for q in chrom_qs]
-    for edges in edge_sets:
-        g = Graph(n, frozenset(edges))
-        s.checked_ind += 1
+    for g in mask_graphs(n, masks):
         if ind_count(g) != hom_count(g, _HC):
-            s.mismatches.append(("ind", n, edges))
+            s.mismatches.append(("ind", n, g.sorted_edges))
         if small:
-            s.checked_wr += 1
             if wr_count(g) != hom_count(g, _WR):
-                s.mismatches.append(("wr", n, edges))
+                s.mismatches.append(("wr", n, g.sorted_edges))
             poly = chrom_poly(g)
             for q, kq in kqs:
-                s.checked_chrom += 1
                 if poly(q) != hom_count(g, kq):
-                    s.mismatches.append(("chrom", q, n, edges))
+                    s.mismatches.append(("chrom", q, n, g.sorted_edges))
     return s
 
 
 def oracle_equivalence_sweep(max_n: int = 7, wr_chrom_max_n: int = 6,
                              chrom_qs: tuple[int, ...] = (2, 3),
                              workers: int = 1) -> OracleSummary:
+    _check_max_n(max_n)
     total = OracleSummary()
     jobs = ((n, batch, wr_chrom_max_n, chrom_qs) for n, batch in _batches(max_n))
     for part in _map_batches(_oracle_batch, jobs, workers):

@@ -5,13 +5,21 @@ polynomials derived over the tables, and the vectorised graph6 namer."""
 
 import math
 import random
+import time
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homverify.classes import class_table, graph6_names, groups, remap, vertex_pairs
+from homverify.classes import (
+    class_table,
+    enumeration_order,
+    graph6_names,
+    groups,
+    remap,
+    vertex_pairs,
+)
 from homverify.counting import chrom_poly
 from homverify.graphs import Graph, identify_vertices, to_graph6
 from homverify.search import iter_edge_sets
@@ -78,11 +86,26 @@ def test_class_polys_match_chrom_poly_on_every_labelled_graph():
             assert chrom_poly(t.graph(mask)) == polys[t.cls[mask]], (n, mask)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_order_is_enumeration_order(n):
     t = class_table(n)
     assert t.order.tolist() == [_mask(n, es) for es in iter_edge_sets(n)]
     assert (t.rank[t.order] == np.arange(len(t.order))).all()
+
+
+def test_order_at_seven_is_lexicographic_on_sorted_bits():
+    """iter_edge_sets' order at n = 7, which the oracle sweep's batches
+    follow, without its 2^21 tuples: every mask once, and each consecutive
+    pair in lexicographic order of the sorted bit lists.  Below the lowest
+    bit where a and b differ they agree; if a has that bit, a < b iff b
+    has a higher bit, and otherwise a < b iff a has none."""
+    start = time.perf_counter()
+    order = enumeration_order(21).astype(np.int64)
+    assert order[0] == 0 and (np.sort(order) == np.arange(1 << 21)).all()
+    a, b = order[:-1], order[1:]
+    low = (a ^ b) & -(a ^ b)
+    assert np.where(a & low, b >= 2 * low, a < low).all()
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n", range(1, 6))

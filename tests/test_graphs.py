@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homverify.classes import class_table, mask_graphs
 from homverify.graphs import (
     EDGELIST_MAX_VERTICES,
     Graph,
@@ -67,6 +69,27 @@ def test_graph_value_semantics():
         Graph(2, frozenset({(0, 2)}))
     with pytest.raises(ValueError, match=r"^negative vertex count -1$"):
         Graph(-1, frozenset())
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_graphs_from_masks_are_graph_values(n):
+    """Graph.trusted, through both mask paths (classes.mask_graphs for a
+    batch, ClassTable.graph for one mask), gives the value Graph(n, edges)
+    gives, for every labelled graph on n <= 5 vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    masks = np.arange(1 << len(pairs), dtype=np.int32)
+    table = class_table(n)
+    for mask, batched in zip(masks.tolist(), mask_graphs(n, masks)):
+        want = Graph(n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
+        # a pickle round trip may reorder a frozenset's repr, as it does
+        # for Graph(n, edges) itself
+        want_back = pickle.loads(pickle.dumps(want))
+        for got in (batched, table.graph(mask)):
+            back = pickle.loads(pickle.dumps(got))
+            for g, w in ((got, want), (back, want_back)):
+                assert g == want and hash(g) == hash(want) and repr(g) == repr(w)
+                assert g.neighbor_masks == want.neighbor_masks
+            assert type(got.neighbor_masks) is tuple
 
 
 def test_edge_ops():

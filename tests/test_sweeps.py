@@ -192,11 +192,57 @@ def test_oracle_sweep_small():
     assert not s.mismatches
 
 
-def test_oracle_sweep_worker_invariance():
+def _wrong_on(monkeypatch, name, chosen):
+    """Make sweeps.<name> off by one on the graphs whose sorted edge tuple
+    passes chosen(n, edges)."""
+    right = getattr(sweeps, name)
+    monkeypatch.setattr(sweeps, name, lambda g: right(g) + chosen(g.n, g.sorted_edges))
+
+
+def _wrong_ind(n, edges):
+    return len(edges) == 2 and (0, 1) in edges
+
+
+def _wrong_wr(n, edges):
+    return n == 3 or len(edges) == 5
+
+
+def test_oracle_sweep_worker_invariance(monkeypatch):
+    _wrong_on(monkeypatch, "ind_count", _wrong_ind)
+    _wrong_on(monkeypatch, "wr_count", _wrong_wr)
     a = oracle_equivalence_sweep(max_n=4, wr_chrom_max_n=3, workers=1)
     b = oracle_equivalence_sweep(max_n=4, wr_chrom_max_n=3, workers=2)
-    assert (a.checked_ind, a.checked_wr, a.checked_chrom) == \
-        (b.checked_ind, b.checked_wr, b.checked_chrom)
+    assert a.mismatches and a == b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_sweep_names_mismatches_in_enumeration_order(monkeypatch, workers):
+    _wrong_on(monkeypatch, "ind_count", _wrong_ind)
+    _wrong_on(monkeypatch, "wr_count", _wrong_wr)
+    expected = []
+    for n in range(1, 6):
+        for edges in iter_edge_sets(n):
+            if _wrong_ind(n, edges):
+                expected.append(("ind", n, edges))
+            if n <= 4 and _wrong_wr(n, edges):
+                expected.append(("wr", n, edges))
+    got = oracle_equivalence_sweep(max_n=5, wr_chrom_max_n=4, chrom_qs=(2,), workers=workers)
+    assert got.mismatches == expected
+    assert {kind for kind, *_ in expected} == {"ind", "wr"}
+    assert any(n == 5 for _, n, _ in expected)
+    assert (got.checked_ind, got.checked_wr, got.checked_chrom) == (1099, 75, 75)
+
+
+@pytest.mark.parametrize("max_n", [-1, 0, 8, 9])
+def test_oracle_sweep_refuses_max_n_before_enumerating(monkeypatch, max_n):
+    def unreachable(p):
+        raise AssertionError(f"enumeration_order({p}) built for max_n={max_n}")
+
+    monkeypatch.setattr(sweeps, "enumeration_order", unreachable)
+    with pytest.raises(ValueError, match=r"^sweeps support max_n in 1\.\.7$"):
+        oracle_equivalence_sweep(max_n=max_n)
+    with pytest.raises(ValueError, match=r"^sweeps support max_n in 1\.\.7$"):
+        SweepConfig("eq_ind", max_n).validate()
 
 
 def test_sweep_config_validation():

@@ -74,7 +74,7 @@ def _byte_tables(n: int) -> list[tuple[int, list, list, np.ndarray]]:
     return out
 
 
-def mask_graphs(n: int, masks: np.ndarray) -> list[Graph]:
+def mask_graphs(n: int, masks: np.ndarray) -> Iterator[Graph]:
     """The Graph of every mask on n <= MAX_N vertices, built by
     Graph.trusted: the neighbour masks of all of them in one numpy pass,
     each sorted edge tuple joined from per-byte lookups."""
@@ -86,7 +86,8 @@ def mask_graphs(n: int, masks: np.ndarray) -> list[Graph]:
         edges = [e + table[b] for e, b in zip(edges, byte.tolist())]
     nbrs = (packed >> (n * np.arange(n))[:, None]) & ((1 << n) - 1)
     rows = zip(*nbrs.tolist()) if n else [()] * len(edges)
-    return [Graph.trusted(n, frozenset(e), nm) for e, nm in zip(edges, rows)]
+    for e, nm in zip(edges, rows):
+        yield Graph.trusted(n, frozenset(e), nm)
 
 
 def graph6_names(n: int, masks: np.ndarray) -> list[str]:
@@ -143,7 +144,7 @@ class ClassTable:
                     bits = [j for j in range(p) if m >> j & 1]
                     self.cls[images[:, bits].sum(axis=1)] = len(reps)
                     reps.append(m)
-        self.reps = mask_graphs(n, np.array(reps, dtype=np.int32))
+        self.reps = list(mask_graphs(n, np.array(reps, dtype=np.int32)))
         self.first_rank = self.rank[reps]
         self.size = np.bincount(self.cls, minlength=len(reps))
         self.connected = np.array([g.is_connected() for g in self.reps])

@@ -61,15 +61,18 @@ def remap(masks: np.ndarray, dest: list[int]) -> np.ndarray:
 @lru_cache(maxsize=MAX_N + 1)
 def _byte_tables(n: int) -> list[tuple[int, list, list, np.ndarray]]:
     """Per byte of a mask over vertex_pairs(n), n <= MAX_N: its lowest bit,
-    and for each of the 256 byte values the sorted tuple of its edges and
-    their neighbour masks packed n bits a vertex (vertex v's at bit n*v),
-    as a list and as an int64 array."""
+    and for each value of the byte the sorted tuple of its edges and their
+    neighbour masks packed n bits a vertex (vertex v's at bit n*v), as a
+    list and as an int64 array.  Each pair doubles the tables: the values
+    with its bit set add it, the highest pair so far, to those without."""
     pairs = vertex_pairs(n)
     out = []
     for lo in range(0, len(pairs), 8):
-        edges = [tuple(e for j, e in enumerate(pairs[lo:lo + 8]) if x >> j & 1)
-                 for x in range(256)]
-        packed = [sum(1 << (n * u + v) | 1 << (n * v + u) for u, v in es) for es in edges]
+        edges, packed = [()], [0]
+        for u, v in pairs[lo:lo + 8]:
+            bits = 1 << (n * u + v) | 1 << (n * v + u)
+            edges += [e + ((u, v),) for e in edges]
+            packed += [x | bits for x in packed]
         out.append((lo, edges, packed, np.array(packed, dtype=np.int64)))
     return out
 

@@ -219,6 +219,7 @@ def test_oracle_sweep_worker_invariance(monkeypatch):
 def test_oracle_sweep_names_mismatches_in_enumeration_order(monkeypatch, workers):
     _wrong_on(monkeypatch, "ind_count", _wrong_ind)
     _wrong_on(monkeypatch, "wr_count", _wrong_wr)
+    monkeypatch.setattr(sweeps, "BATCH_SIZE", 100)  # several batches per n
     expected = []
     for n in range(1, 6):
         for edges in iter_edge_sets(n):

@@ -34,8 +34,23 @@ def vertex_pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
+def iter_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All subsets of vertex pairs in lexicographic order of the sorted
+    edge tuple: (), ((0,1),), ((0,1),(0,2)), ..."""
+    pairs = vertex_pairs(n)
+
+    def rec(prefix: list, start: int):
+        yield tuple(prefix)
+        for i in range(start, len(pairs)):
+            prefix.append(pairs[i])
+            yield from rec(prefix, i + 1)
+            prefix.pop()
+
+    yield from rec([], 0)
+
+
 def enumeration_order(p: int) -> np.ndarray:
-    """The masks over p pairs in the order of ``search.iter_edge_sets``:
+    """The masks over p pairs in the order of ``iter_edge_sets``:
     S(p) = [0] and S(i) = [0] ++ (bit i | S(i+1)) ++ S(i+1)[1:]."""
     s = np.zeros(1, dtype=np.int32)
     for i in range(p - 1, -1, -1):
@@ -112,7 +127,7 @@ def graph6_names(n: int, masks: np.ndarray) -> list[str]:
 class ClassTable:
     """The isomorphism classes of the labelled graphs on n vertices.
 
-    order:      masks in enumeration order; rank is its inverse
+    order:      masks in enumeration order; a mask's rank is its index
     cls:        class id of every mask, ids in order of first appearance
     reps:       the representative Graph of each class
     first_rank: rank of each representative, the lowest in its class
@@ -126,8 +141,6 @@ class ClassTable:
         self.index = {p: i for i, p in enumerate(self.pairs)}
         p = len(self.pairs)
         self.order = enumeration_order(p)
-        self.rank = np.empty(1 << p, dtype=np.int32)
-        self.rank[self.order] = np.arange(1 << p, dtype=np.int32)
         # image bit of every pair under every vertex permutation, gathered
         # from a symmetric table of pair ids
         a, b = np.array(self.pairs, dtype=np.intp).reshape(p, 2).T
@@ -136,19 +149,21 @@ class ClassTable:
         perms = np.array(list(permutations(range(n))), dtype=np.intp).reshape(math.factorial(n), n)
         images = 1 << pair_id[perms[:, a], perms[:, b]]
         self.cls = np.full(1 << p, -1, dtype=np.int32)
-        reps = []
+        reps, ranks = [], []
         # walk the masks in enumeration order, a block at a time, so that
         # Python only looks at masks still unlabelled when their block starts
         step = 4096
         for lo in range(0, 1 << p, step):
             block = self.order[lo:lo + step]
-            for m in block[self.cls[block] < 0].tolist():
+            for i in np.flatnonzero(self.cls[block] < 0).tolist():
+                m = int(block[i])
                 if self.cls[m] < 0:
                     bits = [j for j in range(p) if m >> j & 1]
                     self.cls[images[:, bits].sum(axis=1)] = len(reps)
                     reps.append(m)
+                    ranks.append(lo + i)
         self.reps = list(mask_graphs(n, np.array(reps, dtype=np.int32)))
-        self.first_rank = self.rank[reps]
+        self.first_rank = np.array(ranks, dtype=np.int32)
         self.size = np.bincount(self.cls, minlength=len(reps))
         self.connected = np.array([g.is_connected() for g in self.reps])
         self.bipartite = np.array([bipartition(g) is not None for g in self.reps])
@@ -178,21 +193,6 @@ class ClassTable:
         if got is None:
             got = self._values[name] = build()
         return got
-
-    def edge_deletions(self, keep: np.ndarray) -> Iterator[tuple[int, int, int, int, int]]:
-        """(g, h, b, count, rank): `count` labelled graphs G of the classes
-        marked in keep with an edge e at pair b, G in class g and G-e in
-        class h, the first of them at `rank`."""
-        ranks = np.flatnonzero(keep[self.cls[self.order]]).astype(np.int32)
-        masks = self.order[ranks]
-        c = len(self.reps)
-        for b in range(len(self.pairs)):
-            has = (masks >> b) & 1 == 1
-            m = masks[has]
-            keys = self.cls[m].astype(np.int64) * c + self.cls[m ^ (1 << b)]
-            for key, count, rank in groups(keys, ranks[has]):
-                g, h = divmod(key, c)
-                yield g, h, b, count, rank
 
 
 def groups(keys: np.ndarray, ranks: np.ndarray) -> Iterator[tuple[int, int, int]]:

@@ -568,10 +568,9 @@ def _ind_small(nbr: tuple[int, ...], alive: int) -> int:
 
 def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
     """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex.  Fewer than
-    FOREST_MIN_VERTICES vertices go to _ind_small.  A matching of e edges
-    and r other vertices has 3^e 2^r sets; with fewer edges than vertices,
-    _ind_forest is tried first, so a path or a cycle needs at most one
-    branch."""
+    FOREST_MIN_VERTICES vertices go to _ind_small.  With fewer edges than
+    vertices, _ind_forest is tried first, so a forest (a matching among
+    them) needs no branch and a path or a cycle at most one."""
     v = alive.bit_count()
     if v < FOREST_MIN_VERTICES:
         return _ind_small(nbr, alive)
@@ -585,8 +584,6 @@ def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
         if d > bestd:
             bestd = d
             best = b.bit_length() - 1
-    if bestd <= 1:
-        return 3 ** (degs >> 1) << (v - degs)
     if degs < 2 * v:
         forest = _ind_forest(nbr, alive)
         if forest:

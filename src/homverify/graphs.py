@@ -70,6 +70,12 @@ class Graph:
         g.__dict__.update(n=n, edges=edges, neighbor_masks=neighbor_masks)
         return g
 
+    def __repr__(self) -> str:
+        # the edges sorted: a frozenset prints in an order that depends on
+        # how it was built, so equal graphs could print differently
+        edges = ", ".join(map(repr, self.sorted_edges))
+        return f"Graph(n={self.n}, edges=frozenset({'{' + edges + '}' if edges else ''}))"
+
     @property
     def m(self) -> int:
         return len(self.edges)

@@ -18,29 +18,15 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .classes import MAX_N, class_table, vertex_pairs
+from .classes import MAX_N, class_table, iter_edge_sets
 from .graphs import Graph, TargetGraph, bipartition, to_graph6
 from .counting import hom_batch, hom_count
+from .sweeps import SweepSummary, _edge_slots, _group_summary, _slot_groups
 
 
 # ---------------------------------------------------------------------------
 # Labeled graph enumeration
 # ---------------------------------------------------------------------------
-
-def iter_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All subsets of vertex pairs in lexicographic order of the sorted
-    edge tuple: (), ((0,1),), ((0,1),(0,2)), ..."""
-    pairs = vertex_pairs(n)
-
-    def rec(prefix: list, start: int):
-        yield tuple(prefix)
-        for i in range(start, len(pairs)):
-            prefix.append(pairs[i])
-            yield from rec(prefix, i + 1)
-            prefix.pop()
-
-    yield from rec([], 0)
-
 
 def enumerate_graphs(n: int, *, connected: bool = False,
                      bipartite: bool = False) -> Iterator[Graph]:
@@ -93,39 +79,37 @@ def edge_mono_scan(target: TargetGraph, max_n: int, *,
                    bipartite_only: bool = False) -> ScanResult:
     """Minimum of hom(H,G)/hom(H-e,G) over all labeled H up to max_n
     vertices and all edges, against the threshold hom(K_2,G)/v(G)^2.
-    Counts are computed once per isomorphism class; the worst instance is
-    the first in enumeration order that attains the minimum."""
+    Counts are computed once per isomorphism class and folded over the
+    sweeps' edge slots, as the eq_* sweeps fold theirs; the worst instance
+    is the first in enumeration order that attains the minimum."""
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"scan supports max_n in 1..{MAX_N}")
     if target.k == 0:
         raise ValueError("scan needs a target with at least one vertex")
     threshold = target.edge_weight_sum / target.k ** 2
+    # hom(H, D*W) = D^m hom(H, W) is an integer, and the claim
+    # x(G)/x(G-e) >= D*threshold on those counts x is the scan's, its
+    # margin D times ratio - threshold
+    d = target.integer_rows[1]
     tested_h = 0
-    tested_edges = 0
-    skipped = 0
-    worst: Optional[tuple[Fraction, tuple[int, int, int]]] = None
+    total = SweepSummary("edge_mono")
     for n in range(1, max_n + 1):
         t = class_table(n)
         keep = t.bipartite if bipartite_only else np.ones(len(t.reps), bool)
         tested_h += int(t.size[keep].sum())
-        hom = [hom_count(g, target) if k else None for g, k in zip(t.reps, keep)]
-        for g, h, b, count, rank in t.edge_deletions(keep):
-            if hom[h] == 0:
-                skipped += count
-                continue
-            tested_edges += count
-            ratio = hom[g] / hom[h]
-            if worst is None or ratio < worst[0] or (
-                    ratio == worst[0] and (n, rank, b) < worst[1]):
-                worst = (ratio, (n, rank, b))
-    if worst is None:
-        return ScanResult(target.describe(), threshold, tested_h, 0, skipped,
+        counts = [int(hom_count(g, target) * d ** g.m) if k else 0 for g, k in zip(t.reps, keep)]
+        slots = _edge_slots(t, [(counts, d * threshold.numerator, threshold.denominator)], None, keep)
+        total.merge(_group_summary(total.claim, len(slots), _slot_groups(t, slots),
+                                   lambda key, n=n: (n, *key)))
+    tested = total.instances - total.inapplicable
+    if total.min_margin is None:
+        return ScanResult(target.describe(), threshold, tested_h, tested, total.inapplicable,
                           None, None, None, True)
-    ratio, (n, rank, b) = worst
+    n, rank, b = total.min_margin_instance
     t = class_table(n)
     gid = to_graph6(t.graph(int(t.order[rank])))
-    return ScanResult(target.describe(), threshold, tested_h, tested_edges, skipped,
-                      gid, t.pairs[b], ratio, ratio >= threshold)
+    return ScanResult(target.describe(), threshold, tested_h, tested, total.inapplicable,
+                      gid, t.pairs[b], total.min_margin / d + threshold, not total.violated)
 
 
 # ---------------------------------------------------------------------------

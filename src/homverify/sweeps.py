@@ -48,6 +48,7 @@ from .classes import (
     enumeration_order,
     graph6_names,
     groups,
+    iter_edge_sets,  # noqa: F401  (perfbench's layer tracer wraps sweeps.iter_edge_sets)
     mask_graphs,
     remap,
 )
@@ -83,7 +84,6 @@ from .verify import (
     check_sidorenko_bound,
     check_wr_lemma,
 )
-from .search import iter_edge_sets  # noqa: F401  (perfbench's layer tracer wraps sweeps.iter_edge_sets)
 
 BATCH_SIZE = 4096
 

@@ -564,6 +564,15 @@ def test_ind_long_path_and_cycle():
     assert ind_count(cycle_graph(3000), override_guard=True) == lucas
 
 
+def test_ind_windmill():
+    # k triangles on one hub: branching on the hub leaves a matching on 2k
+    # >= FOREST_MIN_VERTICES vertices, which _ind_forest counts as 3^k
+    for k in range(FOREST_MIN_VERTICES // 2, 7):
+        g = Graph.from_edges(2 * k + 1, [e for i in range(1, 2 * k, 2)
+                                         for e in ((0, i), (0, i + 1), (i, i + 1))])
+        assert ind_count(g) == 3 ** k + 1 == brute_ind(g)
+
+
 @st.composite
 def sparse_graphs(draw):
     """Forests on FOREST_MIN_VERTICES to 11 vertices (each vertex joins an

@@ -5,12 +5,23 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from homverify import cli, sweeps
-from homverify.graphs import Graph, complete_target, hard_core_target, widom_rowlinson_target
-from homverify.search import edge_mono_scan, iter_edge_sets
+from homverify.classes import iter_edge_sets
+from homverify.graphs import (
+    Graph,
+    TargetGraph,
+    complete_target,
+    hard_core_target,
+    widom_rowlinson_target,
+)
+from homverify.search import edge_mono_scan
 from homverify.sweeps import (
     SweepConfig,
     SweepSummary,
@@ -286,7 +297,13 @@ DIGEST_CASES = [
     ("balanced", {"qs": (3,)}),
 ]
 _TARGETS = {"hardcore": hard_core_target, "wr": widom_rowlinson_target,
-            "k3": lambda: complete_target(3)}
+            "k3": lambda: complete_target(3),
+            # entries with denominators, D = 2 and D = 6 in integer_rows;
+            # the star has no loop, so non-bipartite H - e are skipped
+            "weighted-star": lambda: TargetGraph.from_rows(
+                [[0, 1, Fraction(3, 2)], [1, 0, 0], [Fraction(3, 2), 0, 0]]),
+            "weighted-mixed": lambda: TargetGraph.from_rows(
+                [[0, Fraction(1, 3), 1], [Fraction(1, 3), Fraction(1, 2), 0], [1, 0, 0]])}
 
 # sweep_summary(...).to_json_dict() at max_n=5 and the CLI sweep stdout at
 # --max-n 4 and 5, per case
@@ -357,6 +374,11 @@ SCAN_DIGESTS = {
     ("k3", True): "1ec8482bc51da77646f4343f6b5d3d02d998604655e51a2b0e2f82df097663ec",
     ("hardcore", False): "52931418a9bfde824c4cb18c36c0bfcb4357b58caa104ba87918c7ad82734b20",
     ("wr", False): "222323fee43ae024d5ae451e9f840fd143d03440b0bfab41ecc3c3aa0d881aad",
+    # recorded before the scan moved onto the sweeps' edge slots
+    ("weighted-star", True): "3711451045e95fb0237dbefecabf158a9bf4a749d517a0cb20f2e5fdba6eb2cc",
+    ("weighted-star", False): "96859fa0ba8b0ad20908da1526ce74dc94d04e296a257c86bc071685a351d160",
+    ("weighted-mixed", True): "bde82fc00a30b83b71c3e3f5564d1638ad5eb9fdaf3d53a8bb0fc1a5b5b6a838",
+    ("weighted-mixed", False): "135e920d0913e9f34fb2d300939326658e36e3b16d8e4b791d39ea37d6aaf305",
 }
 
 
@@ -406,3 +428,17 @@ def test_bundle_digest():
 def test_scan_digest(target, bipartite_only):
     r = edge_mono_scan(_TARGETS[target](), 5, bipartite_only=bipartite_only)
     assert _sha(_canonical(r.to_json_dict())) == SCAN_DIGESTS[(target, bipartite_only)]
+
+
+def test_sweeps_does_not_import_search():
+    """search imports sweeps, so sweeps must not import search.  The
+    package's __init__ imports every module, so a child process loads
+    homverify.sweeps under a bare package object that skips it."""
+    code = ("import sys, types; pkg = types.ModuleType('homverify'); "
+            f"pkg.__path__ = [{str(Path(sweeps.__file__).parent)!r}]; "
+            "sys.modules['homverify'] = pkg; import homverify.sweeps; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('homverify.'))))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    loaded = r.stdout.split()
+    assert "homverify.sweeps" in loaded and "homverify.search" not in loaded

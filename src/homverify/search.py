@@ -87,12 +87,12 @@ def edge_mono_scan(target: TargetGraph, max_n: int, *,
     if target.k == 0:
         raise ValueError("scan needs a target with at least one vertex")
     threshold = target.edge_weight_sum / target.k ** 2
-    # hom(H, D*W) = D^m hom(H, W) is an integer, and the claim
-    # x(G)/x(G-e) >= D*threshold on those counts x is the scan's, its
-    # margin D times ratio - threshold
+    # the counts x = hom(H, D*W) = D^m hom(H, W) are integers, and the scan
+    # is the claim x(G)/x(G-e) >= D*threshold on them, with margins D times
+    # those of the ratios
     d = target.integer_rows[1]
     tested_h = 0
-    total = SweepSummary("edge_mono")
+    total = SweepSummary("scan")
     for n in range(1, max_n + 1):
         t = class_table(n)
         keep = t.bipartite if bipartite_only else np.ones(len(t.reps), bool)
@@ -101,15 +101,13 @@ def edge_mono_scan(target: TargetGraph, max_n: int, *,
         slots = _edge_slots(t, [(counts, d * threshold.numerator, threshold.denominator)], None, keep)
         total.merge(_group_summary(total.claim, len(slots), _slot_groups(t, slots),
                                    lambda key, n=n: (n, *key)))
-    tested = total.instances - total.inapplicable
-    if total.min_margin is None:
-        return ScanResult(target.describe(), threshold, tested_h, tested, total.inapplicable,
-                          None, None, None, True)
-    n, rank, b = total.min_margin_instance
-    t = class_table(n)
-    gid = to_graph6(t.graph(int(t.order[rank])))
-    return ScanResult(target.describe(), threshold, tested_h, tested, total.inapplicable,
-                      gid, t.pairs[b], total.min_margin / d + threshold, not total.violated)
+    worst = (None, None, None)
+    if total.min_margin is not None:
+        n, rank, b = total.min_margin_instance
+        t = class_table(n)
+        worst = (to_graph6(t.graph(int(t.order[rank]))), t.pairs[b], total.min_margin / d + threshold)
+    return ScanResult(target.describe(), threshold, tested_h, total.instances - total.inapplicable,
+                      total.inapplicable, *worst, not total.violated)
 
 
 # ---------------------------------------------------------------------------

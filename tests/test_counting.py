@@ -513,6 +513,12 @@ def test_ind_anchors():
         assert ind_count(empty_graph(n)) == 2 ** n
     assert ind_count(path_graph(2)) == 3
     assert ind_count(cycle_graph(4)) == 7 == brute_ind(cycle_graph(4))
+    # k triangles on one hub: branching on the hub leaves a matching on 2k
+    # >= FOREST_MIN_VERTICES vertices, which _ind_forest counts as 3^k
+    for k in range(FOREST_MIN_VERTICES // 2, 7):
+        g = Graph.from_edges(2 * k + 1, [e for i in range(1, 2 * k, 2)
+                                         for e in ((0, i), (0, i + 1), (i, i + 1))])
+        assert ind_count(g) == 3 ** k + 1 == brute_ind(g)
 
 
 def test_ind_exhaustive_small():
@@ -562,15 +568,6 @@ def test_ind_long_path_and_cycle():
     # the Lucas number L_3000 = F_2999 + F_3001
     lucas = path_ind_fib(2997) + path_ind_fib(2999)
     assert ind_count(cycle_graph(3000), override_guard=True) == lucas
-
-
-def test_ind_windmill():
-    # k triangles on one hub: branching on the hub leaves a matching on 2k
-    # >= FOREST_MIN_VERTICES vertices, which _ind_forest counts as 3^k
-    for k in range(FOREST_MIN_VERTICES // 2, 7):
-        g = Graph.from_edges(2 * k + 1, [e for i in range(1, 2 * k, 2)
-                                         for e in ((0, i), (0, i + 1), (i, i + 1))])
-        assert ind_count(g) == 3 ** k + 1 == brute_ind(g)
 
 
 @st.composite

@@ -306,7 +306,7 @@ _TARGETS = {"hardcore": hard_core_target, "wr": widom_rowlinson_target,
                 [[0, Fraction(1, 3), 1], [Fraction(1, 3), Fraction(1, 2), 0], [1, 0, 0]])}
 
 # sweep_summary(...).to_json_dict() at max_n=5 and the CLI sweep stdout at
-# --max-n 4 and 5, per case
+# --max-n 4, 5 and 6, per case
 SUMMARY_DIGESTS = {
     "thm1_1": "a977fb2e27edd2ffa96f000d7e38963aa9290c7e45fe90e1a6959ea526356aa1",
     "eq_col": "65b823a5d8fd58d2a31c9eed63e5dd8f4f1a67ebc22dda11c9f49bf2ecf60fc4",
@@ -366,6 +366,21 @@ CLI_DIGESTS = {
         "cor1_6": "690abaec7a93b1c2fcfc57a3eaae56fae12bfd1006829a10438011bba01f5f17",
         "balanced": "66cc63c256c44a1b70c1b0736b093f7e97cdd39b8a2b7dcd1767d223a835b32d",
     },
+    # recorded before one report served every pair slot with the same key
+    6: {
+        "thm1_1": "e0c622130e15ecbc28234c1e76d82a75853db52d9ca77227d0a9728b3939508d",
+        "eq_col": "6350b72a6518ca742f4a16e82f0d984e462e3f5992b0166e023ef44a737532d8",
+        "eq_ind": "a7a86f4b262e881893ddc14f17187a83cc1dba04dffc75c2f16e4f5c79d87ae8",
+        "eq_wr": "c868aac88849b8ec26e2716d73e9f2bef5c5e930fe25305982398e1807a72753",
+        "wr_lemma": "ee23ea29722190900f7d5334d7b0787388d880925c89636fec2fb91d9510e501",
+        "sidorenko-hardcore": "6416abe698b0f724c9d9724320849ef5226504cc5469fcfd8c4ffa42948207c0",
+        "sidorenko-wr": "32102063b823ed42e6f606e242aa4381b7d05e6840f2fddda2102dd9c77dd72b",
+        "sidorenko-k3": "41006b067b709b49f666e6c5e03066ab6f13ce08aefd66eb33fe0c1d3d51cd71",
+        "cor1_2": "948ebed19efdf2a133f47e02d36e7c1ca57b659322a4137d48a7da98a76a655d",
+        "cor1_4": "f87d089817feac564ca2642bdbfb42c8ed5370bcedf18d8aee31985329d6e9d9",
+        "cor1_6": "7326a177ac76d0d9b7d36671305ec43d4a0d5f2f8fa3510849dc831d6b707f5e",
+        "balanced": "72a68e2279d49407b509f779db9cb89f83e5450f968cbb901e22adbdb66e8b47",
+    },
 }
 BUNDLE_DIGEST = "4234a011fcf8df73c963badedacaad591d3d708c54a5fbabf2136aa79f098f03"
 # edge_mono_scan(target, 5, bipartite_only=...).to_json_dict(), recorded
@@ -404,9 +419,9 @@ def test_summary_digest(claim, kw, max_n):
     assert _sha(_canonical(s.to_json_dict())) == digests[_case_key(claim, kw)]
 
 
-@pytest.mark.parametrize("claim,kw,max_n", [(*c, n) for n in (4, 5) for c in DIGEST_CASES],
+@pytest.mark.parametrize("claim,kw,max_n", [(*c, n) for n in (4, 5, 6) for c in DIGEST_CASES],
                          ids=[_case_key(*c) + ("" if n == 4 else f"-n{n}")
-                              for n in (4, 5) for c in DIGEST_CASES])
+                              for n in (4, 5, 6) for c in DIGEST_CASES])
 def test_cli_sweep_digest(claim, kw, max_n):
     argv = ["sweep", "--claim", claim, "--max-n", str(max_n)]
     for q in kw.get("qs", ()):

@@ -498,7 +498,12 @@ def _chrom_branch(masks: list[int], live: int, memo: dict) -> list[int]:
 def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     """Exact chromatic polynomial: simplicial vertices go first
     (_simplicial), then deletion-contraction (_chrom_branch) on the rest,
-    relabelled in _search_order.  Memoization is local to the call."""
+    relabelled in _search_order.  Memoization is local to the call.
+
+    The deletion-contraction recurses once per step.  A graph whose steps
+    nest past the interpreter's recursion limit (the 2 x 600 ladder,
+    admitted with override_guard, nests 599 deep) is refused as a
+    SizeGuardError naming the depth reached, rather than crashing."""
     if g.m > CHROM_POLY_EDGE_GUARD and not override_guard:
         raise SizeGuardError(f"chrom_poly guard: {g.m} edges")
     masks = list(g.neighbor_masks)
@@ -508,8 +513,16 @@ def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     if live:
         order = _search_order(masks, live)
         pos = {v: i for i, v in enumerate(order)}
-        poly = _chrom_branch([sum(1 << pos[w] for w in mask_vertices(masks[v])) for v in order],
-                             (1 << len(order)) - 1, {})
+        try:
+            poly = _chrom_branch([sum(1 << pos[w] for w in mask_vertices(masks[v]))
+                                  for v in order], (1 << len(order)) - 1, {})
+        except RecursionError as exc:
+            tb, depth = exc.__traceback__, 0
+            while tb is not None:
+                depth += tb.tb_frame.f_code is _chrom_branch.__code__
+                tb = tb.tb_next
+            raise SizeGuardError(f"chrom_poly guard: deletion-contraction {depth} steps deep "
+                                 "reached the recursion limit") from None
     return ChromPoly(tuple(_times_roots(poly, factors)))
 
 

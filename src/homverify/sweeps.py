@@ -19,7 +19,10 @@ a group differ only in the graph6 name:
   only to name the instances the summary keeps;
 * report mode runs the checker once per group and q and renders its
   report once; every line is that fragment behind the graph's name, all
-  names coming from one vectorised graph6 pass per chunk of masks.
+  names coming from one vectorised graph6 pass per chunk of masks.  For
+  the pair claims it runs the checker once per key and q in a table: a
+  key is class ids, the same in every pair's slot, so one report serves
+  every pair with that key once its instance names the slot's pair.
 
 The test suite checks both modes against the per-labelled-graph checkers.
 Only the oracle sweep starts workers: they receive batches of edge masks,
@@ -274,7 +277,13 @@ class _Slot(NamedTuple):
     q index, the exact margin of each group from per-class values: (diff,
     den) for diff/den, None if inapplicable, or _NO_REPORT.  report(mask,
     i) runs the checker on one labelled graph at q index i.  A report line
-    names the graph of mask, or with rename that of mask without the bit."""
+    names the graph of mask, or with rename that of mask without the bit.
+
+    pair is the vertex pair (u, v) of a pair claim's slot, None for a
+    class-level slot.  The keys of a pair claim are class ids, which do
+    not depend on the pair, and its reports at one key and q agree in
+    every field but the instance, which names the graph and then the pair
+    as "(u,v)"; so one report serves every pair slot with that key."""
 
     keep: np.ndarray
     bit: int
@@ -282,6 +291,7 @@ class _Slot(NamedTuple):
     margins: Callable[[list[int]], list[list]]
     report: Callable[[int, int], Report]
     rename: bool = False
+    pair: Optional[tuple[int, int]] = None
 
 
 def _margin(r: Report) -> Optional[tuple]:
@@ -324,7 +334,7 @@ def _edge_slots(t: ClassTable, ratios: list[tuple], check: Callable,
 
     return [_Slot(keep, 1 << b,
                   lambda m, bit=1 << b: t.cls[m].astype(np.int64) * c + t.cls[m ^ bit],
-                  margins, lambda m, i, e=e: check(t.graph(m), e, i), rename)
+                  margins, lambda m, i, e=e: check(t.graph(m), e, i), rename, e)
             for b, e in enumerate(t.pairs)]
 
 
@@ -362,7 +372,7 @@ def _slots_wr_lemma(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
     every = np.ones(c, dtype=bool)
     return [_Slot(every, 1 << b, lambda m, bit=1 << b, i=_identify_map(t, u, v),
                   d=_delete_map(t, u, v): group(m, bit, i, d), margins,
-                  lambda m, _, e=(u, v): check_wr_lemma(t.graph(m), e))
+                  lambda m, _, e=(u, v): check_wr_lemma(t.graph(m), e), pair=(u, v))
             for b, (u, v) in enumerate(t.pairs)]
 
 
@@ -410,7 +420,8 @@ def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
 
     keep = t.connected & t.bipartite
     return [_Slot(keep, 0, lambda m, bit=1 << b, i=_identify_map(t, u, v): group(m, bit, i),
-                  lambda keys, b=b: margins(keys, b), lambda m, i, b=b: reports(m, i)[b])
+                  lambda keys, b=b: margins(keys, b), lambda m, i, b=b: reports(m, i)[b],
+                  pair=(u, v))
             for b, (u, v) in enumerate(t.pairs)]
 
 
@@ -517,7 +528,8 @@ def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
 
 
 # ---------------------------------------------------------------------------
-# Report mode: one checker call per instance group, lines from fragments
+# Report mode: one checker call per instance group or pair key, lines
+# from fragments
 # ---------------------------------------------------------------------------
 
 # masks per chunk of report lines: this many over the table's positions
@@ -529,9 +541,12 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
                   ) -> SweepSummary:
     """Write the report lines of one table's labelled graphs, in enumeration
     order and each graph's reports in stream position order, and return
-    their summary.  The checker runs once per group and q; its report is
-    rendered once, as the JSON after the graph6 name, and every line is
-    the opening, the name and that fragment."""
+    their summary.  The checker runs once per group and q, and for pair
+    slots once per key and q, at the first group in stream order with that
+    key; each group's report is rendered once, as the JSON after the
+    graph6 name with the slot's pair put in, and every line is the
+    opening, the name and that fragment.  The summary names its kept
+    instances only when asked, from each group's first graph."""
     slots = CLAIMS[cfg.claim].slots(t, cfg)
     grouped = list(_slot_groups(t, slots))
     width = len(slots)
@@ -543,21 +558,48 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
                    for g, margin in enumerate(ms) if margin is not _NO_REPORT)
     if not found:
         return SweepSummary(cfg.claim)
+    skip = 1 + -(-len(t.pairs) // 6)  # length of a graph6 name on n vertices
+    rename = np.array([s.bit if s.rename else 0 for s in slots], dtype=np.int64)
+    # per (q index, key) of the pair slots, and per (q index, key, slot)
+    # of the class slots: the report, the pair it names, its margin and
+    # its JSON after the instance string
+    done = {}
+
+    def source(s, i, key, m):
+        slot = slots[s]
+        at = (i, key) if slot.pair else (i, key, s)
+        if at not in done:
+            r = slot.report(m, i)
+            done[at] = (r, slot.pair, _margin(r),
+                        json.dumps({**r.to_json_dict(), "instance": ""})[len(_OPEN):])
+        return done[at]
+
+    def suffix(s, r, pair):
+        # the instance after the graph6 name, naming slot s's pair
+        tail, new = r.instance[skip:], slots[s].pair
+        return tail if pair == new else tail.replace("(%d,%d)" % pair, "(%d,%d)" % new, 1)
+
     # per slot and q index: the fragment and the report margin of each group
     frag_ids = [np.full((len(rows), nq), -1, dtype=np.int64) for rows, _ in grouped]
     reported = [(rows, [[_NO_REPORT] * len(rows) for _ in range(nq)]) for rows, _ in grouped]
-    skip = 1 + -(-len(t.pairs) // 6)  # length of a graph6 name on n vertices
-    frags, names = [], {}
+    frags = []
     for rank, pos, g in found:
         i, s = divmod(pos, width)
-        r = slots[s].report(int(t.order[rank]), i)
+        r, pair, margin, rest = source(s, i, grouped[s][0][g][0], int(t.order[rank]))
         frag_ids[s][g, i] = len(frags)
-        reported[s][1][i][g] = _margin(r)
-        names[rank, pos] = r.instance
-        rd = json.dumps({**r.to_json_dict(), "instance": r.instance[skip:]})
-        frags.append(rd[len(_OPEN):] + "\n")
+        reported[s][1][i][g] = margin
+        frags.append(json.dumps(suffix(s, r, pair))[1:-1] + rest + "\n")
+
+    def name(key):
+        rank, pos = key
+        i, s = divmod(pos, width)
+        m = t.order[rank:rank + 1]
+        k = t.cls[m] if slots[s].keys is None else slots[s].keys(m)
+        r, pair, _, _ = source(s, i, int(k[0]), int(m[0]))
+        return graph6_names(t.n, m ^ rename[s])[0] + suffix(s, r, pair)
+
     keys = [np.array([key for key, _, _ in rows], dtype=np.int64) for rows, _ in grouped]
-    rename = np.array([s.bit if s.rename else 0 for s in slots] * nq, dtype=np.int64)
+    flip = np.tile(rename, nq)
     step = max(1, CHUNK_LINES // (width * nq))
     for lo in range(0, len(t.order), step):
         m = t.order[lo:lo + step]
@@ -569,10 +611,10 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
             k = t.cls[m[have]] if slot.keys is None else slot.keys(m[have])
             ids[have, s::width] = frag_ids[s][np.searchsorted(keys[s], k)]
         rows, js = np.nonzero(ids >= 0)
-        line_names = graph6_names(t.n, m[rows] ^ rename[js])
-        write("".join([_OPEN + name.replace("\\", "\\\\") + frags[f]
-                       for name, f in zip(line_names, ids[rows, js].tolist())]))
-    return _group_summary(cfg.claim, width, reported, names.__getitem__)
+        line_names = graph6_names(t.n, m[rows] ^ flip[js])
+        write("".join([_OPEN + g6.replace("\\", "\\\\") + frags[f]
+                       for g6, f in zip(line_names, ids[rows, js].tolist())]))
+    return _group_summary(cfg.claim, width, reported, name)
 
 
 def sweep_reports(cfg: SweepConfig, write: Callable[[str], object]) -> SweepSummary:

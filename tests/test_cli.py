@@ -284,6 +284,32 @@ def test_count_chrom_override_size_guard(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == {"count": "24"}
 
 
+def _ladder(tmp_path, k):
+    """The 2 x k ladder, two k-paths joined rung by rung: 3k - 2 edges,
+    no simplicial vertex, and a deletion-contraction k - 1 steps deep."""
+    edges = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return _write_edgelist(tmp_path / f"ladder{k}.el", 2 * k, edges + [(i, k + i) for i in range(k)])
+
+
+@pytest.mark.parametrize("argv", [["poly"], ["count", "chrom", "--q", "3"]])
+def test_chrom_too_deep_for_recursion_is_refused(argv, tmp_path, capsys):
+    # 1,798 edges, admitted by the override, used to crash with exit 3
+    ladder = _ladder(tmp_path, 600)
+    start = time.perf_counter()
+    assert cli.main([*argv, "--graph", ladder, "--override-size-guard"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("homverify: chrom_poly guard: deletion-contraction ")
+    assert err.endswith(" steps deep reached the recursion limit\n") and err.count("\n") == 1
+
+
+def test_chrom_ladder_within_recursion_limit(tmp_path, capsys):
+    # the 2 x 300 ladder nests 299 steps deep and still counts
+    argv = ["count", "chrom", "--graph", _ladder(tmp_path, 300), "--q", "3"]
+    assert cli.main([*argv, "--override-size-guard"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": str(6 * 3 ** 299)}
+
+
 def test_count_hom_kq_guard_before_building(capsys):
     # p4 into K_q, q = 10^9: exit 2 before building K_q's q^2 entries
     argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target", f"k{10 ** 9}"]

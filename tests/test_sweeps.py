@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from homverify import cli, sweeps
-from homverify.classes import iter_edge_sets
+from homverify.classes import class_table, iter_edge_sets
 from homverify.graphs import (
     Graph,
     TargetGraph,
@@ -125,6 +125,31 @@ def test_report_stream_matches_reference(claim, kw):
     ref_text, ref_summary = _reference_stream(cfg)
     assert text == ref_text
     assert summary.to_json_dict() == ref_summary.to_json_dict()
+
+
+@pytest.mark.parametrize("claim,kw", [
+    ("eq_ind", {}), ("eq_wr", {}), ("wr_lemma", {}), ("eq_col", {"qs": (2, 3)}),
+])
+def test_report_mode_checks_each_pair_key_once(monkeypatch, claim, kw):
+    # a pair claim's group key is class ids, the same in every pair's slot,
+    # so report mode runs the checker once per (n, q index, key)
+    calls = []
+    for name in ("check_edge_ratio", "check_wr_lemma"):
+        def counted(*args, _check=getattr(sweeps, name), **kwargs):
+            calls.append(args)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(sweeps, name, counted)
+    cfg = SweepConfig(claim, 5, **kw)
+    sweep_reports(cfg, lambda text: None)
+    keys = set()
+    for n in range(1, 6):
+        t = class_table(n)
+        for rows, margins in sweeps._slot_groups(t, sweeps.CLAIMS[claim].slots(t, cfg)):
+            keys |= {(n, i, key) for i, ms in enumerate(margins)
+                     for (key, _, _), margin in zip(rows, ms) if margin is not sweeps._NO_REPORT}
+    assert len(calls) == len(keys)
+    if claim == "eq_wr":
+        assert len(calls) == 92
 
 
 def test_summaries_start_no_process(monkeypatch):

@@ -17,12 +17,13 @@ a group differ only in the graph6 name:
   values (ind, wr or chromatic counts, or a class-level checker run on
   the representative), weighted by the group's size.  The checker runs
   only to name the instances the summary keeps;
-* report mode runs the checker once per group and q and renders its
-  report once; every line is that fragment behind the graph's name, all
-  names coming from one vectorised graph6 pass per chunk of masks.  For
-  the pair claims it runs the checker once per key and q in a table: a
-  key is class ids, the same in every pair's slot, so one report serves
-  every pair with that key once its instance names the slot's pair.
+* report mode renders each group's report once, as a fragment; every
+  line is that fragment behind the graph's name, all names coming from
+  one vectorised graph6 pass per chunk of masks.  The checker runs once
+  per group and q for the class-level claims, and once per key and q in
+  a table for the pair claims: a key is class ids, the same in every
+  pair's slot, so one report serves every pair slot with that key once
+  its instance names the slot's pair.
 
 The test suite checks both modes against the per-labelled-graph checkers.
 Only the oracle sweep starts workers: they receive batches of edge masks,

@@ -498,12 +498,9 @@ def _chrom_branch(masks: list[int], live: int, memo: dict) -> list[int]:
 def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     """Exact chromatic polynomial: simplicial vertices go first
     (_simplicial), then deletion-contraction (_chrom_branch) on the rest,
-    relabelled in _search_order.  Memoization is local to the call.
-
-    The deletion-contraction recurses once per step.  A graph whose steps
-    nest past the interpreter's recursion limit (the 2 x 600 ladder,
-    admitted with override_guard, nests 599 deep) is refused as a
-    SizeGuardError naming the depth reached, rather than crashing."""
+    relabelled in _search_order.  Memoization is local to the call.  The
+    deletion-contraction recurses once per step; steps nested past the
+    recursion limit (599 on the 2 x 600 ladder) raise SizeGuardError."""
     if g.m > CHROM_POLY_EDGE_GUARD and not override_guard:
         raise SizeGuardError(f"chrom_poly guard: {g.m} edges")
     masks = list(g.neighbor_masks)

@@ -562,23 +562,23 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
     skip = 1 + -(-len(t.pairs) // 6)  # length of a graph6 name on n vertices
     rename = np.array([s.bit if s.rename else 0 for s in slots], dtype=np.int64)
     # per (q index, key) of the pair slots, and per (q index, key, slot)
-    # of the class slots: the report, the pair it names, its margin and
-    # its JSON after the instance string
+    # of the others: the instance after the graph6 name, the pair it names,
+    # the margin and the JSON after the instance string
     done = {}
 
-    def source(s, i, key, m):
+    def render(s, i, key, m):
+        # checks mask m at q index i if its key has no report yet, and
+        # puts slot s's pair into the instance
         slot = slots[s]
         at = (i, key) if slot.pair else (i, key, s)
         if at not in done:
             r = slot.report(m, i)
-            done[at] = (r, slot.pair, _margin(r),
+            done[at] = (r.instance[skip:], slot.pair, _margin(r),
                         json.dumps({**r.to_json_dict(), "instance": ""})[len(_OPEN):])
-        return done[at]
-
-    def suffix(s, r, pair):
-        # the instance after the graph6 name, naming slot s's pair
-        tail, new = r.instance[skip:], slots[s].pair
-        return tail if pair == new else tail.replace("(%d,%d)" % pair, "(%d,%d)" % new, 1)
+        tail, pair, margin, rest = done[at]
+        if pair != slot.pair:
+            tail = tail.replace("(%d,%d)" % pair, "(%d,%d)" % slot.pair, 1)
+        return tail, margin, rest
 
     # per slot and q index: the fragment and the report margin of each group
     frag_ids = [np.full((len(rows), nq), -1, dtype=np.int64) for rows, _ in grouped]
@@ -586,18 +586,17 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
     frags = []
     for rank, pos, g in found:
         i, s = divmod(pos, width)
-        r, pair, margin, rest = source(s, i, grouped[s][0][g][0], int(t.order[rank]))
+        tail, margin, rest = render(s, i, grouped[s][0][g][0], int(t.order[rank]))
         frag_ids[s][g, i] = len(frags)
         reported[s][1][i][g] = margin
-        frags.append(json.dumps(suffix(s, r, pair))[1:-1] + rest + "\n")
+        frags.append(json.dumps(tail)[1:-1] + rest + "\n")
 
     def name(key):
         rank, pos = key
         i, s = divmod(pos, width)
         m = t.order[rank:rank + 1]
         k = t.cls[m] if slots[s].keys is None else slots[s].keys(m)
-        r, pair, _, _ = source(s, i, int(k[0]), int(m[0]))
-        return graph6_names(t.n, m ^ rename[s])[0] + suffix(s, r, pair)
+        return graph6_names(t.n, m ^ rename[s])[0] + render(s, i, int(k[0]), int(m[0]))[0]
 
     keys = [np.array([key for key, _, _ in rows], dtype=np.int64) for rows, _ in grouped]
     flip = np.tile(rename, nq)

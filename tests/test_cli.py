@@ -293,7 +293,8 @@ def _ladder(tmp_path, k):
 
 @pytest.mark.parametrize("argv", [["poly"], ["count", "chrom", "--q", "3"]])
 def test_chrom_too_deep_for_recursion_is_refused(argv, tmp_path, capsys):
-    # 1,798 edges, admitted by the override, used to crash with exit 3
+    # 1,798 edges, admitted by the override; the deletion-contraction
+    # nests 599 steps deep, past the recursion limit
     ladder = _ladder(tmp_path, 600)
     start = time.perf_counter()
     assert cli.main([*argv, "--graph", ladder, "--override-size-guard"]) == 2

@@ -178,28 +178,27 @@ class _Out:
 
 def _run_count(args, out: _Out) -> int:
     g = _load_graph(args.graph, args.format)
-    kw = {"override_guard": True} if args.override_size_guard else {}
     if args.what == "hom":
         if not args.target:
             raise UsageError("count hom needs --target")
         kq = _KQ.match(args.target)
         if kq and not args.override_size_guard:
             check_hom_guard(g.n, int(kq.group(1)))  # before K_q's q^2 entries
-        val = hom_count(g, _load_target(args.target, args.override_size_guard), **kw)
+        val = hom_count(g, _load_target(args.target, args.override_size_guard),
+                        override_guard=args.override_size_guard)
     elif args.what == "chrom":
-        val = chrom_eval(g, _need_q(args), **kw)
+        val = chrom_eval(g, _need_q(args), override_guard=args.override_size_guard)
     elif args.what == "ind":
-        val = ind_count(g, **kw)
+        val = ind_count(g, override_guard=args.override_size_guard)
     else:
-        val = wr_count(g, **kw)
+        val = wr_count(g, override_guard=args.override_size_guard)
     out.line({"count": _fmt_count(val)})
     return 0
 
 
 def _run_poly(args, out: _Out) -> int:
     g = _load_graph(args.graph, args.format)
-    kw = {"override_guard": True} if args.override_size_guard else {}
-    out.line({"coeffs": chrom_poly(g, **kw).to_coeff_strings()})
+    out.line({"coeffs": chrom_poly(g, override_guard=args.override_size_guard).to_coeff_strings()})
     return 0
 
 

@@ -24,9 +24,9 @@ The chromatic polynomial works on neighbour masks.  A simplicial vertex,
 one whose neighbours form a clique, contributes a factor (q - d) for its d
 neighbours and is removed (Read 1968); that alone takes forests and chordal
 graphs apart.  What remains is relabelled by maximum cardinality search and
-deleted and contracted from its lowest vertex, memoised per call on the
-masks (Haggard, Pearce & Royle 2010), with a closed form for unions of
-cycles.  The independent-set count branches on whole graphs below
+deleted and contracted from its lowest vertex on an explicit stack, memoised
+per call on the masks (Haggard, Pearce & Royle 2010), with a closed form for
+unions of cycles.  The independent-set count branches on whole graphs below
 FOREST_MIN_VERTICES vertices and per component above.
 """
 
@@ -451,56 +451,63 @@ def _search_order(masks: list[int], live: int) -> list[int]:
     return order
 
 
-def _chrom_masks(masks: list[int], live: int, seeds: list[int], memo: dict) -> list[int]:
+def _chrom_stack(masks: list[int], live: int) -> list[int]:
     """Chromatic polynomial of the graph induced on the vertex mask live,
-    masks[v] being v's live neighbours (the list is taken over), in which
-    only the vertices in seeds may be simplicial.  Memoised on (live,
-    masks) once the simplicial vertices are gone."""
-    factors: list[int] = []
-    live = _simplicial(masks, live, seeds, factors)
-    poly = [1]
-    if live:
-        key = (live, tuple(masks))
-        poly = memo.get(key)
-        if poly is None:
-            poly = memo[key] = _chrom_branch(masks, live, memo)
-    return _times_roots(poly, factors)
-
-
-def _chrom_branch(masks: list[int], live: int, memo: dict) -> list[int]:
-    """_chrom_masks of a graph with no simplicial vertex, so every degree
-    is at least 2.  All degrees 2 is a union of cycles.  Otherwise
-    P(G) = P(G - uv) - P(G / uv) on the edge from v, the lowest live
-    vertex, to its highest neighbour u; G / uv merges v into u, so each
-    branch works v off before it reaches a higher vertex."""
-    if all(masks[w].bit_count() == 2 for w in mask_vertices(live)):
-        poly = [1]
-        for comp in mask_components(masks, live):
-            poly = _pmul(poly, _cycle_poly(comp.bit_count()))
-        return poly
-    bv = live & -live
-    v = bv.bit_length() - 1
-    nv = masks[v]
-    u = nv.bit_length() - 1
-    bu = 1 << u
-    deleted = list(masks)
-    deleted[v] ^= bu
-    deleted[u] ^= bv
-    nv ^= bu
-    for w in mask_vertices(nv):
-        masks[w] = masks[w] & ~bv | bu
-    masks[u] = (masks[u] | nv) & ~bv
-    masks[v] = 0
-    return _psub(_chrom_masks(deleted, live, [u, v], memo),
-                 _chrom_masks(masks, live ^ bv, [u, *mask_vertices(nv)], memo))
+    masks[v] being v's live neighbours, by deletion-contraction on a stack.
+    A task (masks, live, seeds), where only seeds may be simplicial, removes
+    the simplicial vertices, then answers from the memo on (live, masks) or
+    the closed form for a union of cycles, or splits on the edge from v, the
+    lowest live vertex, to its highest neighbour u (G / uv merges v into u)
+    and pushes a task (key, factors) that pops P(G / uv) and P(G - uv)."""
+    memo: dict = {}
+    done: list[list[int]] = []
+    todo: list[tuple] = [(masks, live, [])]
+    while todo:
+        task = todo.pop()
+        if len(task) == 2:
+            key, factors = task
+            contracted = done.pop()
+            poly = memo[key] = _psub(done.pop(), contracted)
+        else:
+            masks, live, seeds = task
+            factors = []
+            live = _simplicial(masks, live, seeds, factors)
+            key = (live, tuple(masks))
+            poly = memo.get(key) if live else [1]
+            if poly is None:
+                rest = live  # every degree is at least 2; stop at one that is not 2
+                while rest and masks[(rest & -rest).bit_length() - 1].bit_count() == 2:
+                    rest &= rest - 1
+                if not rest:
+                    poly = [1]
+                    for comp in mask_components(masks, live):
+                        poly = _pmul(poly, _cycle_poly(comp.bit_count()))
+                    memo[key] = poly
+            if poly is None:
+                bv = live & -live
+                v = bv.bit_length() - 1
+                nv = masks[v]
+                u = nv.bit_length() - 1
+                bu = 1 << u
+                deleted = list(masks)
+                deleted[v] ^= bu
+                deleted[u] ^= bv
+                nv ^= bu
+                for w in mask_vertices(nv):
+                    masks[w] = masks[w] & ~bv | bu
+                masks[u] = (masks[u] | nv) & ~bv
+                masks[v] = 0
+                todo += [(key, factors), (masks, live ^ bv, [u, *mask_vertices(nv)]),
+                         (deleted, live, [u, v])]  # popped first, as in a recursion
+                continue
+        done.append(_times_roots(poly, factors))
+    return done.pop()
 
 
 def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     """Exact chromatic polynomial: simplicial vertices go first
-    (_simplicial), then deletion-contraction (_chrom_branch) on the rest,
-    relabelled in _search_order.  Memoization is local to the call.  The
-    deletion-contraction recurses once per step; steps nested past the
-    recursion limit (599 on the 2 x 600 ladder) raise SizeGuardError."""
+    (_simplicial), then deletion-contraction (_chrom_stack) on the rest,
+    relabelled in _search_order.  Memoization is local to the call."""
     if g.m > CHROM_POLY_EDGE_GUARD and not override_guard:
         raise SizeGuardError(f"chrom_poly guard: {g.m} edges")
     masks = list(g.neighbor_masks)
@@ -510,16 +517,8 @@ def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     if live:
         order = _search_order(masks, live)
         pos = {v: i for i, v in enumerate(order)}
-        try:
-            poly = _chrom_branch([sum(1 << pos[w] for w in mask_vertices(masks[v]))
-                                  for v in order], (1 << len(order)) - 1, {})
-        except RecursionError as exc:
-            tb, depth = exc.__traceback__, 0
-            while tb is not None:
-                depth += tb.tb_frame.f_code is _chrom_branch.__code__
-                tb = tb.tb_next
-            raise SizeGuardError(f"chrom_poly guard: deletion-contraction {depth} steps deep "
-                                 "reached the recursion limit") from None
+        poly = _chrom_stack([sum(1 << pos[w] for w in mask_vertices(masks[v])) for v in order],
+                            (1 << len(order)) - 1)
     return ChromPoly(tuple(_times_roots(poly, factors)))
 
 

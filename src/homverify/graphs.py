@@ -11,6 +11,7 @@ operations may run concurrently on shared inputs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -431,7 +432,9 @@ def parse_target(text: str) -> TargetGraph:
             raise ParseError(f"line {lineno}: expected {k} entries, got {len(parts)}")
         row = []
         for tok in parts:
-            try:
+            try:  # integers and p/q only: Fraction would also take 1e30000000
+                if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", tok):
+                    raise ValueError(tok)
                 row.append(Fraction(tok))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"line {lineno}: bad rational {tok!r}") from None
@@ -569,8 +572,9 @@ def _find_even_cycle(masks: Sequence[int], alive: int, max_len: int) -> Optional
     `alive`, then the lexicographically least traversal from its least
     vertex s: the first cycle met by a depth-first walk without recursion
     that takes ascending choices, one choice iterator per depth, among the
-    vertices above s that are `free` (not on the path)."""
-    for t in range(4, max_len + 1, 2):
+    vertices above s that are `free` (not on the path).  No length past
+    the number of vertices in `alive` is tried."""
+    for t in range(4, min(max_len, alive.bit_count()) + 1, 2):
         for s in mask_vertices(alive):
             path = [s] * t
             free = alive & -(2 << s)

@@ -292,16 +292,17 @@ def _ladder(tmp_path, k):
 
 
 @pytest.mark.parametrize("argv", [["poly"], ["count", "chrom", "--q", "3"]])
-def test_chrom_too_deep_for_recursion_is_refused(argv, tmp_path, capsys):
-    # 1,798 edges, admitted by the override; the deletion-contraction
-    # nests 599 steps deep, past the recursion limit
+def test_chrom_deep_ladder_counts(argv, tmp_path, capsys):
+    # 1,798 edges, admitted by the override; the deletion-contraction runs
+    # 599 steps deep, past the recursion limit had it recursed
     ladder = _ladder(tmp_path, 600)
     start = time.perf_counter()
-    assert cli.main([*argv, "--graph", ladder, "--override-size-guard"]) == 2
-    assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith("homverify: chrom_poly guard: deletion-contraction ")
-    assert err.endswith(" steps deep reached the recursion limit\n") and err.count("\n") == 1
+    assert cli.main([*argv, "--graph", ladder, "--override-size-guard"]) == 0
+    assert time.perf_counter() - start < 10.0
+    out = json.loads(capsys.readouterr().out)
+    count = sum(int(c) * 3 ** i for i, c in enumerate(out["coeffs"])) if "coeffs" in out \
+        else int(out["count"])
+    assert count == 6 * 3 ** 599
 
 
 def test_chrom_ladder_within_recursion_limit(tmp_path, capsys):
@@ -309,6 +310,19 @@ def test_chrom_ladder_within_recursion_limit(tmp_path, capsys):
     argv = ["count", "chrom", "--graph", _ladder(tmp_path, 300), "--q", "3"]
     assert cli.main([*argv, "--override-size-guard"]) == 0
     assert json.loads(capsys.readouterr().out) == {"count": str(6 * 3 ** 299)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cor1_2", "--graph", str(DATA / "p4.el"), "--q", "2", "--ell", "100000"],
+    ["sweep", "--claim", "cor1_2", "--q", "3", "--ell", "10000000", "--max-n", "5", "--summary-only"],
+], ids=["verify", "sweep"])
+def test_cor1_2_huge_ell_is_quick(argv, capsys):
+    # no even cycle is longer than the graph, so no longer length is tried
+    start = time.perf_counter()
+    assert cli.main(argv) == 0
+    assert time.perf_counter() - start < 5.0
+    out = lines(capsys.readouterr().out)
+    assert out and all(x.get("verdict") == "holds" or x.get("violated") == 0 for x in out)
 
 
 def test_count_hom_kq_guard_before_building(capsys):

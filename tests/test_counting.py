@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -479,6 +480,25 @@ def test_chrom_poly_long_inputs_without_recursion():
     assert cyc.coeffs == tuple(want)
     assert cyc(7) == cycle_chrom_formula(3000, 7)
     assert chrom_poly(complete_graph(12), override_guard=True)(12) == math.factorial(12)
+
+
+def _near_recursion_limit(fn):
+    """fn() called from within 60 frames of the recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return fn() if depth >= sys.getrecursionlimit() - 60 else _near_recursion_limit(fn)
+
+
+def test_chrom_poly_ladder_from_deep_caller():
+    # the 2 x 300 ladder, 299 deletion-contraction steps deep, called from
+    # within 60 frames of the recursion limit
+    k = 300
+    ladder = Graph.from_edges(2 * k, [(i, i + 1) for i in range(k - 1)]
+                              + [(k + i, k + i + 1) for i in range(k - 1)]
+                              + [(i, k + i) for i in range(k)])
+    poly = _near_recursion_limit(lambda: chrom_poly(ladder, override_guard=True))
+    assert poly(3) == 6 * 3 ** (k - 1)
 
 
 def _dense_graph(seed: int) -> Graph:

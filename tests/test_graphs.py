@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import pickle
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,8 +185,12 @@ def test_parse_target_roundtrip():
     assert parse_target(to_target_text(t)) == t
     with pytest.raises(ParseError, match="asymmetric"):
         parse_target("2\n0 1\n0 0\n")
-    with pytest.raises(ParseError, match="bad rational"):
-        parse_target("1\nx\n")
+    for tok in ("x", "1e30000000", "1.5", "1_000", "1/-2", "1/0", "+-1", "1/2/3"):
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_target(f"1\n{tok}\n")
+    assert parse_target("1\n+3/2\n").w[0][0] == Fraction(3, 2)
+    with pytest.raises(ParseError, match="negative"):
+        parse_target("1\n-1/2\n")
     with pytest.raises(ValueError, match="negative"):
         TargetGraph.from_rows([[-1]])
 
@@ -372,6 +377,8 @@ def test_packing_properties(g):
         for u, v in cycle_edges(cyc):
             assert g.has_edge(u, v)
         assert len(set(cyc)) == len(cyc)
+    # no even cycle on at most 7 vertices is longer than 6
+    assert greedy_cycle_packing(g, 10 ** 7) == greedy_cycle_packing(g, 8)
 
 
 def test_girth():

@@ -11,7 +11,6 @@ from .graphs import (
     complete_graph,
     complete_target,
     connected_components,
-    contract_edge,
     cube_graph,
     cycle_graph,
     empty_graph,
@@ -22,7 +21,6 @@ from .graphs import (
     parse_graph,
     parse_target,
     path_graph,
-    spanning_tree,
     to_edgelist,
     to_graph6,
     widom_rowlinson_target,

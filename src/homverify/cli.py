@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -92,7 +93,7 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("sweep", help="exhaustive sweep over labeled graphs")
     c.add_argument("--claim", required=True,
-                   choices=tuple(name for name, claim in CLAIMS.items() if claim.sweep))
+                   choices=tuple(name for name, claim in CLAIMS.items() if claim.slots))
     c.add_argument("--max-n", type=int, required=True)
     c.add_argument("--q", type=int, action="append",
                    help="color count; repeat for several")
@@ -142,8 +143,10 @@ def _load_target(token: str, override_guard: bool = False) -> TargetGraph:
 
 
 def _fmt_count(x) -> str:
+    # through Decimal, which prints integers past Python's int-to-str digit limit
     f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num = str(Decimal(f.numerator))
+    return num if f.denominator == 1 else f"{num}/{Decimal(f.denominator)}"
 
 
 def _parse_edge(s: Optional[str]) -> tuple[int, int]:
@@ -198,7 +201,8 @@ def _run_count(args, out: _Out) -> int:
 
 def _run_poly(args, out: _Out) -> int:
     g = _load_graph(args.graph, args.format)
-    out.line({"coeffs": chrom_poly(g, override_guard=args.override_size_guard).to_coeff_strings()})
+    poly = chrom_poly(g, override_guard=args.override_size_guard)
+    out.line({"coeffs": [_fmt_count(a) for a in poly.coeffs]})
     return 0
 
 

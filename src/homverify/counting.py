@@ -6,7 +6,7 @@ spectral helpers, which feed advisory bounds, never verdicts.
 
 Routes are deliberately redundant: the generic homomorphism counter, the
 chromatic polynomial via deletion-contraction, the independent-set
-branching recursion and the Widom-Rowlinson red-set sum are
+branching and the Widom-Rowlinson red-set sum are
 four independent algorithms whose pairwise agreement is enforced by the
 test suite.
 
@@ -27,7 +27,7 @@ graphs apart.  What remains is relabelled by maximum cardinality search and
 deleted and contracted from its lowest vertex on an explicit stack, memoised
 per call on the masks (Haggard, Pearce & Royle 2010), with a closed form for
 unions of cycles.  The independent-set count branches on whole graphs below
-FOREST_MIN_VERTICES vertices and per component above.
+FOREST_MIN_VERTICES vertices and per component above, on an explicit stack.
 """
 
 from __future__ import annotations
@@ -351,9 +351,6 @@ class ChromPoly:
             acc = acc * q + a
         return acc
 
-    def to_coeff_strings(self) -> list[str]:
-        return [str(a) for a in self.coeffs]
-
 
 def _pmul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
@@ -576,29 +573,37 @@ def _ind_small(nbr: tuple[int, ...], alive: int) -> int:
 
 
 def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
-    """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex.  Fewer than
-    FOREST_MIN_VERTICES vertices go to _ind_small.  With fewer edges than
-    vertices, _ind_forest is tried first, so a forest (a matching among
-    them) needs no branch and a path or a cycle at most one."""
-    v = alive.bit_count()
-    if v < FOREST_MIN_VERTICES:
-        return _ind_small(nbr, alive)
-    best = bestd = degs = 0
-    m = alive
-    while m:
-        b = m & -m
-        m ^= b
-        d = (nbr[b.bit_length() - 1] & alive).bit_count()
-        degs += d
-        if d > bestd:
-            bestd = d
-            best = b.bit_length() - 1
-    if degs < 2 * v:
-        forest = _ind_forest(nbr, alive)
-        if forest:
-            return forest
-    b = 1 << best
-    return _ind_branch(nbr, alive ^ b) + _ind_branch(nbr, alive & ~(nbr[best] | b))
+    """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex, as a sum
+    over an explicit stack of vertex masks, so no input recurses.  Fewer
+    than FOREST_MIN_VERTICES vertices go to _ind_small.  With fewer edges
+    than vertices, _ind_forest is tried first, so a forest (a matching
+    among them) needs no branch and a path or a cycle at most one."""
+    total = 0
+    stack = [alive]
+    while stack:
+        alive = stack.pop()
+        v = alive.bit_count()
+        if v < FOREST_MIN_VERTICES:
+            total += _ind_small(nbr, alive)
+            continue
+        best = bestd = degs = 0
+        m = alive
+        while m:
+            b = m & -m
+            m ^= b
+            d = (nbr[b.bit_length() - 1] & alive).bit_count()
+            degs += d
+            if d > bestd:
+                bestd = d
+                best = b.bit_length() - 1
+        if degs < 2 * v:
+            forest = _ind_forest(nbr, alive)
+            if forest:
+                total += forest
+                continue
+        b = 1 << best
+        stack += (alive ^ b, alive & ~(nbr[best] | b))
+    return total
 
 
 def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,

@@ -235,11 +235,6 @@ def cube_graph() -> Graph:
     return Graph.from_edges(8, edges)
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    shifted = [(u + g.n, v + g.n) for u, v in h.edges]
-    return Graph.from_edges(g.n + h.n, list(g.edges) + shifted)
-
-
 def complete_target(q: int) -> TargetGraph:
     """K_q as a 0/1 target (no loops); hom(H, K_q) counts proper q-colorings."""
     if q < 0:
@@ -538,33 +533,6 @@ def identify_vertices(g: Graph, u: int, v: int) -> Graph:
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertex pair ({u},{v}) out of range")
     return Graph(g.n - 1, frozenset(identified_edges(g.edges, min(u, v), max(u, v))))
-
-
-def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """Contraction G/e for the deletion-contraction recursion: endpoints are
-    identified into the smaller id, parallels merge, loops are discarded."""
-    e = _norm(*e)
-    if e not in g.edges:
-        raise ValueError(f"edge {e} not in graph")
-    return identify_vertices(g, e[0], e[1])
-
-
-def spanning_tree(g: Graph) -> Graph:
-    """BFS tree from vertex 0, neighbors visited in ascending order."""
-    if g.n == 0:
-        return g
-    masks = g.neighbor_masks
-    order, edges = [0], []
-    unseen = (1 << g.n) - 2
-    for u in order:  # the loop also visits what it appends
-        new = masks[u] & unseen
-        unseen ^= new
-        for v in mask_vertices(new):
-            order.append(v)
-            edges.append((u, v))
-    if unseen:
-        raise ValueError("graph is disconnected, no spanning tree")
-    return Graph.from_edges(g.n, edges)
 
 
 def _find_even_cycle(masks: Sequence[int], alive: int, max_len: int) -> Optional[tuple[int, ...]]:

@@ -1,8 +1,8 @@
 """Exhaustive sweeps over labeled small graphs, and the claim table.
 
 ``CLAIMS`` is the one list of claims: for each, the parameters it needs,
-its per-instance checks for ``homverify verify``, its sweep expansion and
-its slots.  The CLI and both sweep modes read it.
+its per-instance checks for ``homverify verify`` and its slots (for a
+class-level claim, from its sweep).  The CLI and both sweep modes read it.
 
 Both sweep modes run in-process over the isomorphism-class tables of
 classes.py, in one instance enumeration order.  A claim's slots are the
@@ -198,7 +198,7 @@ class SweepConfig:
 
     def validate(self) -> None:
         claim = CLAIMS.get(self.claim)
-        if claim is None or claim.sweep is None:
+        if claim is None or claim.slots is None:
             raise ValueError(f"unknown sweep claim {self.claim!r}")
         _check_max_n(self.max_n)
         claim.check(self.qs, self.target)
@@ -546,8 +546,9 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
     slots once per key and q, at the first group in stream order with that
     key; each group's report is rendered once, as the JSON after the
     graph6 name with the slot's pair put in, and every line is the
-    opening, the name and that fragment.  The summary names its kept
-    instances only when asked, from each group's first graph."""
+    opening, the name and that fragment.  The summary folds the groups'
+    margins, as summary mode does, and names its kept instances only when
+    asked, from each group's first graph."""
     slots = CLAIMS[cfg.claim].slots(t, cfg)
     grouped = list(_slot_groups(t, slots))
     width = len(slots)
@@ -562,8 +563,8 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
     skip = 1 + -(-len(t.pairs) // 6)  # length of a graph6 name on n vertices
     rename = np.array([s.bit if s.rename else 0 for s in slots], dtype=np.int64)
     # per (q index, key) of the pair slots, and per (q index, key, slot)
-    # of the others: the instance after the graph6 name, the pair it names,
-    # the margin and the JSON after the instance string
+    # of the others: the instance after the graph6 name, the pair it names
+    # and the JSON after the instance string
     done = {}
 
     def render(s, i, key, m):
@@ -573,22 +574,20 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
         at = (i, key) if slot.pair else (i, key, s)
         if at not in done:
             r = slot.report(m, i)
-            done[at] = (r.instance[skip:], slot.pair, _margin(r),
+            done[at] = (r.instance[skip:], slot.pair,
                         json.dumps({**r.to_json_dict(), "instance": ""})[len(_OPEN):])
-        tail, pair, margin, rest = done[at]
+        tail, pair, rest = done[at]
         if pair != slot.pair:
             tail = tail.replace("(%d,%d)" % pair, "(%d,%d)" % slot.pair, 1)
-        return tail, margin, rest
+        return tail, rest
 
-    # per slot and q index: the fragment and the report margin of each group
+    # per slot and q index: the fragment of each group
     frag_ids = [np.full((len(rows), nq), -1, dtype=np.int64) for rows, _ in grouped]
-    reported = [(rows, [[_NO_REPORT] * len(rows) for _ in range(nq)]) for rows, _ in grouped]
     frags = []
     for rank, pos, g in found:
         i, s = divmod(pos, width)
-        tail, margin, rest = render(s, i, grouped[s][0][g][0], int(t.order[rank]))
+        tail, rest = render(s, i, grouped[s][0][g][0], int(t.order[rank]))
         frag_ids[s][g, i] = len(frags)
-        reported[s][1][i][g] = margin
         frags.append(json.dumps(tail)[1:-1] + rest + "\n")
 
     def name(key):
@@ -614,7 +613,7 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
         line_names = graph6_names(t.n, m[rows] ^ flip[js])
         write("".join([_OPEN + g6.replace("\\", "\\\\") + frags[f]
                        for g6, f in zip(line_names, ids[rows, js].tolist())]))
-    return _group_summary(cfg.claim, width, reported, name)
+    return _group_summary(cfg.claim, width, grouped, name)
 
 
 def sweep_reports(cfg: SweepConfig, write: Callable[[str], object]) -> SweepSummary:
@@ -637,13 +636,13 @@ class Claim:
     """One named claim and everything that runs it.
 
     verify(g, p) builds the reports of `homverify verify` for one graph,
-    with p carrying q, edge, target and ell.  sweep(g, cfg) applies the
-    sweep filter and builds the reports of every instance of one labelled
-    graph; None marks a verify-only claim.  slots(t, cfg) lists the
+    with p carrying q, edge, target and ell.  slots(t, cfg) lists the
     claim's slots (_Slot) on one class table t, the one definition of its
     instance groups: summary mode folds their margins and report mode
-    renders their checker reports.  By default slot i is report i of the
-    sweep on each class representative.
+    renders their checker reports; None marks a verify-only claim.  By
+    default slot i is report i of sweep(g, cfg), the sweep filter and the
+    reports of a class-level claim on one graph, run on each class
+    representative.
     Entries call the checkers through this module's globals at call time,
     so a wrapper installed on those names (perfbench's tracer) sees every
     call."""
@@ -651,7 +650,7 @@ class Claim:
     name: str
     verify: Callable
     sweep: Optional[Callable] = None
-    slots: Callable = _sweep_slots
+    slots: Optional[Callable] = _sweep_slots
     q_min: Optional[int] = None  # None: the claim takes no q
     edge: bool = False
     target: bool = False
@@ -669,19 +668,6 @@ class Claim:
             raise ValueError(f"claim {self.name} needs a target")
 
 
-def _sweep_thm1_1(g: Graph, cfg: SweepConfig) -> list[Report]:
-    if not g.is_connected() or bipartition(g) is None:
-        return []
-    return [r for q in cfg.qs for r in check_correlation_coloring(g, q)]
-
-
-def _sweep_eq_col(g: Graph, cfg: SweepConfig) -> list[Report]:
-    if bipartition(g) is None:
-        return []
-    return [check_edge_ratio(g.delete_edge(*e), "coloring", e, q)
-            for q in cfg.qs for e in g.sorted_edges]
-
-
 def _sweep_cor1_2(g: Graph, cfg: SweepConfig) -> list[Report]:
     if bipartition(g) is None:
         return []
@@ -697,25 +683,22 @@ def _sweep_balanced(g: Graph, cfg: SweepConfig) -> list[Report]:
 CLAIMS = {c.name: c for c in (
     Claim("thm1_1", q_min=1,
           verify=lambda g, p: check_correlation_coloring(g, p.q),
-          sweep=_sweep_thm1_1, slots=_slots_thm1_1),
+          slots=_slots_thm1_1),
     Claim("eq_col", q_min=1, edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "coloring", p.edge, p.q)],
-          sweep=_sweep_eq_col, slots=_slots_eq_col),
+          slots=_slots_eq_col),
     Claim("eq_ind", edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "independent", p.edge)],
-          sweep=lambda g, cfg: [check_edge_ratio(g, "independent", e) for e in g.sorted_edges],
           slots=lambda t, cfg: _edge_slots(
               t, [(t.values("ind", ind_count), 3, 4)],
               lambda g, e, i: check_edge_ratio(g, "independent", e))),
     Claim("eq_wr", edge=True,
           verify=lambda g, p: [check_edge_ratio(g, "wr", p.edge)],
-          sweep=lambda g, cfg: [check_edge_ratio(g, "wr", e) for e in g.sorted_edges],
           slots=lambda t, cfg: _edge_slots(
               t, [(t.values("wr", wr_count), 7, 9)],
               lambda g, e, i: check_edge_ratio(g, "wr", e))),
     Claim("wr_lemma", edge=True,
           verify=lambda g, p: [check_wr_lemma(g, p.edge)],
-          sweep=lambda g, cfg: [check_wr_lemma(g, e) for e in g.sorted_edges],
           slots=_slots_wr_lemma),
     Claim("sidorenko", target=True,
           verify=lambda g, p: [check_sidorenko_bound(g, p.target)],
@@ -730,7 +713,7 @@ CLAIMS = {c.name: c for c in (
     Claim("cor1_6",
           verify=lambda g, p: [check_connected_wr_bound(g)],
           sweep=lambda g, cfg: [check_connected_wr_bound(g)] if g.is_connected() else []),
-    Claim("remark2_2", q_min=1,
+    Claim("remark2_2", q_min=1, slots=None,
           verify=lambda g, p: [check_free_energy_envelope(g, p.q)]),
     Claim("balanced", q_min=1,
           verify=lambda g, p: [check_balanced_bipartite_bound(g, p.q)],

@@ -3,11 +3,14 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from homverify import cli, counting
+from homverify.sweeps import CLAIMS
 
 DATA = Path(__file__).parent / "data"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -273,6 +276,27 @@ def test_count_ind_override_long_path_and_cycle(cycle, tmp_path):
     assert json.loads(r.stdout) == {"count": str(want)}
 
 
+def test_count_ind_prints_past_int_digit_limit(tmp_path, capsys):
+    # i(P_25000) = F_25002 has 5,225 digits, past Python's 4,300-digit
+    # int-to-str limit; the text is read as a Decimal, because int() on it
+    # hits the same limit
+    n = 25000
+    path = _write_edgelist(tmp_path / "p.el", n, [(i, i + 1) for i in range(n - 1)])
+    assert cli.main(["count", "ind", "--graph", path, "--override-size-guard"]) == 0
+    text = json.loads(capsys.readouterr().out)["count"]
+    a, b = 0, 1  # F_0, F_1
+    for _ in range(n + 2):
+        a, b = b, a + b
+    assert len(text) == 5225 and Decimal(text) == a
+
+
+def test_fmt_count_past_int_digit_limit():
+    # poly prints its coefficients through the same helper as count
+    big = 10 ** 5000
+    assert cli._fmt_count(-big) == "-1" + "0" * 5000
+    assert cli._fmt_count(Fraction(big + 1, 3 * big)) == "1" + "0" * 4999 + "1/3" + "0" * 5000
+
+
 def test_count_chrom_override_size_guard(monkeypatch, capsys):
     # p4 has 3 edges on 4 vertices: past both lowered guards
     monkeypatch.setattr(counting, "CHROM_POLY_EDGE_GUARD", 1)
@@ -323,6 +347,17 @@ def test_cor1_2_huge_ell_is_quick(argv, capsys):
     assert time.perf_counter() - start < 5.0
     out = lines(capsys.readouterr().out)
     assert out and all(x.get("verdict") == "holds" or x.get("violated") == 0 for x in out)
+
+
+def test_sweep_claims_are_those_with_slots(capsys):
+    # remark2_2 is verify-only: it has no slots, so sweep refuses it
+    assert cli.main(["sweep", "--claim", "remark2_2", "--q", "3", "--max-n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "remark2_2" in err
+    sweep = cli.build_parser()._subparsers._group_actions[0].choices["sweep"]
+    claim = next(a for a in sweep._actions if a.dest == "claim")
+    assert set(claim.choices) == {name for name, c in CLAIMS.items() if c.slots} \
+        == set(CLAIMS) - {"remark2_2"}
 
 
 def test_count_hom_kq_guard_before_building(capsys):

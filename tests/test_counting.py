@@ -16,7 +16,6 @@ from homverify.graphs import (
     complete_graph,
     complete_target,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     hard_core_target,
     path_graph,
@@ -501,6 +500,13 @@ def test_chrom_poly_ladder_from_deep_caller():
     assert poly(3) == 6 * 3 ** (k - 1)
 
 
+def test_ind_count_clique_from_deep_caller():
+    # K_100 branches 93 times down its first-vertex side before fewer than
+    # FOREST_MIN_VERTICES vertices are left, called from within 60 frames
+    # of the recursion limit
+    assert _near_recursion_limit(lambda: ind_count(complete_graph(100), override_guard=True)) == 101
+
+
 def _dense_graph(seed: int) -> Graph:
     # 8-16 vertices and at most 40 edges, enough of them that the proper
     # 4-colourings stay few for hom_count's walk
@@ -676,13 +682,17 @@ def test_wr_exhaustive_small():
 _WR_SETS = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations((WR_A, WR_B, WR_C), r)]
 
 
+def _disjoint_union(g: Graph, h: Graph) -> Graph:
+    return Graph.from_edges(g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)])
+
+
 def _split_graphs() -> list[Graph]:
     # seeded 8-16 vertex graphs, every other one a union of two parts
     gs = []
     for seed in range(10):
         if seed % 2:
-            gs.append(disjoint_union(_random_graph(seed, 4, 8, 10),
-                                     _random_graph(seed + 50, 4, 8, 10)))
+            gs.append(_disjoint_union(_random_graph(seed, 4, 8, 10),
+                                      _random_graph(seed + 50, 4, 8, 10)))
         else:
             gs.append(_random_graph(seed, 12, 16, 20))
     assert sum(not g.is_connected() for g in gs) >= 5

@@ -18,9 +18,7 @@ from homverify.graphs import (
     complete_bipartite,
     complete_graph,
     connected_components,
-    contract_edge,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     girth,
     greedy_cycle_packing,
@@ -32,7 +30,6 @@ from homverify.graphs import (
     parse_graph6,
     parse_target,
     path_graph,
-    spanning_tree,
     to_edgelist,
     to_graph6,
     to_target_text,
@@ -226,26 +223,8 @@ def test_bipartition_or_odd_walk(g):
 
 
 # ---------------------------------------------------------------------------
-# Contraction / identification
+# Identification
 # ---------------------------------------------------------------------------
-
-def test_contract_examples():
-    assert contract_edge(path_graph(2), (0, 1)) == Graph(1, frozenset())
-    assert contract_edge(cycle_graph(4), (0, 1)) == Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert contract_edge(cycle_graph(3), (0, 1)) == path_graph(2)
-    with pytest.raises(ValueError):
-        contract_edge(path_graph(3), (0, 2))
-
-
-@given(graphs(min_n=2, max_n=7))
-@settings(max_examples=150, deadline=None)
-def test_contract_structure(g):
-    if not g.edges:
-        return
-    e = min(g.edges)
-    h = contract_edge(g, e)
-    assert h.n == g.n - 1  # loops/parallels impossible by the Graph type
-
 
 def test_identify_nonadjacent():
     p3 = path_graph(3)
@@ -256,7 +235,7 @@ def test_identify_nonadjacent():
 
 
 # ---------------------------------------------------------------------------
-# Components / spanning tree
+# Components
 # ---------------------------------------------------------------------------
 
 def test_components_examples():
@@ -295,36 +274,6 @@ def test_mask_components_match_union_find(g, data):
     assert lowest == sorted(lowest)
 
 
-# Exact outputs, not only valid ones: they pin the BFS visiting order
-# (ascending neighbours from vertex 0).
-C5_PENDANT = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-K33_PLUS = complete_bipartite(3, 3).add_edge(0, 1)
-
-
-def test_spanning_tree_examples():
-    t = path_graph(4)
-    assert spanning_tree(t) == t
-    assert spanning_tree(cycle_graph(4)).edges == frozenset({(0, 1), (0, 3), (1, 2)})
-    assert spanning_tree(complete_graph(4)).edges == frozenset({(0, 1), (0, 2), (0, 3)})
-    assert spanning_tree(C5_PENDANT).edges == frozenset({(0, 1), (1, 2), (1, 5), (2, 3), (4, 5)})
-    assert spanning_tree(K33_PLUS).edges == frozenset({(0, 1), (0, 3), (0, 4), (0, 5), (2, 3)})
-    assert spanning_tree(complete_bipartite(3, 3)).edges == \
-        frozenset({(0, 3), (0, 4), (0, 5), (1, 3), (2, 3)})
-    with pytest.raises(ValueError):
-        spanning_tree(Graph.from_edges(4, [(0, 1), (2, 3)]))
-
-
-@given(graphs(min_n=1, max_n=7))
-@settings(max_examples=150, deadline=None)
-def test_spanning_tree_properties(g):
-    if not g.is_connected():
-        return
-    t = spanning_tree(g)
-    assert t.m == g.n - 1
-    assert t.edges <= g.edges
-    assert t.is_connected()
-
-
 # ---------------------------------------------------------------------------
 # Cycle packing / girth
 # ---------------------------------------------------------------------------
@@ -355,10 +304,14 @@ def _max_even_cycle_packing(g, max_len):
     return best
 
 
+def _disjoint_union(g, h):
+    return Graph.from_edges(g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)])
+
+
 def test_packing_examples():
     assert greedy_cycle_packing(cycle_graph(4), 4) == [(0, 1, 2, 3)]
     assert greedy_cycle_packing(cycle_graph(3), 4) == []
-    two = disjoint_union(cycle_graph(4), cycle_graph(4))
+    two = _disjoint_union(cycle_graph(4), cycle_graph(4))
     pk = greedy_cycle_packing(two, 6)
     assert len(pk) == 2
     assert len({v for c in pk for v in c}) == 8
@@ -404,23 +357,20 @@ def test_girth_matches_brute_force(g):
     assert girth(g) == _brute_girth(g)
 
 
-STRUCTURE_DIGEST_N6 = "0a8104a83084929c2640cce19da6f9e1a68926f503603ab731ff2487b4c5681e"
+STRUCTURE_DIGEST_N6 = "3192ffd554a88e58a846cf32436b182c63d0e5555ee2906cbc1613da63b8e85d"
 
 
 def test_structure_pinned_exhaustive():
-    """girth, the spanning tree (or the disconnected error) and the greedy
-    packings at l = 4, 6, 8 of every labelled graph with n <= 6, one repr
-    line per graph in mask order, against a SHA-256 recorded with the
-    adjacency-list girth, BFS tree and recursive cycle search."""
+    """girth and the greedy packings at l = 4, 6, 8 of every labelled graph
+    with n <= 6, one repr line per graph in mask order, against a SHA-256
+    recorded before the spanning tree left the package (the earlier digest
+    also covered the tree, and was recorded with the adjacency-list girth,
+    BFS tree and recursive cycle search)."""
     h = hashlib.sha256()
     for n in range(7):
         for g in all_graphs(n):
-            try:
-                tree = sorted(spanning_tree(g).edges)
-            except ValueError:
-                tree = "disconnected"
             packs = [greedy_cycle_packing(g, ell) for ell in (4, 6, 8)]
-            h.update(f"{girth(g)!r} {tree!r} {packs!r}\n".encode())
+            h.update(f"{girth(g)!r} {packs!r}\n".encode())
     assert h.hexdigest() == STRUCTURE_DIGEST_N6
 
 

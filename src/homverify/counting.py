@@ -49,29 +49,23 @@ from .graphs import (
     WR_A,
     WR_B,
     WR_C,
-    complete_target,
     mask_components,
     mask_vertices,
 )
 
-HOM_GUARD_BITS = 64          # reject hom_count into a 0/1 target past n*log2(k) bits
+STEP_BUDGET = 1 << 22        # steps one counter call may take, unless overridden
 HOM_FACTOR_GUARD = 1 << 22   # reject a weighted count whose elimination sums more entries
 MAP_BITS = 1 << 12           # hom_count's map-bit route takes k**n up to this
-IND_GUARD_VERTICES = 40      # reject ind_count beyond this many vertices
-WR_GUARD_VERTICES = 24       # reject wr_count beyond this many (up to 2^n red sets)
-CHROM_POLY_EDGE_GUARD = 40   # reject chrom_poly beyond this many edges
 FOREST_MIN_VERTICES = 8      # ind_count branches on the lowest vertex below this many
 
 
 class SizeGuardError(ValueError):
-    """Instance exceeds the desk-scale size guard."""
+    """Instance exceeds the desk-scale size guard or step budget."""
 
 
-def check_hom_guard(n: int, k: int) -> None:
-    """hom_count's guard on n source vertices into k target vertices, which
-    callers that would build a large target can test before building it."""
-    if k > 1 and n * math.log2(k) > HOM_GUARD_BITS:
-        raise SizeGuardError(f"hom_count guard: {n} vertices into {k} targets")
+def _words(bits: int) -> int:
+    # steps per mask operation: an AND and popcount on 2^16 bits take ~130x 64 bits
+    return 1 + (bits >> 9)
 
 
 @dataclass(frozen=True)
@@ -124,15 +118,16 @@ def _hom_plan(masks: tuple[int, ...], comp: int) -> tuple[list[int], list[list[i
     return order, back
 
 
-def _hom_walk(back, choices, supp: tuple[int, ...]) -> int:
-    """Number of maps of one planned component into a 0/1 target with
-    support masks supp, by backtracking in plan order without recursion.
-    The candidates of depth p are the bits of choices[p] ANDed with the
-    support masks of the images of p's placed neighbours, so a dead end is
-    never entered; the last depth adds their popcount."""
+def _hom_walk(back, choices, supp: tuple[int, ...], left) -> tuple[int, float]:
+    """(maps, budget left) for one planned component into a 0/1 target with
+    support masks supp, backtracking in plan order without recursion.  The
+    candidates of depth p are the bits of choices[p] ANDed with the support
+    masks of the images of p's placed neighbours (a step each, and one
+    more), so no dead end is entered; the last depth adds their popcount."""
     last = len(back) - 1
     if not last or not choices[0]:
-        return choices[0].bit_count()
+        return choices[0].bit_count(), left
+    cost = [(len(b) + 1) * _words(len(supp)) for b in back]
     img = [0] * last          # support mask of the image at each depth
     cand = [choices[0]] + [0] * (last - 1)
     total = 0
@@ -142,6 +137,9 @@ def _hom_walk(back, choices, supp: tuple[int, ...]) -> int:
         rest = cand[p] = c & (c - 1)
         img[p] = supp[(c ^ rest).bit_length() - 1]
         nxt = p + 1
+        left -= cost[nxt]
+        if left < 0:
+            raise SizeGuardError(f"hom_count guard: more than {STEP_BUDGET} steps")
         m = choices[nxt]
         for q in back[nxt]:
             m &= img[q]
@@ -154,7 +152,7 @@ def _hom_walk(back, choices, supp: tuple[int, ...]) -> int:
             total += m.bit_count()
         while not cand[p]:
             if not p:
-                return total
+                return total, left
             p -= 1
 
 
@@ -283,13 +281,12 @@ def hom_count(
     target that is not 0/1, or has one vertex, goes to hom_batch as one
     matrix of Python ints, its entries scaled by D, the lcm of their
     denominators, so the count is total / D^m.  Any other 0/1 target is
-    guarded by n*log2(k), and _hom_walk walks each component of the source
-    on the support masks, with the allowed sets as one bitmask per
-    vertex."""
+    counted by _hom_walk on each component of the source, on the support
+    masks, with the allowed sets as one bitmask per vertex; the components
+    share one STEP_BUDGET unless the guard is overridden."""
     k = target.k
     n = g.n
     if 1 < k and k ** n <= MAP_BITS and target.is_simple:
-        # no guard test: k**n <= MAP_BITS keeps n*log2(k) far below it
         live, digit, edge = target.map_tables.get(n) or _map_tables(target, n)
         for e in g.edges:
             live &= edge[e]
@@ -298,8 +295,6 @@ def hom_count(
             for v, ts in constraint.allowed.items():
                 live &= _within(digit[v], sum(1 << t for t in ts))
         return Fraction(live.bit_count())
-    if not override_guard and target.is_simple:
-        check_hom_guard(n, k)
     c = constraint or EMPTY_CONSTRAINT
     c.validate(n, k)
 
@@ -311,10 +306,12 @@ def hom_count(
     full = (1 << k) - 1
     masks = g.neighbor_masks
     total = 1
+    left = math.inf if override_guard else STEP_BUDGET
     for comp in mask_components(masks, (1 << n) - 1):
         order, back = _hom_plan(masks, comp)
         choices = [allowed.get(v, full) for v in order] if allowed else [full] * len(order)
-        total *= _hom_walk(back, choices, target.support_masks)
+        part, left = _hom_walk(back, choices, target.support_masks, left)
+        total *= part
         if not total:
             return Fraction(0)
     return Fraction(total)
@@ -425,19 +422,24 @@ def _times_roots(poly: list[int], roots: list[int]) -> list[int]:
     return poly
 
 
-def _search_order(masks: list[int], live: int) -> list[int]:
-    """The live vertices by maximum cardinality search: each next vertex
-    has the most placed neighbours, ties to the fewest unplaced ones, then
-    the lowest id, so the placed vertices with unplaced neighbours stay
-    few.  Deletion-contraction that follows such an order meets the same
-    graph through many branches, and the memo holds it once."""
+def _search_order(masks: list[int], live: int, left) -> tuple[list[int], float]:
+    """(order, budget left): the live vertices by maximum cardinality
+    search, each next one with the most placed neighbours (a step per vertex
+    weighed), ties to the fewest unplaced ones, so that few placed vertices
+    keep unplaced neighbours, then to the lowest id.  Deletion-contraction
+    in such an order meets a graph through many branches; the memo holds it once."""
     order = []
     placed = near = 0
     rest = live
+    w = _words(live.bit_length())
     while rest:
         best = key = None
         # a vertex next to none placed never wins over one next to some
-        for v in mask_vertices(near & rest or rest):
+        scan = near & rest or rest
+        left -= scan.bit_count() * w
+        if left < 0:
+            raise SizeGuardError(f"chrom_poly guard: more than {STEP_BUDGET} steps")
+        for v in mask_vertices(scan):
             k = ((masks[v] & placed).bit_count(), -(masks[v] & rest).bit_count())
             if key is None or k > key:
                 best, key = v, k
@@ -445,10 +447,10 @@ def _search_order(masks: list[int], live: int) -> list[int]:
         placed |= 1 << best
         rest ^= 1 << best
         near |= masks[best]
-    return order
+    return order, left
 
 
-def _chrom_stack(masks: list[int], live: int) -> list[int]:
+def _chrom_stack(masks: list[int], live: int, left) -> list[int]:
     """Chromatic polynomial of the graph induced on the vertex mask live,
     masks[v] being v's live neighbours, by deletion-contraction on a stack.
     A task (masks, live, seeds), where only seeds may be simplicial, removes
@@ -459,6 +461,7 @@ def _chrom_stack(masks: list[int], live: int) -> list[int]:
     memo: dict = {}
     done: list[list[int]] = []
     todo: list[tuple] = [(masks, live, [])]
+    cost = len(masks) * _words(len(masks))  # a task copies and hashes every mask
     while todo:
         task = todo.pop()
         if len(task) == 2:
@@ -466,6 +469,9 @@ def _chrom_stack(masks: list[int], live: int) -> list[int]:
             contracted = done.pop()
             poly = memo[key] = _psub(done.pop(), contracted)
         else:
+            left -= cost
+            if left < 0:
+                raise SizeGuardError(f"chrom_poly guard: more than {STEP_BUDGET} steps")
             masks, live, seeds = task
             factors = []
             live = _simplicial(masks, live, seeds, factors)
@@ -504,33 +510,24 @@ def _chrom_stack(masks: list[int], live: int) -> list[int]:
 def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     """Exact chromatic polynomial: simplicial vertices go first
     (_simplicial), then deletion-contraction (_chrom_stack) on the rest,
-    relabelled in _search_order.  Memoization is local to the call."""
-    if g.m > CHROM_POLY_EDGE_GUARD and not override_guard:
-        raise SizeGuardError(f"chrom_poly guard: {g.m} edges")
+    relabelled in _search_order, under one STEP_BUDGET; memo per call."""
     masks = list(g.neighbor_masks)
     factors: list[int] = []
     live = _simplicial(masks, (1 << g.n) - 1, list(range(g.n)), factors)
     poly = [1]
     if live:
-        order = _search_order(masks, live)
+        order, left = _search_order(masks, live, math.inf if override_guard else STEP_BUDGET)
         pos = {v: i for i, v in enumerate(order)}
         poly = _chrom_stack([sum(1 << pos[w] for w in mask_vertices(masks[v])) for v in order],
-                            (1 << len(order)) - 1)
+                            (1 << len(order)) - 1, left)
     return ChromPoly(tuple(_times_roots(poly, factors)))
 
 
 def chrom_eval(g: Graph, q: int, *, override_guard: bool = False) -> int:
-    """ch(H, q): evaluated from the chromatic polynomial when the polynomial
-    guard allows building it or is overridden, else counted directly as
-    homomorphisms into K_q under hom_count's guard, which is tested before
-    K_q's q^2 entries are built.  The two routes must agree (tested)."""
+    """ch(H, q), the chromatic polynomial evaluated at q."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if g.m <= CHROM_POLY_EDGE_GUARD or override_guard:
-        return chrom_poly(g, override_guard=override_guard)(q)
-    check_hom_guard(g.n, q)
-    val = hom_count(g, complete_target(q))
-    return int(val)
+    return chrom_poly(g, override_guard=override_guard)(q)
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +569,22 @@ def _ind_small(nbr: tuple[int, ...], alive: int) -> int:
     return f
 
 
-def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
+def _ind_branch(nbr: tuple[int, ...], alive: int, left) -> tuple[int, float]:
     """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex, as a sum
-    over an explicit stack of vertex masks, so no input recurses.  Fewer
+    over an explicit stack of vertex masks (a step per vertex scanned), so
+    no input recurses, and what is left of the step budget left.  Fewer
     than FOREST_MIN_VERTICES vertices go to _ind_small.  With fewer edges
     than vertices, _ind_forest is tried first, so a forest (a matching
     among them) needs no branch and a path or a cycle at most one."""
     total = 0
     stack = [alive]
+    w = _words(alive.bit_length())
     while stack:
         alive = stack.pop()
         v = alive.bit_count()
+        left -= v * w
+        if left < 0:
+            raise SizeGuardError(f"ind_count guard: more than {STEP_BUDGET} steps")
         if v < FOREST_MIN_VERTICES:
             total += _ind_small(nbr, alive)
             continue
@@ -603,7 +605,7 @@ def _ind_branch(nbr: tuple[int, ...], alive: int) -> int:
                 continue
         b = 1 << best
         stack += (alive ^ b, alive & ~(nbr[best] | b))
-    return total
+    return total, left
 
 
 def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
@@ -613,10 +615,8 @@ def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     constraint removes its forced-out vertices and the closed
     neighbourhoods of its forced-in ones.  Fewer than FOREST_MIN_VERTICES
     vertices left go to _ind_small whole; otherwise _ind_branch counts each
-    connected component of the rest.  Equals hom_count against the
-    hard-core target."""
-    if g.n > IND_GUARD_VERTICES and not override_guard:
-        raise SizeGuardError(f"ind_count guard: {g.n} vertices")
+    connected component of the rest, all within one STEP_BUDGET unless the
+    guard is overridden.  Equals hom_count against the hard-core target."""
     masks = g.neighbor_masks
     alive = (1 << g.n) - 1
     if constraint is not None:
@@ -635,8 +635,10 @@ def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     if alive.bit_count() < FOREST_MIN_VERTICES:
         return _ind_small(masks, alive)
     total = 1
+    left = math.inf if override_guard else STEP_BUDGET
     for comp in mask_components(masks, alive):
-        total *= _ind_branch(masks, comp)
+        part, left = _ind_branch(masks, comp, left)
+        total *= part
     return total
 
 
@@ -663,9 +665,8 @@ def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     white and every other vertex is white or blue, so R adds 2 to the
     power of the number of those free vertices that allow both, or 0 when
     a vertex of N(R) - R may not be white or a free vertex allows neither.
-    Independent of (and checked against) the homomorphism route."""
-    if g.n > WR_GUARD_VERTICES and not override_guard:
-        raise SizeGuardError(f"wr_count guard: {g.n} vertices")
+    A red set is a step, so past STEP_BUDGET the call is refused before
+    any is summed.  Independent of (and checked against) hom_count."""
     c = constraint or EMPTY_CONSTRAINT
     c.validate(g.n, 3)
 
@@ -683,6 +684,10 @@ def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     both = allow_b & allow_c
 
     masks = g.neighbor_masks
+    cost = sum(_words(comp.bit_length()) << (comp & allow_a).bit_count()
+               for comp in mask_components(masks, full))
+    if cost > STEP_BUDGET and not override_guard:
+        raise SizeGuardError(f"wr_count guard: {cost} steps, more than {STEP_BUDGET}")
     total = 1
     for comp in mask_components(masks, full):
         reds = mask_vertices(comp & allow_a)
@@ -775,10 +780,6 @@ __all__ = [
     "ChromPoly",
     "EMPTY_CONSTRAINT",
     "HOM_FACTOR_GUARD",
-    "HOM_GUARD_BITS",
-    "IND_GUARD_VERTICES",
-    "WR_GUARD_VERTICES",
-    "CHROM_POLY_EDGE_GUARD",
     "IND_IN",
     "IND_OUT",
     "ListConstraint",
@@ -787,7 +788,6 @@ __all__ = [
     "WR_A",
     "WR_B",
     "WR_C",
-    "check_hom_guard",
     "chrom_eval",
     "chrom_poly",
     "cycle_chrom_formula",

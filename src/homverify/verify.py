@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -65,10 +66,10 @@ class Report:
         return {
             "instance": self.instance,
             "claim": self.claim,
-            "lhs": _rat(self.lhs),
-            "rhs": _rat(self.rhs),
+            "lhs": rat_text(self.lhs),
+            "rhs": rat_text(self.rhs),
             "verdict": self.verdict,
-            "margin": _rat(self.margin),
+            "margin": rat_text(self.margin),
             "advisory_float": (
                 None
                 if self.advisory_float is None
@@ -78,10 +79,14 @@ class Report:
         }
 
 
-def _rat(x: Optional[Fraction]) -> Optional[str]:
+def int_text(n: int) -> str:
+    return str(Decimal(n))  # Decimal prints past Python's 4,300-digit int-to-str limit
+
+
+def rat_text(x: Optional[Fraction]) -> Optional[str]:
     if x is None:
         return None
-    return f"{x.numerator}/{x.denominator}"
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 def _ge_report(instance, claim, lhs, rhs, advisory=None) -> Report:

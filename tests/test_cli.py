@@ -207,12 +207,9 @@ def test_search_source_size_limit(n, code, tmp_path):
 
 
 def test_count_size_guards_exit_2(tmp_path):
-    path3000 = _write_edgelist(tmp_path / "p3000.el", 3000, [(i, i + 1) for i in range(2999)])
-    r = run_cli("count", "ind", "--graph", path3000, timeout=60)
-    assert r.returncode == 2 and "guard" in r.stderr
     k40 = _write_edgelist(tmp_path / "k40.el", 40,
                           [(u, v) for u in range(40) for v in range(u + 1, 40)])
-    # guarded only: unguarded, this would sum over 2^40 red sets
+    # refused before summing: unguarded, this would sum over 2^40 red sets
     r = run_cli("count", "wr", "--graph", k40, timeout=60)
     assert r.returncode == 2 and "guard" in r.stderr
 
@@ -232,17 +229,33 @@ def test_edgelist_header_past_vertex_bound_exit_2(n, argv, tmp_path, capsys):
         f"homverify: line 1: header names {n} vertices, more than 65536\n")
 
 
-@pytest.mark.parametrize("what,guard,count", [
-    ("ind", "IND_GUARD_VERTICES", "8"),
-    ("wr", "WR_GUARD_VERTICES", "41"),
-])
-def test_count_override_size_guard(what, guard, count, monkeypatch, capsys):
-    monkeypatch.setattr(counting, guard, 3)
-    argv = ["count", what, "--graph", str(DATA / "p4.el")]
+@pytest.mark.parametrize("argv,err,out", [
+    (["count", "hom", "--target", "k3"], "hom_count guard: more than 4 steps", {"count": "162"}),
+    (["poly"], "chrom_poly guard: more than 4 steps",
+     {"coeffs": ["0", "-27", "108", "-189", "189", "-117", "45", "-10", "1"]}),
+    (["count", "ind"], "ind_count guard: more than 4 steps", {"count": "41"}),
+    (["count", "wr"], "wr_count guard: 256 steps, more than 4", {"count": "933"}),
+], ids=["hom", "poly", "ind", "wr"])
+def test_count_override_size_guard(argv, err, out, monkeypatch, capsys, tmp_path):
+    # the 2 x 4 ladder spends a step budget lowered to 4 by monkeypatch in
+    # every counter; the counts are brute force's
+    argv = [*argv, "--graph", _ladder(tmp_path, 4)]
+    monkeypatch.setattr(counting, "STEP_BUDGET", 4)
     assert cli.main(argv) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == f"homverify: {err}\n"
     assert cli.main([*argv, "--override-size-guard"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"count": count}
+    assert json.loads(capsys.readouterr().out) == out
+
+
+def test_count_hom_k5_on_p22_refused_at_real_budget(tmp_path):
+    # P_22 into K_5 has 5 * 4^21 maps, hours of walking: the step budget
+    # refuses it in about a second on 2 cores
+    p22 = _write_edgelist(tmp_path / "p22.el", 22, [(i, i + 1) for i in range(21)])
+    start = time.perf_counter()
+    r = run_cli("count", "hom", "--graph", p22, "--target", "k5", timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"homverify: hom_count guard: more than {counting.STEP_BUDGET} steps\n"
 
 
 @pytest.mark.parametrize("loop,count", [("1", "1"), ("0", "0")])
@@ -297,15 +310,15 @@ def test_fmt_count_past_int_digit_limit():
     assert cli._fmt_count(Fraction(big + 1, 3 * big)) == "1" + "0" * 4999 + "1/3" + "0" * 5000
 
 
-def test_count_chrom_override_size_guard(monkeypatch, capsys):
-    # p4 has 3 edges on 4 vertices: past both lowered guards
-    monkeypatch.setattr(counting, "CHROM_POLY_EDGE_GUARD", 1)
-    monkeypatch.setattr(counting, "HOM_GUARD_BITS", 1)
-    argv = ["count", "chrom", "--graph", str(DATA / "p4.el"), "--q", "3"]
+def test_count_chrom_override_size_guard(monkeypatch, capsys, tmp_path):
+    # count chrom has one route, the polynomial: past a budget lowered to 4
+    # by monkeypatch, the 2 x 4 ladder is refused, not counted as maps into K_3
+    monkeypatch.setattr(counting, "STEP_BUDGET", 4)
+    argv = ["count", "chrom", "--graph", _ladder(tmp_path, 4), "--q", "3"]
     assert cli.main(argv) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "homverify: chrom_poly guard: more than 4 steps\n"
     assert cli.main([*argv, "--override-size-guard"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"count": "24"}
+    assert json.loads(capsys.readouterr().out) == {"count": "162"}
 
 
 def _ladder(tmp_path, k):
@@ -349,6 +362,17 @@ def test_cor1_2_huge_ell_is_quick(argv, capsys):
     assert out and all(x.get("verdict") == "holds" or x.get("violated") == 0 for x in out)
 
 
+def test_verify_prints_reports_past_int_digit_limit(tmp_path, capsys):
+    # at --ell 20000 the headline bound on C4 has a numerator of more than
+    # 4,300 digits, Python's int-to-str limit: it is printed through Decimal
+    c4 = _write_edgelist(tmp_path / "c4.el", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert cli.main(["verify", "cor1_2", "--graph", c4, "--q", "3", "--ell", "20000"]) == 0
+    reports = lines(capsys.readouterr().out)
+    assert [r["claim"] for r in reports] == ["cor1_2", "cor1_2_headline"]
+    num = reports[1]["rhs"].split("/")[0]
+    assert len(num) > 4300 and Decimal(num) > 0
+
+
 def test_sweep_claims_are_those_with_slots(capsys):
     # remark2_2 is verify-only: it has no slots, so sweep refuses it
     assert cli.main(["sweep", "--claim", "remark2_2", "--q", "3", "--max-n", "3"]) == 2
@@ -364,12 +388,13 @@ def test_count_hom_kq_guard_before_building(capsys):
     # p4 into K_q, q = 10^9: exit 2 before building K_q's q^2 entries
     argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target", f"k{10 ** 9}"]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "homverify: hom_count guard: 4 vertices into 1000000000 targets\n"
+    assert capsys.readouterr().err == (
+        f"homverify: target guard: k{10 ** 9} has {10 ** 18} entries, more than 4194304\n")
 
 
 def test_count_hom_kq_entries_guard(tmp_path, capsys):
-    # P_3 into K_q, q = 2*10^6, passes hom_count's guard (3 log2 q < 64),
-    # but K_q has 4*10^12 entries: refused before any is built
+    # P_3 into K_q, q = 2*10^6: K_q has 4*10^12 entries, refused before
+    # any is built
     p3 = _write_edgelist(tmp_path / "p3.el", 3, [(0, 1), (1, 2)])
     start = time.perf_counter()
     assert cli.main(["count", "hom", "--graph", p3, "--target", "k2000000"]) == 2

@@ -24,13 +24,11 @@ from homverify.graphs import (
 from homverify import counting
 from homverify.counting import (
     FOREST_MIN_VERTICES,
-    IND_GUARD_VERTICES,
     IND_IN,
     IND_OUT,
     WR_A,
     WR_B,
     WR_C,
-    WR_GUARD_VERTICES,
     ListConstraint,
     SizeGuardError,
     chrom_eval,
@@ -295,10 +293,8 @@ def test_hom_weighted_guard_refuses_at_once():
     with pytest.raises(SizeGuardError, match="elimination"):
         hom_count(complete_graph(12), _dense_tenths(5, 1))
     assert time.perf_counter() - start < 0.5
-    # K_9 sums over 5^9, under it; 0/1 targets keep the n*log2(k) guard
+    # K_9 sums over 5^9, under it
     assert 5 ** 9 <= counting.HOM_FACTOR_GUARD < 5 ** 10
-    with pytest.raises(SizeGuardError, match="vertices into"):
-        hom_count(empty_graph(28), complete_target(5))
     assert hom_count(empty_graph(28), _doubled(complete_target(5))) == 5 ** 28
 
 
@@ -340,12 +336,93 @@ def test_hom_multiplies_components():
     assert hom_count(g, complete_target(3)) == 6 ** 12
 
 
-def test_hom_guard():
-    big = empty_graph(70)
-    with pytest.raises(SizeGuardError):
-        hom_count(big, complete_target(2))
-    assert hom_count(big, complete_target(2), override_guard=True) == 2 ** 70
+def _triangle_chain(t: int) -> Graph:
+    """t triangles, each joined to the next by one edge."""
+    return Graph.from_edges(3 * t, [e for i in range(0, 3 * t, 3)
+                                    for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2), (i - 1, i))
+                                    if e[0] >= 0])
+
+
+def _tree41() -> Graph:
+    # 42 vertices, each joined to one of the earlier ones: 41 edges
+    rng = random.Random(41)
+    return Graph.from_edges(42, [(rng.randrange(v), v) for v in range(1, 42)])
+
+
+# The guard tests lower STEP_BUDGET by monkeypatch, so that an input that
+# counts in milliseconds spends it: the call is refused with a message
+# naming the counter, and counts with the override.  Each then counts,
+# at the real budget, an input that an old size guard refused.
+
+def _refused_then_counted(monkeypatch, budget, name, count, g, want):
+    monkeypatch.setattr(counting, "STEP_BUDGET", budget)
+    with pytest.raises(SizeGuardError, match=f"^{name} guard: more than {budget} steps$"):
+        count(g)
+    assert count(g, override_guard=True) == want
+    monkeypatch.undo()
+
+
+def test_hom_guard(monkeypatch):
+    _refused_then_counted(monkeypatch, 12, "hom_count",
+                          lambda g, **kw: hom_count(g, complete_target(3), **kw),
+                          path_graph(12), 3 * 2 ** 11)
+    # isolated vertices walk nothing; 70 of them were past n*log2(k) = 64
+    assert hom_count(empty_graph(70), complete_target(2)) == 2 ** 70
     assert hom_count(empty_graph(100), complete_target(1)) == 1  # k=1 exempt
+
+
+def test_ind_wr_guards(monkeypatch):
+    _refused_then_counted(monkeypatch, 12, "ind_count", ind_count, _triangle_chain(5),
+                          780)  # by brute_ind
+    # P_8 on vertices 1092..1099, the others forced out: its masks are
+    # 1,100 bits wide, three words, so its one pop costs 24 steps, not 8
+    g = Graph.from_edges(1100, [(v, v + 1) for v in range(1092, 1099)])
+    out = ListConstraint({v: {IND_OUT} for v in range(1092)})
+    _refused_then_counted(monkeypatch, 23, "ind_count", lambda g, **kw: ind_count(g, out, **kw),
+                          g, path_ind_fib(8))
+    # wr_count is refused before it sums: P_3 has 2^3 red sets in one
+    # component, 25 isolated vertices 2 each
+    monkeypatch.setattr(counting, "STEP_BUDGET", 7)
+    with pytest.raises(SizeGuardError, match="^wr_count guard: 8 steps, more than 7$"):
+        wr_count(path_graph(3))
+    assert wr_count(path_graph(3), override_guard=True) == 17
+    monkeypatch.setattr(counting, "STEP_BUDGET", 49)
+    with pytest.raises(SizeGuardError, match="^wr_count guard: 50 steps, more than 49$"):
+        wr_count(empty_graph(25))
+    monkeypatch.undo()
+    # past the old 40- and 24-vertex guards
+    assert ind_count(path_graph(41)) == path_ind_fib(41)
+    assert wr_count(empty_graph(25)) == 3 ** 25
+
+
+def test_chrom_poly_guard(monkeypatch):
+    # relabelling the 2 x 6 ladder costs 33 steps, so at 40 it is refused
+    # in deletion-contraction; relabelling C_5 costs 12, so at 11 it is
+    # refused before that
+    stack = counting._chrom_stack
+    ladder = Graph.from_edges(12, [(i, i + 1) for i in range(5)] + [(6 + i, 7 + i) for i in range(5)]
+                              + [(i, 6 + i) for i in range(6)])
+    for g, budget, want, deep in ((ladder, 40, 6 * 3 ** 5, True), (cycle_graph(5), 11, 30, False)):
+        entered = []
+        monkeypatch.setattr(counting, "_chrom_stack", lambda *a: entered.append(a) or stack(*a))
+        monkeypatch.setattr(counting, "STEP_BUDGET", budget)
+        with pytest.raises(SizeGuardError, match=f"^chrom_poly guard: more than {budget} steps$"):
+            chrom_poly(g)
+        assert bool(entered) == deep
+        assert chrom_poly(g, override_guard=True)(3) == want
+    monkeypatch.undo()
+    # a 41-edge tree, past the old 40-edge guard, is simplicial vertices
+    assert chrom_poly(_tree41()).coeffs == chrom_poly(path_graph(42)).coeffs
+
+
+def test_chrom_eval_override_guard(monkeypatch):
+    # chrom_eval has one route, the polynomial, under its budget
+    _refused_then_counted(monkeypatch, 11, "chrom_poly", lambda g, **kw: chrom_eval(g, 3, **kw),
+                          cycle_graph(5), 30)
+    # no K_q is built: K_10 (45 edges) at q = 10^9 is simplicial vertices
+    start = time.perf_counter()
+    assert chrom_eval(complete_graph(10), 10 ** 9) == math.perm(10 ** 9, 10)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_hom_one_vertex_target_closed_form():
@@ -366,21 +443,6 @@ def test_hom_one_vertex_target_closed_form():
 def test_hom_long_path_without_recursion():
     # 3000 planned vertices: deeper than the recursion limit
     assert hom_count(path_graph(3000), complete_target(2), override_guard=True) == 2
-
-
-def test_ind_wr_guards():
-    big = empty_graph(IND_GUARD_VERTICES + 1)
-    with pytest.raises(SizeGuardError):
-        ind_count(big)
-    assert ind_count(big, override_guard=True) == 2 ** big.n
-    with pytest.raises(SizeGuardError):
-        ind_count(path_graph(3000))  # past the vertex guard
-    # wr_count sums over up to 2^n red sets: only ever run guarded past the bound
-    with pytest.raises(SizeGuardError):
-        wr_count(empty_graph(WR_GUARD_VERTICES + 1))
-    with pytest.raises(SizeGuardError):
-        wr_count(complete_graph(40))
-    assert wr_count(path_graph(3), override_guard=True) == 17
 
 
 def test_constraint_validation():
@@ -429,34 +491,6 @@ def test_chrom_poly_invariants_and_values(g):
         v = p(q)
         assert v >= 0
         assert v == brute_chrom(g, q)
-
-
-def test_chrom_poly_guard():
-    g = complete_graph(10)  # 45 edges
-    with pytest.raises(SizeGuardError):
-        chrom_poly(g)
-    p = chrom_poly(g, override_guard=True)
-    assert p(10) == math.factorial(10)
-
-
-def test_chrom_eval_override_guard(monkeypatch):
-    from homverify import counting
-
-    long_path = path_graph(50)
-    with pytest.raises(SizeGuardError):
-        chrom_eval(long_path, 3)  # the hom_count fallback is guarded too
-    assert chrom_eval(long_path, 3, override_guard=True) == 3 * 2 ** 49
-    monkeypatch.setattr(counting, "CHROM_POLY_EDGE_GUARD", 2)
-    with pytest.raises(SizeGuardError):
-        chrom_poly(cycle_graph(4))
-    assert chrom_eval(cycle_graph(4), 3) == 18  # counted by hom_count
-    assert chrom_eval(cycle_graph(4), 3, override_guard=True) == 18
-
-
-def test_chrom_eval_guard_before_building_kq():
-    # building K_q is quadratic in q: the guard refuses first, at once
-    with pytest.raises(SizeGuardError, match="^hom_count guard: 10 vertices into 1000000000 targets$"):
-        chrom_eval(complete_graph(10), 10 ** 9)
 
 
 def test_chrom_eval_matches_poly():

@@ -61,7 +61,7 @@ def test_counters_match_elimination_on_gnp(n, monkeypatch):
         want.update((f"k{q}", _elim(g, t)) for q, t in KQ.items())
         assert ind_count(g) == want["hardcore"], name
         assert wr_count(g) == want["wr"], name
-        poly = chrom_poly(g, override_guard=True)
+        poly = chrom_poly(g)
         for q in KQ:
             assert poly(q) == want[f"k{q}"], (name, q)
         for token, t in [("hardcore", HC), ("wr", WR)] + [(f"k{q}", t) for q, t in KQ.items()]:
@@ -89,7 +89,7 @@ def test_ladder_chromatic_polynomial(k):
     want = [0, -1, 1]
     for _ in range(k - 1):
         want = _pmul(want, [3, -3, 1])
-    assert chrom_poly(_ladder(k), override_guard=True).coeffs == tuple(want), to_graph6(_ladder(k))
+    assert chrom_poly(_ladder(k)).coeffs == tuple(want), to_graph6(_ladder(k))
 
 
 def test_complete_bipartite_independent_sets():

@@ -11,14 +11,13 @@ four independent algorithms whose pairwise agreement is enforced by the
 test suite.
 
 The generic counter has three routes.  A 0/1 target with k > 1 and k**n at
-most MAP_BITS is taken first, before the guard, which it cannot reach: it
-counts maps as the bits of one int, the popcount of the AND of one mask per
-edge and per constrained vertex.  A target that is not 0/1 goes to
-hom_batch, variable elimination over a batch of integer matrices, which the
-search's screen shares.  Any other 0/1 call walks popcounts on the
-target's support masks, which beats elimination on dense sources whose
-counts are small.  The tests check the routes against each other, against
-the other counters and against brute force.
+most MAP_BITS is taken first: it counts maps as the bits of one int, the
+popcount of the AND of one mask per edge and per constrained vertex.  A
+target that is not 0/1 goes to hom_batch, variable elimination over a batch
+of integer matrices, which the search's screen shares.  Any other 0/1 call
+walks popcounts on the target's support masks, which beats elimination on
+dense sources whose counts are small.  The tests check the routes against
+each other, against the other counters and against brute force.
 
 The chromatic polynomial works on neighbour masks.  A simplicial vertex,
 one whose neighbours form a clique, contributes a factor (q - d) for its d
@@ -28,6 +27,8 @@ deleted and contracted from its lowest vertex on an explicit stack, memoised
 per call on the masks (Haggard, Pearce & Royle 2010), with a closed form for
 unions of cycles.  The independent-set count branches on whole graphs below
 FOREST_MIN_VERTICES vertices and per component above, on an explicit stack.
+Each loop that can run long charges its steps' work to one STEP_BUDGET per
+call; wr_count, whose cost is known at the start, is refused then if over.
 """
 
 from __future__ import annotations
@@ -684,10 +685,11 @@ def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     both = allow_b & allow_c
 
     masks = g.neighbor_masks
-    cost = sum(_words(comp.bit_length()) << (comp & allow_a).bit_count()
-               for comp in mask_components(masks, full))
-    if cost > STEP_BUDGET and not override_guard:
-        raise SizeGuardError(f"wr_count guard: {cost} steps, more than {STEP_BUDGET}")
+    if not override_guard and _words(g.n) << g.n > STEP_BUDGET:  # the cost is at most that
+        cost = sum(_words(comp.bit_length()) << (comp & allow_a).bit_count()
+                   for comp in mask_components(masks, full))
+        if cost > STEP_BUDGET:
+            raise SizeGuardError(f"wr_count guard: {cost} steps, more than {STEP_BUDGET}")
     total = 1
     for comp in mask_components(masks, full):
         reds = mask_vertices(comp & allow_a)

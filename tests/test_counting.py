@@ -419,7 +419,12 @@ def test_chrom_eval_override_guard(monkeypatch):
     # chrom_eval has one route, the polynomial, under its budget
     _refused_then_counted(monkeypatch, 11, "chrom_poly", lambda g, **kw: chrom_eval(g, 3, **kw),
                           cycle_graph(5), 30)
-    # no K_q is built: K_10 (45 edges) at q = 10^9 is simplicial vertices
+
+
+def test_chrom_eval_guard_before_building_kq(monkeypatch):
+    # no K_q is built, so nothing quadratic in q needs a guard: K_10
+    # (45 edges) at q = 10^9 is simplicial vertices and counts at once
+    monkeypatch.setattr("homverify.graphs.complete_target", lambda q: pytest.fail("K_q was built"))
     start = time.perf_counter()
     assert chrom_eval(complete_graph(10), 10 ** 9) == math.perm(10 ** 9, 10)
     assert time.perf_counter() - start < 0.5

@@ -1,7 +1,8 @@
 """Exact counters.
 
-Everything here is exact: integer arithmetic for every target, with one
-Fraction at the end of hom_count.  Floating point appears only in the
+Everything here is exact: integer arithmetic for every target.  hom_count
+returns an int for a target whose entries are all integers and a Fraction,
+formed once at the end, for any other.  Floating point appears only in the
 spectral helpers, which feed advisory bounds, never verdicts.
 
 Routes are deliberately redundant: the generic homomorphism counter, the
@@ -274,17 +275,19 @@ def hom_count(
     constraint: Optional[ListConstraint] = None,
     *,
     override_guard: bool = False,
-) -> Fraction:
+) -> int | Fraction:
     """Weighted homomorphism count: sum over all maps respecting the
-    constraint of the product of edge weights, exact.  A 0/1 target with
-    k > 1 and k**n at most MAP_BITS counts the maps that every edge's mask
-    and every constrained vertex's allowed digits keep (_map_tables).  A
-    target that is not 0/1, or has one vertex, goes to hom_batch as one
-    matrix of Python ints, its entries scaled by D, the lcm of their
-    denominators, so the count is total / D^m.  Any other 0/1 target is
-    counted by _hom_walk on each component of the source, on the support
-    masks, with the allowed sets as one bitmask per vertex; the components
-    share one STEP_BUDGET unless the guard is overridden."""
+    constraint of the product of edge weights, exact: an int when every
+    entry of the target is an integer, else a Fraction, whatever the source
+    and the value.  A 0/1 target with k > 1 and k**n at most MAP_BITS
+    counts the maps that every edge's mask and every constrained vertex's
+    allowed digits keep (_map_tables).  A target that is not 0/1, or has
+    one vertex, goes to hom_batch as one matrix of Python ints, its entries
+    scaled by D, the lcm of their denominators, so the count is total / D^m
+    (the int total when D is 1).  Any other 0/1 target is counted by
+    _hom_walk on each component of the source, on the support masks, with
+    the allowed sets as one bitmask per vertex; the components share one
+    STEP_BUDGET unless the guard is overridden."""
     k = target.k
     n = g.n
     if 1 < k and k ** n <= MAP_BITS and target.is_simple:
@@ -295,14 +298,14 @@ def hom_count(
             constraint.validate(n, k)
             for v, ts in constraint.allowed.items():
                 live &= _within(digit[v], sum(1 << t for t in ts))
-        return Fraction(live.bit_count())
+        return live.bit_count()
     c = constraint or EMPTY_CONSTRAINT
     c.validate(n, k)
 
     if k == 1 or not target.is_simple:
         rows, d = target.integer_rows
         got = hom_batch(g, np.array([rows], dtype=object), c, override_guard=override_guard)
-        return Fraction(int(got[0]), d ** g.m)
+        return int(got[0]) if d == 1 else Fraction(int(got[0]), d ** g.m)
     allowed = {v: sum(1 << t for t in ts) for v, ts in c.allowed.items()}
     full = (1 << k) - 1
     masks = g.neighbor_masks
@@ -314,8 +317,8 @@ def hom_count(
         part, left = _hom_walk(back, choices, target.support_masks, left)
         total *= part
         if not total:
-            return Fraction(0)
-    return Fraction(total)
+            return 0
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -236,11 +236,21 @@ def cube_graph() -> Graph:
 
 
 def complete_target(q: int) -> TargetGraph:
-    """K_q as a 0/1 target (no loops); hom(H, K_q) counts proper q-colorings."""
+    """K_q as a 0/1 target (no loops); hom(H, K_q) counts proper q-colorings.
+    Built without re-validation and with is_simple, support_masks and
+    edge_weight_sum set: the entries are 0/1 and symmetric by construction,
+    and scans of the q^2 Fraction entries would dominate the cost of a
+    large K_q."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    one, zero = Fraction(1), Fraction(0)
-    return TargetGraph(tuple(tuple(one if i != j else zero for j in range(q)) for i in range(q)))
+    ones = (Fraction(1),) * q
+    zero = (Fraction(0),)
+    full = (1 << q) - 1
+    t = object.__new__(TargetGraph)
+    t.__dict__.update(w=tuple(ones[:i] + zero + ones[i + 1:] for i in range(q)), is_simple=True,
+                      support_masks=tuple(full ^ 1 << i for i in range(q)),
+                      edge_weight_sum=Fraction(q * (q - 1)))
+    return t
 
 
 # Hard-core target: K_2 with a loop at vertex 0.  A map hits an independent

@@ -235,8 +235,9 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
             num = hom_count(g, target)
             for e, h_minus in deletions:
                 den = hom_count(h_minus, target)
-                if den and num / den < threshold:
-                    return Counterexample(target, e, num / den, threshold, done + int(idx))
+                # a sample of 0s and 10/10s is an integer target, whose counts are ints
+                if den and (ratio := Fraction(num, den)) < threshold:
+                    return Counterexample(target, e, ratio, threshold, done + int(idx))
             raise RuntimeError(f"sample {done + int(idx)}: the integer screen flags a "
                                "violation that hom_count does not confirm")
         done += batch

@@ -258,6 +258,30 @@ def test_count_hom_k5_on_p22_refused_at_real_budget(tmp_path):
     assert r.stderr == f"homverify: hom_count guard: more than {counting.STEP_BUDGET} steps\n"
 
 
+def test_count_hom_k2000_on_p10_refused_quickly(tmp_path):
+    # K_2000 is built without re-validating its 4M entries, so the step
+    # budget refuses the walk in well under a second; building and scanning
+    # them took about 7 s
+    p10 = _write_edgelist(tmp_path / "p10.el", 10, [(i, i + 1) for i in range(9)])
+    start = time.perf_counter()
+    r = run_cli("count", "hom", "--graph", p10, "--target", "k2000", timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"homverify: hom_count guard: more than {counting.STEP_BUDGET} steps\n"
+
+
+def test_verify_sidorenko_k2000_quick(tmp_path):
+    # K_2000's edge weight sum is set at build, not summed over 4M
+    # Fractions (about 17 s with the build's own scans)
+    k2 = _write_edgelist(tmp_path / "k2.el", 2, [(0, 1)])
+    start = time.perf_counter()
+    r = run_cli("verify", "sidorenko", "--graph", k2, "--target", "k2000", timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert (rep["lhs"], rep["rhs"], rep["verdict"]) == ("3998000/1", "3998000/1", "holds")
+
+
 @pytest.mark.parametrize("loop,count", [("1", "1"), ("0", "0")])
 def test_count_hom_one_vertex_target_long_path(loop, count, tmp_path):
     path3000 = _write_edgelist(tmp_path / "p3000.el", 3000, [(i, i + 1) for i in range(2999)])

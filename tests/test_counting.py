@@ -322,11 +322,21 @@ def test_hom_batch_slices_and_chunks(monkeypatch):
     assert whole.tolist() == [hom_count(k5, t) * 10 ** k5.m for t in ts]
 
 
-def test_hom_returns_fraction():
+def test_hom_type_follows_target(monkeypatch):
+    # an int when every entry of the target is an integer, on each route,
+    # and a Fraction otherwise, whatever the source and the value
+    integral = [HC, complete_target(3),  # 0/1: the map bits, or the walk at MAP_BITS 0
+                TargetGraph.from_rows([[2, 1], [1, 0]]),  # hom_batch, D = 1
+                TargetGraph.from_rows([[3]])]  # k = 1, hom_batch, D = 1
     weighted = TargetGraph.from_rows([[Fraction(1, 3), 2], [2, 0]])
-    for t in (HC, complete_target(3), weighted, TargetGraph.from_rows([[2, 1], [1, 0]])):
+    for bits in (counting.MAP_BITS, 0):
+        monkeypatch.setattr(counting, "MAP_BITS", bits)
         for g in (path_graph(3), empty_graph(2), Graph(0, frozenset())):
-            assert isinstance(hom_count(g, t), Fraction)
+            for t in integral:
+                got = hom_count(g, t)
+                assert type(got) is int and got == brute_hom(g, t), (bits, t.describe(), g)
+            got = hom_count(g, weighted)
+            assert type(got) is Fraction and got == brute_hom(g, weighted), (bits, g)
 
 
 def test_hom_multiplies_components():

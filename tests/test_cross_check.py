@@ -4,21 +4,30 @@ _ind_forest and the component split, wr_count's walk past its 12-vertex
 table, chrom_poly's deletion-contraction and hom_count's 0/1 walk.
 
 Seeded G(n, p) graphs for n = 8..16 are counted by each counter and by
-hom_batch's variable elimination on the matching target, and two families
-are checked against closed forms.  Everything compares exact integers,
-and a mismatch names the seed and the graph6 of the graph.
+hom_batch's variable elimination on the matching target, P_a x P_b grids
+by a column-state transfer matrix, and two families are checked against
+closed forms.  Everything compares exact integers, and a mismatch names
+the seed or the size, and the graph6 of the graph.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from homverify import counting
-from homverify.counting import chrom_poly, hom_batch, hom_count, ind_count, wr_count
+from homverify.counting import (
+    SizeGuardError,
+    chrom_poly,
+    hom_batch,
+    hom_count,
+    ind_count,
+    wr_count,
+)
 from homverify.graphs import (
     Graph,
     complete_bipartite,
@@ -67,6 +76,54 @@ def test_counters_match_elimination_on_gnp(n, monkeypatch):
         for token, t in [("hardcore", HC), ("wr", WR)] + [(f"k{q}", t) for q, t in KQ.items()]:
             if want[token] <= WALK_CAP:
                 assert hom_count(g, t) == want[token], (name, token)
+
+
+def _grid(a: int, b: int) -> Graph:
+    """P_a x P_b: b columns of a vertices, vertex r of column c being c * a + r."""
+    cells = [(r, c) for c in range(b) for r in range(a)]
+    return Graph.from_edges(a * b, [(c * a + r, c * a + r + 1) for r, c in cells if r + 1 < a]
+                            + [(c * a + r, c * a + r + a) for r, c in cells if c + 1 < b])
+
+
+def _grid_transfer(a: int, b: int, target) -> int:
+    """hom(P_a x P_b, target) for an integer target, column by column: a
+    column state maps the a vertices of a column, weighs its a - 1 vertical
+    edges and, from the state of the column before, its a horizontal ones."""
+    rows, _ = target.integer_rows
+    states = list(itertools.product(range(target.k), repeat=a))
+
+    def weight(s, t):
+        return math.prod(rows[x][y] for x, y in zip(s, t))
+
+    column = [weight(s[:-1], s[1:]) for s in states]
+    counts = column
+    for _ in range(b - 1):
+        counts = [col * sum(x * weight(s, t) for x, s in zip(counts, states))
+                  for t, col in zip(states, column)]
+    return sum(counts)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_grids_match_transfer_matrix(a, monkeypatch):
+    # the walk (MAP_BITS at 0) only under WALK_CAP, as above; wr_count
+    # where its up-front cost passes STEP_BUDGET, and refused past it
+    monkeypatch.setattr(counting, "MAP_BITS", 0)
+    targets = [("hardcore", HC), ("wr", WR), ("k3", KQ[3])]
+    for b in range(1, 9):
+        g = _grid(a, b)
+        name = f"P_{a} x P_{b}, graph6 {to_graph6(g)}"
+        want = {token: _grid_transfer(a, b, t) for token, t in targets}
+        assert ind_count(g) == want["hardcore"], name
+        if counting._words(g.n) << g.n <= counting.STEP_BUDGET:
+            assert wr_count(g) == want["wr"], name
+        else:
+            with pytest.raises(SizeGuardError):
+                wr_count(g)
+        assert chrom_poly(g)(3) == want["k3"], name
+        for token, t in targets:
+            if want[token] <= WALK_CAP:
+                got = hom_count(g, t)
+                assert type(got) is int and got == want[token], (name, token)
 
 
 def _ladder(k: int) -> Graph:

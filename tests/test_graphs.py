@@ -17,6 +17,7 @@ from homverify.graphs import (
     bipartition,
     complete_bipartite,
     complete_graph,
+    complete_target,
     connected_components,
     cycle_graph,
     empty_graph,
@@ -379,6 +380,20 @@ def test_target_properties():
     assert t.edge_weight_sum == 7 and t.is_simple and t.is_connected()
     t2 = parse_target("2\n1 0\n0 1\n")
     assert not t2.is_connected()
+
+
+@pytest.mark.parametrize("q", range(7))
+def test_complete_target_matches_validated_build(q):
+    # complete_target skips TargetGraph's validation and sets is_simple,
+    # support_masks and edge_weight_sum itself: all must match the
+    # validated build's
+    got = complete_target(q)
+    want = TargetGraph.from_rows([[int(i != j) for j in range(q)] for i in range(q)])
+    assert got == want and hash(got) == hash(want)
+    assert {type(x) for row in got.w for x in row} <= {Fraction}
+    assert (got.is_simple, got.support_masks) == (want.is_simple, want.support_masks)
+    assert type(got.edge_weight_sum) is Fraction and got.edge_weight_sum == want.edge_weight_sum
+    assert got.describe() == want.describe()
 
 
 def test_target_connectivity_anchors():

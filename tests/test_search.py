@@ -126,7 +126,7 @@ def test_scan_result_consistency():
     g = parse_graph6(res.worst_h)
     num = hom_count(g, hard_core_target())
     den = hom_count(g.delete_edge(*res.worst_edge), hard_core_target())
-    assert num / den == res.worst_ratio
+    assert Fraction(num, den) == res.worst_ratio
 
 
 def _scan_per_labelled_graph(target, max_n, bipartite_only):
@@ -143,7 +143,7 @@ def _scan_per_labelled_graph(target, max_n, bipartite_only):
                     skipped += 1
                     continue
                 tested_edges += 1
-                ratio = hom_count(g, target) / den
+                ratio = Fraction(hom_count(g, target), den)
                 if worst is None or ratio < worst[0]:
                     worst = (ratio, to_graph6(g), e)
     return tested_h, tested_edges, skipped, worst
@@ -291,6 +291,19 @@ def test_unconfirmed_candidate_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="does not confirm"):
         find_counterexample(fork, 3, samples=manifest["sample_index"] + 1,
                             seed=manifest["seed"])
+
+
+def test_witness_ratio_stays_exact_on_integer_counts(monkeypatch):
+    # a sample of 0s and 10/10s is an integer target, whose counts hom_count
+    # returns as ints; here the confirm step gets ints for the fork's flagged
+    # sample, 1 over 2, below its threshold 8/15
+    manifest = json.loads((DATA / "fork_k3_manifest.json").read_text())
+    fork = parse_edgelist((DATA / manifest["H_file"]).read_text())
+    monkeypatch.setattr(search, "hom_count", lambda g, target: 1 if g == fork else 2)
+    ce = find_counterexample(fork, 3, samples=manifest["sample_index"] + 1,
+                             seed=manifest["seed"])
+    assert type(ce.ratio) is Fraction and ce.ratio == Fraction(1, 2)
+    assert ce.to_json_dict()["ratio"] == "1/2"
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -21,7 +21,7 @@ import numpy as np
 from .classes import MAX_N, class_table, iter_edge_sets
 from .graphs import Graph, TargetGraph, bipartition, to_graph6
 from .counting import hom_batch, hom_count
-from .sweeps import SweepSummary, _edge_slots, _group_summary, _slot_groups
+from .sweeps import SweepSummary, _edge_slots, _group_summary, _rep_groups
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +80,9 @@ def edge_mono_scan(target: TargetGraph, max_n: int, *,
     """Minimum of hom(H,G)/hom(H-e,G) over all labeled H up to max_n
     vertices and all edges, against the threshold hom(K_2,G)/v(G)^2.
     Counts are computed once per isomorphism class and folded over the
-    sweeps' edge slots, as the eq_* sweeps fold theirs; the worst instance
-    is the first in enumeration order that attains the minimum."""
+    sweeps' edge slots, one row per class representative weighted by its
+    class's size, as the eq_* sweeps fold theirs; the worst instance is the
+    first in enumeration order that attains the minimum."""
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"scan supports max_n in 1..{MAX_N}")
     if target.k == 0:
@@ -99,7 +100,7 @@ def edge_mono_scan(target: TargetGraph, max_n: int, *,
         tested_h += int(t.size[keep].sum())
         counts = [int(hom_count(g, target) * d ** g.m) if k else 0 for g, k in zip(t.reps, keep)]
         slots = _edge_slots(t, [(counts, d * threshold.numerator, threshold.denominator)], None, keep)
-        total.merge(_group_summary(total.claim, len(slots), _slot_groups(t, slots),
+        total.merge(_group_summary(total.claim, len(slots), _rep_groups(t, slots),
                                    lambda key, n=n: (n, *key)))
     worst = (None, None, None)
     if total.min_margin is not None:

@@ -13,10 +13,13 @@ stream position i*S + s.  It groups its graphs (by class, or for the pair
 claims by the classes that fix the pair's margin) so that the reports of
 a group differ only in the graph6 name:
 
-* summary mode folds each group's exact margin, computed from per-class
+* summary mode folds one row per slot and class representative: the
+  exact margin of the representative's group, computed from per-class
   values (ind, wr or chromatic counts, or a class-level checker run on
-  the representative), weighted by the group's size.  The checker runs
-  only to name the instances the summary keeps;
+  the representative), weighted by the class's size n!/|Aut|.  Group keys
+  are invariant under relabelling, so over all slots the labelled copies
+  of a class fall in the representative's groups; no labelled mask is
+  keyed.  The checker runs only to name the instances the summary keeps;
 * report mode renders each group's report once, as a fragment; every
   line is that fragment behind the graph's name, all names coming from
   one vectorised graph6 pass per chunk of masks.  The checker runs once
@@ -274,9 +277,11 @@ class _Slot(NamedTuple):
     The graphs here are those of the classes marked in keep that contain
     the pair bit (all of them if bit is 0).  keys(masks) puts each in a
     group (None: its class) whose reports agree in every field but the
-    graph6 name that opens the instance string.  margins(keys) gives, per
-    q index, the exact margin of each group from per-class values: (diff,
-    den) for diff/den, None if inapplicable, or _NO_REPORT.  report(mask,
+    graph6 name that opens the instance string; a key with an applicable
+    margin must not change when the graph is relabelled, as summary mode
+    reads only the representatives' keys (_rep_groups).  margins(keys)
+    gives, per q index, the exact margin of each group from per-class
+    values: (diff, den) for diff/den, None if inapplicable, or _NO_REPORT.  report(mask,
     i) runs the checker on one labelled graph at q index i.  A report line
     names the graph of mask, or with rename that of mask without the bit.
 
@@ -430,10 +435,29 @@ def _sweep_slots(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
     return _class_slots(t, lambda g: CLAIMS[cfg.claim].sweep(g, cfg))
 
 
+def _rep_groups(t: ClassTable, slots: list[_Slot]) -> Iterator[tuple[list, list]]:
+    """For the summary folds: per slot, one (key, count, rank) row per kept
+    class representative with the slot's bit, counting its class's size,
+    and the rows' margins per q index.  Keys do not change under
+    relabelling, so over all slots each labelled copy has the
+    representative's keys, and the representative is the lowest-rank
+    copy: per key, the count and the lowest (rank, position) are those of
+    _slot_groups.  An inapplicable row folds only its count, so its key
+    may vary (thm1_1 puts a graph's one inapplicable report at pair 0)."""
+    reps = t.order[t.first_rank]
+    for slot in slots:
+        keep = slot.keep & (reps & slot.bit != 0) if slot.bit else slot.keep
+        ids = np.flatnonzero(keep)
+        keys = ids if slot.keys is None else slot.keys(reps[ids])
+        rows = list(zip(keys.tolist(), t.size[ids].tolist(), t.first_rank[ids].tolist()))
+        yield rows, slot.margins([key for key, _, _ in rows])
+
+
 def _slot_groups(t: ClassTable, slots: list[_Slot]) -> Iterator[tuple[list, list]]:
-    """Per slot, its groups as (key, count, rank) rows, keys ascending,
-    each `count` labelled graphs with the first of them at `rank`, and
-    their margins per q index."""
+    """Per slot, its groups over every labelled graph as (key, count, rank)
+    rows, keys ascending, each `count` labelled graphs with the first of
+    them at `rank`, and their margins per q index.  For report mode, which
+    looks each labelled graph's group up by its key."""
     kept = {}
     for slot in slots:
         if slot.keys is None:
@@ -497,10 +521,11 @@ def _group_summary(claim: str, width: int, grouped: Iterable[tuple[list, list]],
 # ---------------------------------------------------------------------------
 
 def _summary_batch(t: ClassTable, cfg: SweepConfig) -> tuple[SweepSummary, Callable]:
-    """Summary of the instances on one class table, with each kept instance
-    as its key (n, rank, position), and the function that names a key's
-    instance: the graph G it was enumerated as, then the rest of its
-    report's instance string.  The checker runs only to name."""
+    """Summary of the instances on one class table, folded from one row
+    per slot and class representative (_rep_groups), with each kept
+    instance as its key (n, rank, position), and the function that names
+    a key's instance: the graph G it was enumerated as, then the rest of
+    its report's instance string.  The checker runs only to name."""
     slots = CLAIMS[cfg.claim].slots(t, cfg)
 
     def name(rank, pos):
@@ -509,14 +534,15 @@ def _summary_batch(t: ClassTable, cfg: SweepConfig) -> tuple[SweepSummary, Calla
         g = to_graph6(t.graph(m))
         return g + slots[s].report(m, i).instance[len(g):]
 
-    keyed = _group_summary(cfg.claim, len(slots), _slot_groups(t, slots), lambda k: (t.n, *k))
+    keyed = _group_summary(cfg.claim, len(slots), _rep_groups(t, slots), lambda k: (t.n, *k))
     return keyed, name
 
 
 def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
-    """Aggregate of every instance of the claim, computed in-process on the
-    class tables; `workers` is accepted for callers and unused.  Only the
-    instances the aggregate keeps are named, after the merge."""
+    """Aggregate of every instance of the claim, computed in-process from
+    the class representatives, each weighted by its class's size;
+    `workers` is accepted for callers and unused.  Only the instances the
+    aggregate keeps are named, after the merge."""
     cfg.validate()
     total, names = SweepSummary(cfg.claim), {}
     for n in range(1, cfg.max_n + 1):
@@ -747,7 +773,7 @@ def _corollary_batch(t: ClassTable) -> dict:
         return to_graph6(t.graph(int(t.order[key[0]])))
 
     slots = {c: _class_slots(t, reports, keep) for c, (keep, reports) in checks.items()}
-    return {c: _group_summary(c, len(s), _slot_groups(t, s), name) for c, s in slots.items()}
+    return {c: _group_summary(c, len(s), _rep_groups(t, s), name) for c, s in slots.items()}
 
 
 def corollary_bundle_summary(max_n: int, workers: int = 1) -> dict:

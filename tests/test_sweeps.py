@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from homverify import cli, sweeps
+from homverify import cli, search, sweeps
 from homverify.classes import class_table, iter_edge_sets
 from homverify.graphs import (
     Graph,
@@ -456,6 +456,22 @@ SCAN_DIGESTS = {
     ("weighted-mixed", False): "135e920d0913e9f34fb2d300939326658e36e3b16d8e4b791d39ea37d6aaf305",
 }
 
+# sweep_summary(...).to_json_dict() at max_n=7 for the pair claims, and
+# edge_mono_scan(target, 7, ...).to_json_dict(), recorded before the
+# summary folds read one row per class representative
+SUMMARY_DIGESTS_N7 = {
+    "thm1_1": "aa4df4ba80e02a777589e7c5d2d5a0b249680f93c9099a73e3bebc7e73781636",
+    "eq_col": "f762b1c1a17b02b8e04216558d34f7ccca64c9196966de1d846949b2320c960a",
+    "eq_ind": "df48590bfdfd41f8dccb14318924555f33ebc126ac6ba6605391a36d74904224",
+    "eq_wr": "de3e53fabff1f0544e1a485838ac0f25a73e97e35f9c919b2138508c5f0d38ba",
+    "wr_lemma": "8f2cac2167d3da7f1cb59c0c33f81de9b835356c90a59a923422d9b628e7d728",
+}
+SCAN_DIGESTS_N7 = {
+    ("k3", True): "f9df48fa337e7a24ecf61812d4bef57cd446a4b54e12e4faa28bde2f6bdbcb43",
+    ("hardcore", False): "76450cca6f37fa07a1fa750888c662b20bc6ada2d14b257623e6cdcbb8db4e73",
+    ("wr", False): "87a75b90191af0f50b834309389e3849d2e55935fa5ee89db7dcf3af8968dffb",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -503,6 +519,63 @@ def test_bundle_digest():
 def test_scan_digest(target, bipartite_only):
     r = edge_mono_scan(_TARGETS[target](), 5, bipartite_only=bipartite_only)
     assert _sha(_canonical(r.to_json_dict())) == SCAN_DIGESTS[(target, bipartite_only)]
+
+
+@pytest.mark.parametrize("claim", sorted(SUMMARY_DIGESTS_N7))
+def test_summary_digest_n7(claim):
+    s = sweep_summary(SweepConfig(claim, 7, **dict(DIGEST_CASES)[claim]))
+    assert _sha(_canonical(s.to_json_dict())) == SUMMARY_DIGESTS_N7[claim]
+
+
+@pytest.mark.parametrize("target,bipartite_only", sorted(SCAN_DIGESTS_N7))
+def test_scan_digest_n7(target, bipartite_only):
+    r = edge_mono_scan(_TARGETS[target](), 7, bipartite_only=bipartite_only)
+    assert _sha(_canonical(r.to_json_dict())) == SCAN_DIGESTS_N7[(target, bipartite_only)]
+
+
+def _per_key(grouped, width):
+    """{(q index, key): [instances, lowest (rank, position), margin]} over
+    the groups of every slot, with the inapplicable instances of a q index
+    under the key None: the fold reads only their count, and thm1_1's key
+    there depends on the state of pair 0."""
+    out = {}
+    for s, (rows, margins) in enumerate(grouped):
+        for i, ms in enumerate(margins):
+            for (key, count, rank), margin in zip(rows, ms):
+                if margin is sweeps._NO_REPORT:
+                    continue
+                at = (i, None) if margin is None else (i, key)
+                got = out.setdefault(at, [0, (rank, i * width + s), margin])
+                got[0] += count
+                got[1] = min(got[1], (rank, i * width + s))
+                assert got[2] == margin
+    return out
+
+
+@pytest.mark.parametrize("claim,kw", [
+    ("eq_ind", {}), ("eq_wr", {}), ("eq_col", {"qs": (2, 3)}), ("thm1_1", {"qs": (1, 3)}),
+    ("wr_lemma", {}), ("cor1_4", {}), ("scan", {"target": "weighted-mixed"}),
+])
+def test_rep_groups_match_slot_groups_per_key(monkeypatch, claim, kw):
+    # the summary folds read one row per class representative; per (q
+    # index, key) that must give the instance count and the lowest (rank,
+    # position) of the groups over every labelled graph, which holds only
+    # while every slot key is invariant under relabelling
+    seen, rep_groups = [], sweeps._rep_groups
+
+    def checked(t, slots):
+        reps = list(rep_groups(t, slots))
+        assert _per_key(reps, len(slots)) == _per_key(sweeps._slot_groups(t, slots), len(slots))
+        seen.append(t.n)
+        return iter(reps)
+
+    if claim == "scan":
+        monkeypatch.setattr(search, "_rep_groups", checked)
+        edge_mono_scan(_TARGETS[kw["target"]](), 6)
+    else:
+        monkeypatch.setattr(sweeps, "_rep_groups", checked)
+        sweep_summary(SweepConfig(claim, 6, **kw))
+    assert seen == list(range(1, 7))
 
 
 def test_sweeps_does_not_import_search():

@@ -32,6 +32,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from homverify.classes import MAX_N
+from homverify.cli import warn
 from homverify.graphs import Graph, path_graph, to_graph6, to_target_text
 from homverify.search import _hom_floats, _weight_batch, enumerate_graphs, find_counterexample
 
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
         return run(args)
     except Exception as exc:  # a defect, never a verdict
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        print(f"hunt_counterexamples: internal error: {msg}", file=sys.stderr)
+        warn(f"hunt_counterexamples: internal error: {msg}")
         return 3
 
 

@@ -24,6 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from homverify.classes import MAX_N
+from homverify.cli import warn
 from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
 from homverify.sweeps import (
     SweepConfig,
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
         return run(args)
     except Exception as exc:  # a defect, never a verdict: keep 1 for violations
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        print(f"run_verification_battery: internal error: {msg}", file=sys.stderr)
+        warn(f"run_verification_battery: internal error: {msg}")
         return 3
 
 

@@ -58,19 +58,25 @@ def enumeration_order(p: int) -> np.ndarray:
     return s
 
 
+_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1 == 1  # [x, j]: bit j of x is set
+
+
 def remap(masks: np.ndarray, dest: list[int]) -> np.ndarray:
     """Every mask with bit j moved to bit dest[j], or dropped where
     dest[j] < 0; bits sent to the same place are or-ed.  One lookup per
     byte of the mask."""
     out = np.zeros_like(masks)
-    xs = np.arange(256, dtype=masks.dtype)
-    for lo in range(0, len(dest), 8):
-        table = np.zeros(256, dtype=masks.dtype)
-        for j, d in enumerate(dest[lo:lo + 8]):
-            if d >= 0:
-                table |= ((xs >> j) & 1) << d
-        out |= table[(masks >> lo) & 255]
+    for lo, table in enumerate(_remap_tables(tuple(dest), masks.dtype)):
+        out |= table[(masks >> 8 * lo) & 255]
     return out
+
+
+@lru_cache(maxsize=256)
+def _remap_tables(dest: tuple[int, ...], dtype: np.dtype) -> list[np.ndarray]:
+    """remap's table per byte of a mask, built once per bit map; never written."""
+    moved = np.array([1 << d if d >= 0 else 0 for d in dest], dtype=dtype)
+    return [np.bitwise_or.reduce(_BYTE_BITS[:, :len(part)] * part, axis=1)
+            for part in np.split(moved, range(8, len(dest), 8))]
 
 
 @lru_cache(maxsize=MAX_N + 1)
@@ -193,20 +199,6 @@ class ClassTable:
         if got is None:
             got = self._values[name] = build()
         return got
-
-
-def groups(keys: np.ndarray, ranks: np.ndarray) -> Iterator[tuple[int, int, int]]:
-    """(key, count, lowest rank) for each distinct key, by an unstable sort
-    and a minimum per run of equal keys (np.unique's stable sort took three
-    times as long on a million keys)."""
-    if not len(keys):
-        return iter(())
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    count = np.diff(np.append(starts, len(keys)))
-    first = np.minimum.reduceat(ranks[order], starts)
-    return zip(ordered[starts].tolist(), count.tolist(), first.tolist())
 
 
 @lru_cache(maxsize=MAX_N + 1)

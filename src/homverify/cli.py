@@ -10,6 +10,7 @@ a counterexample was found, 2 usage or input error, 3 internal error (2 and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -162,17 +163,23 @@ def _need_q(args) -> int:
 
 
 class _Out:
+    """stdout, or the --output file, opened at the first write: a command
+    that fails before it writes leaves an existing file as it was."""
+
     def __init__(self, path: Optional[str]):
-        self.fh = open(path, "w") if path else sys.stdout
-        self._close = path is not None
+        self.path, self.fh = path, None if path else sys.stdout
+
+    def write(self, text: str) -> None:
+        self.fh = self.fh or open(self.path, "w")
+        self.fh.write(text)
 
     def line(self, payload: dict) -> None:
-        self.fh.write(json.dumps(payload) + "\n")
+        self.write(json.dumps(payload) + "\n")
 
     def done(self) -> None:
-        self.fh.flush()
-        if self._close:
+        if self.path and self.fh:
             self.fh.close()
+        sys.stdout.flush()
 
 
 def _run_count(args, out: _Out) -> int:
@@ -203,7 +210,7 @@ def _run_verify(args, out: _Out) -> int:
     g = _load_graph(args.graph, args.format)
     claim = CLAIMS[args.claim]
     target = _load_target(args.target) if claim.target and args.target else None
-    claim.check(() if args.q is None else (args.q,), target)
+    claim.check(() if args.q is None else (args.q,), target, args.ell)
     edge = _parse_edge(args.edge) if claim.edge else None
     params = argparse.Namespace(q=args.q, ell=args.ell, edge=edge, target=target)
     bad = False
@@ -220,7 +227,7 @@ def _run_sweep(args, out: _Out) -> int:
     if args.summary_only:
         summary = sweep_summary(cfg)
     else:
-        summary = sweep_reports(cfg, out.fh.write)
+        summary = sweep_reports(cfg, out.write)
     out.line(summary.to_json_dict())
     return 1 if summary.violated else 0
 
@@ -258,12 +265,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         finally:
             out.done()
     except (UsageError, ParseError, SizeGuardError, OSError, ValueError) as exc:
-        print(f"homverify: {exc}", file=sys.stderr)
+        warn(f"homverify: {exc}")
         return 2
     except Exception as exc:  # a defect, never a verdict: keep 1 for violations
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        print(f"homverify: internal error: {msg}", file=sys.stderr)
+        warn(f"homverify: internal error: {msg}")
         return 3
+
+
+def warn(line: str) -> None:
+    """Print a line on stderr, or drop it if stderr's reader has gone."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":

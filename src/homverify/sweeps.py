@@ -13,20 +13,20 @@ stream position i*S + s.  It groups its graphs (by class, or for the pair
 claims by the classes that fix the pair's margin) so that the reports of
 a group differ only in the graph6 name:
 
-* summary mode folds one row per slot and class representative: the
-  exact margin of the representative's group, computed from per-class
-  values (ind, wr or chromatic counts, or a class-level checker run on
-  the representative), weighted by the class's size n!/|Aut|.  Group keys
+* both modes fold their summary from one row per slot and class
+  representative: the exact margin of its group, from per-class values
+  (ind, wr or chromatic counts, or a class-level checker run on the
+  representative), weighted by the class's size n!/|Aut|.  Group keys
   are invariant under relabelling, so over all slots the labelled copies
-  of a class fall in the representative's groups; no labelled mask is
-  keyed.  The checker runs only to name the instances the summary keeps;
-* report mode renders each group's report once, as a fragment; every
-  line is that fragment behind the graph's name, all names coming from
-  one vectorised graph6 pass per chunk of masks.  The checker runs once
-  per group and q for the class-level claims, and once per key and q in
-  a table for the pair claims: a key is class ids, the same in every
-  pair's slot, so one report serves every pair slot with that key once
-  its instance names the slot's pair.
+  of a class fall in the representative's groups.  Summary mode keys no
+  labelled mask, and runs the checker only to name the kept instances;
+* report mode keys every labelled graph, as each gets a line, and
+  renders each group's report once, as a fragment behind the graph's
+  name, all names coming from one vectorised graph6 pass per chunk of
+  masks.  The checker runs once per group and q for the class-level
+  claims, and once per key and q in a table for the pair claims: a key
+  is class ids, the same in every pair's slot, so one report serves
+  every pair slot with that key once its instance names the slot's pair.
 
 The test suite checks both modes against the per-labelled-graph checkers.
 Only the oracle sweep starts workers: they receive batches of edge masks,
@@ -54,7 +54,6 @@ from .classes import (
     class_table,
     enumeration_order,
     graph6_names,
-    groups,
     iter_edge_sets,  # noqa: F401  (perfbench's layer tracer wraps sweeps.iter_edge_sets)
     mask_graphs,
     remap,
@@ -204,7 +203,7 @@ class SweepConfig:
         if claim is None or claim.slots is None:
             raise ValueError(f"unknown sweep claim {self.claim!r}")
         _check_max_n(self.max_n)
-        claim.check(self.qs, self.target)
+        claim.check(self.qs, self.target, self.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +274,14 @@ class _Slot(NamedTuple):
     position i*S + s, so each graph's reports come q by q, in slot order.
 
     The graphs here are those of the classes marked in keep that contain
-    the pair bit (all of them if bit is 0).  keys(masks) puts each in a
-    group (None: its class) whose reports agree in every field but the
-    graph6 name that opens the instance string; a key with an applicable
-    margin must not change when the graph is relabelled, as summary mode
-    reads only the representatives' keys (_rep_groups).  margins(keys)
-    gives, per q index, the exact margin of each group from per-class
-    values: (diff, den) for diff/den, None if inapplicable, or _NO_REPORT.  report(mask,
+    the pair bit (all of them if bit is 0), as has(t, masks) tells.
+    keys(masks) puts each in a group (a class-level slot's is its class)
+    whose reports agree in every field but the graph6 name that opens the
+    instance string; a key with an applicable margin must not change when
+    the graph is relabelled, as every summary fold reads only the
+    representatives' keys (_rep_groups).  margins(keys) gives, per q
+    index, the exact margin of each group from per-class values: (diff,
+    den) for diff/den, None if inapplicable, or _NO_REPORT.  report(mask,
     i) runs the checker on one labelled graph at q index i.  A report line
     names the graph of mask, or with rename that of mask without the bit.
 
@@ -293,11 +293,16 @@ class _Slot(NamedTuple):
 
     keep: np.ndarray
     bit: int
-    keys: Optional[Callable[[np.ndarray], np.ndarray]]
+    keys: Callable[[np.ndarray], np.ndarray]
     margins: Callable[[list[int]], list[list]]
     report: Callable[[int, int], Report]
     rename: bool = False
     pair: Optional[tuple[int, int]] = None
+
+    def has(self, t: ClassTable, masks: np.ndarray) -> np.ndarray:
+        """Which of the masks of t are graphs of this slot."""
+        have = self.keep[t.cls[masks]]
+        return have & (masks & self.bit != 0) if self.bit else have
 
 
 def _margin(r: Report) -> Optional[tuple]:
@@ -318,7 +323,7 @@ def _class_slots(t: ClassTable, sweep: Callable, keep: Optional[np.ndarray] = No
     ones need 8 vertices); in a bipartite graph that cycle has girth
     length, so the packed subgraph's size and colorings are invariant."""
     reports = [sweep(g) if keep is None or keep[c] else [] for c, g in enumerate(t.reps)]
-    return [_Slot(np.array([len(r) > i for r in reports]), 0, None,
+    return [_Slot(np.array([len(r) > i for r in reports]), 0, t.cls.__getitem__,
                   lambda keys, i=i: [[_margin(reports[c][i]) for c in keys]],
                   lambda m, _, i=i: reports[t.cls[m]][i])
             for i in range(max(map(len, reports), default=0))]
@@ -407,8 +412,9 @@ def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
         return t.cls[m].astype(np.int64) * width + state
 
     def reports(m, i):
-        # the checker reports every pair at once, and _report_batch asks
-        # for the reports of one graph and q one after another
+        # the checker reports every pair at once; _report_batch renders
+        # groups in stream order of their first graphs, so this one-entry
+        # memo checks each graph and q once
         if (m, i) not in last:
             last.clear()
             last[m, i] = check_correlation_coloring(t.graph(m), qs[i])
@@ -436,49 +442,24 @@ def _sweep_slots(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
 
 
 def _rep_groups(t: ClassTable, slots: list[_Slot]) -> Iterator[tuple[list, list]]:
-    """For the summary folds: per slot, one (key, count, rank) row per kept
-    class representative with the slot's bit, counting its class's size,
-    and the rows' margins per q index.  Keys do not change under
-    relabelling, so over all slots each labelled copy has the
-    representative's keys, and the representative is the lowest-rank
-    copy: per key, the count and the lowest (rank, position) are those of
-    _slot_groups.  An inapplicable row folds only its count, so its key
-    may vary (thm1_1 puts a graph's one inapplicable report at pair 0)."""
+    """For every summary fold: per slot, one (key, count, rank) row per
+    class representative of the slot, counting its class's size, and the
+    rows' margins per q index.  Keys do not change under relabelling and
+    the representative is its class's lowest-rank copy, so per key the
+    count and lowest (rank, position) are those over every labelled graph.
+    An inapplicable row folds only its count, so its key may vary (thm1_1
+    puts a graph's one inapplicable report at pair 0)."""
     reps = t.order[t.first_rank]
     for slot in slots:
-        keep = slot.keep & (reps & slot.bit != 0) if slot.bit else slot.keep
-        ids = np.flatnonzero(keep)
-        keys = ids if slot.keys is None else slot.keys(reps[ids])
-        rows = list(zip(keys.tolist(), t.size[ids].tolist(), t.first_rank[ids].tolist()))
-        yield rows, slot.margins([key for key, _, _ in rows])
-
-
-def _slot_groups(t: ClassTable, slots: list[_Slot]) -> Iterator[tuple[list, list]]:
-    """Per slot, its groups over every labelled graph as (key, count, rank)
-    rows, keys ascending, each `count` labelled graphs with the first of
-    them at `rank`, and their margins per q index.  For report mode, which
-    looks each labelled graph's group up by its key."""
-    kept = {}
-    for slot in slots:
-        if slot.keys is None:
-            ids = np.flatnonzero(slot.keep)
-            rows = list(zip(ids.tolist(), t.size[ids].tolist(), t.first_rank[ids].tolist()))
-        else:
-            f = slot.keep.tobytes()
-            if f not in kept:
-                ranks = np.flatnonzero(slot.keep[t.cls[t.order]]).astype(np.int32)
-                kept[f] = t.order[ranks], ranks
-            m, r = kept[f]
-            if slot.bit:
-                has = m & slot.bit != 0
-                m, r = m[has], r[has]
-            rows = list(groups(slot.keys(m), r))
+        ids = np.flatnonzero(slot.keep & (reps & slot.bit != 0) if slot.bit else slot.keep)
+        rows = list(zip(slot.keys(reps[ids]).tolist(), t.size[ids].tolist(),
+                        t.first_rank[ids].tolist()))
         yield rows, slot.margins([key for key, _, _ in rows])
 
 
 def _group_summary(claim: str, width: int, grouped: Iterable[tuple[list, list]],
                    name: Callable) -> SweepSummary:
-    """Fold the groups of _slot_groups over `width` slots exactly, as
+    """Fold the groups of _rep_groups over `width` slots exactly, as
     `record` would fold their instances in stream order: each kept
     instance is the lowest key (rank, position) among those it may be, and
     the summary stores name(key) for it."""
@@ -568,21 +549,35 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
                   ) -> SweepSummary:
     """Write the report lines of one table's labelled graphs, in enumeration
     order and each graph's reports in stream position order, and return
-    their summary.  The checker runs once per group and q, and for pair
-    slots once per key and q, at the first group in stream order with that
-    key; each group's report is rendered once, as the JSON after the
-    graph6 name with the slot's pair put in, and every line is the
-    opening, the name and that fragment.  The summary folds the groups'
-    margins, as summary mode does, and names its kept instances only when
-    asked, from each group's first graph."""
+    their summary.  The checker runs once per group (a slot's labelled
+    graphs with one key) and q, and for pair slots once per key and q, at
+    the first group in stream order with that key; each group's report is
+    rendered once, as the JSON after the graph6 name with the slot's pair
+    put in, and every line is the opening, the name and that fragment.
+    The summary folds _rep_groups, as summary mode does, and names its
+    kept instances only when asked, from their graphs."""
     slots = CLAIMS[cfg.claim].slots(t, cfg)
-    grouped = list(_slot_groups(t, slots))
     width = len(slots)
-    nq = max((len(margins) for _, margins in grouped), default=0)
-    # the groups in stream order of their first instances
-    found = sorted((rows[g][2], i * width + s, g)
-                   for s, (rows, margins) in enumerate(grouped)
-                   for i, ms in enumerate(margins)
+    # per slot: its labelled graphs' distinct keys, ascending, the lowest
+    # rank of each (a minimum per run after an unstable sort; np.unique's
+    # stable one is about twice as slow on a pair claim's 22M keys at
+    # n = 7) and their margins; a class slot's representatives suffice
+    keys, firsts, margins = [], [], []
+    for slot in slots:
+        r = np.flatnonzero(slot.has(t, t.order)) if slot.pair else t.first_rank[slot.keep]
+        k = slot.keys(t.order[r])
+        order = np.argsort(k)
+        k, r = k[order], r[order]
+        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1]))[:len(k)])
+        keys.append(k[starts])
+        firsts.append(np.minimum.reduceat(r, starts).tolist())
+        margins.append(slot.margins(keys[-1].tolist()))
+    nq = max(map(len, margins), default=0)
+    # the groups in stream order of their first instances, so that the
+    # reports of one graph and q are rendered one after another
+    found = sorted((firsts[s][g], i * width + s, g)
+                   for s, per_q in enumerate(margins)
+                   for i, ms in enumerate(per_q)
                    for g, margin in enumerate(ms) if margin is not _NO_REPORT)
     if not found:
         return SweepSummary(cfg.claim)
@@ -608,11 +603,11 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
         return tail, rest
 
     # per slot and q index: the fragment of each group
-    frag_ids = [np.full((len(rows), nq), -1, dtype=np.int64) for rows, _ in grouped]
+    frag_ids = [np.full((len(k), nq), -1, dtype=np.int64) for k in keys]
     frags = []
     for rank, pos, g in found:
         i, s = divmod(pos, width)
-        tail, rest = render(s, i, grouped[s][0][g][0], int(t.order[rank]))
+        tail, rest = render(s, i, int(keys[s][g]), int(t.order[rank]))
         frag_ids[s][g, i] = len(frags)
         frags.append(json.dumps(tail)[1:-1] + rest + "\n")
 
@@ -620,26 +615,22 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
         rank, pos = key
         i, s = divmod(pos, width)
         m = t.order[rank:rank + 1]
-        k = t.cls[m] if slots[s].keys is None else slots[s].keys(m)
-        return graph6_names(t.n, m ^ rename[s])[0] + render(s, i, int(k[0]), int(m[0]))[0]
+        return (graph6_names(t.n, m ^ rename[s])[0]
+                + render(s, i, int(slots[s].keys(m)[0]), int(m[0]))[0])
 
-    keys = [np.array([key for key, _, _ in rows], dtype=np.int64) for rows, _ in grouped]
     flip = np.tile(rename, nq)
     step = max(1, CHUNK_LINES // (width * nq))
     for lo in range(0, len(t.order), step):
         m = t.order[lo:lo + step]
         ids = np.full((len(m), width * nq), -1, dtype=np.int64)
         for s, slot in enumerate(slots):
-            have = slot.keep[t.cls[m]]
-            if slot.bit:
-                have &= m & slot.bit != 0
-            k = t.cls[m[have]] if slot.keys is None else slot.keys(m[have])
-            ids[have, s::width] = frag_ids[s][np.searchsorted(keys[s], k)]
+            have = slot.has(t, m)
+            ids[have, s::width] = frag_ids[s][np.searchsorted(keys[s], slot.keys(m[have]))]
         rows, js = np.nonzero(ids >= 0)
         line_names = graph6_names(t.n, m[rows] ^ flip[js])
         write("".join([_OPEN + g6.replace("\\", "\\\\") + frags[f]
                        for g6, f in zip(line_names, ids[rows, js].tolist())]))
-    return _group_summary(cfg.claim, width, grouped, name)
+    return _group_summary(cfg.claim, width, _rep_groups(t, slots), name)
 
 
 def sweep_reports(cfg: SweepConfig, write: Callable[[str], object]) -> SweepSummary:
@@ -680,8 +671,9 @@ class Claim:
     q_min: Optional[int] = None  # None: the claim takes no q
     edge: bool = False
     target: bool = False
+    ell: bool = False  # ell bounds even cycle lengths, so it must be >= 4
 
-    def check(self, qs: tuple[int, ...], target: Optional[TargetGraph]) -> None:
+    def check(self, qs: tuple[int, ...], target: Optional[TargetGraph], ell: int) -> None:
         """Raise ValueError unless the claim's parameters are present and
         in range."""
         if self.q_min is not None:
@@ -692,6 +684,8 @@ class Claim:
                     raise ValueError(f"claim {self.name} needs q >= {self.q_min}, got {q}")
         if self.target and target is None:
             raise ValueError(f"claim {self.name} needs a target")
+        if self.ell and ell < 4:
+            raise ValueError(f"claim {self.name} needs ell >= 4, got {ell}")
 
 
 def _sweep_cor1_2(g: Graph, cfg: SweepConfig) -> list[Report]:
@@ -729,7 +723,7 @@ CLAIMS = {c.name: c for c in (
     Claim("sidorenko", target=True,
           verify=lambda g, p: [check_sidorenko_bound(g, p.target)],
           sweep=lambda g, cfg: [check_sidorenko_bound(g, cfg.target)] if g.is_connected() else []),
-    Claim("cor1_2", q_min=2,
+    Claim("cor1_2", q_min=2, ell=True,
           verify=lambda g, p: [check_cycle_packing_bound(g, p.q, p.ell),
                                check_cycle_packing_headline(g, p.q, p.ell)],
           sweep=_sweep_cor1_2),

@@ -16,7 +16,6 @@ from homverify.classes import (
     class_table,
     enumeration_order,
     graph6_names,
-    groups,
     iter_edge_sets,
     remap,
     vertex_pairs,
@@ -149,13 +148,6 @@ def test_bit_maps_match_graph_operations(n):
             g = t.graph(m)
             assert t1.graph(mi) == identify_vertices(g, u, v)
             assert t2.graph(md) == g.delete_vertices((u, v))
-
-
-def test_groups_counts_and_lowest_rank():
-    keys = np.array([5, 2, 5, 2, 7, 5])
-    ranks = np.array([3, 9, 1, 4, 0, 8])
-    assert list(groups(keys, ranks)) == [(2, 2, 4), (5, 3, 1), (7, 1, 0)]
-    assert list(groups(keys[:0], ranks[:0])) == []
 
 
 @pytest.mark.parametrize("n", range(1, 7))

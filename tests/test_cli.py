@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -84,13 +85,27 @@ def test_sweep_small_all_holds():
     assert all(d["verdict"] == "holds" for d in ds[:-1])
 
 
-def test_sweep_summary_only_matches_stream():
-    full = run_cli("sweep", "--claim", "eq_wr", "--max-n", "4")
-    only = run_cli("sweep", "--claim", "eq_wr", "--max-n", "4", "--summary-only")
-    f = lines(full.stdout)[-1]
-    o = lines(only.stdout)[0]
-    for key in ("instances", "holds", "violated", "inapplicable", "min_margin", "tight_count"):
-        assert f[key] == o[key]
+_SWEEP_ARGS = {"thm1_1": ["--q", "2", "--q", "3"], "eq_col": ["--q", "3"],
+               "sidorenko": ["--target", "hardcore"], "cor1_2": ["--q", "3"],
+               "balanced": ["--q", "3"]}
+
+
+def test_sweep_summary_only_matches_stream(capsys):
+    # every summary field of every sweep claim, instance names included
+    names = ("min_margin_instance", "first_tight_instance", "first_violation")
+    for claim in (name for name, c in CLAIMS.items() if c.slots):
+        argv = ["sweep", "--claim", claim, *_SWEEP_ARGS.get(claim, []), "--max-n", "4"]
+        assert cli.main(argv) == 0
+        full = lines(capsys.readouterr().out)[-1]
+        assert cli.main([*argv, "--summary-only"]) == 0
+        [only] = lines(capsys.readouterr().out)
+        assert full["claim"] == claim and full["instances"] > 0
+        if claim == "eq_col":
+            # summary mode names G, the stream G-e: only the graph6 name differs
+            for d in (full, only):
+                for f in names:
+                    d[f] = d[f] and d[f].split(" ", 1)[1]
+        assert full == only, claim
 
 
 def test_sweep_worker_byte_identity():
@@ -152,6 +167,30 @@ def test_output_file(tmp_path):
     r = run_cli("--output", str(out), "count", "ind", "--graph", str(DATA / "p4.el"))
     assert r.returncode == 0 and r.stdout == ""
     assert json.loads(out.read_text()) == {"count": "8"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "ind", "--graph", "missing.txt"],
+    ["sweep", "--claim", "sidorenko", "--max-n", "3"],      # missing --target
+], ids=["count", "sweep"])
+def test_failed_command_leaves_output_file(argv, tmp_path, capsys):
+    # --output is opened at the first write, so a command refused before
+    # it writes leaves the file's bytes as they were
+    out = tmp_path / "out.json"
+    out.write_bytes(b'{"count": "8"}\n')
+    assert cli.main([*argv, "--output", str(out)]) == 2
+    assert out.read_bytes() == b'{"count": "8"}\n'
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_closed_pipe_is_not_a_violation():
+    # stdout and stderr share one pipe, closed after the first line as by
+    # `2>&1 | head -1`: the failed write is an error (2), never a violation
+    p = subprocess.Popen([sys.executable, "-m", "homverify", "sweep", "--claim", "eq_ind",
+                          "--max-n", "5"], stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    assert json.loads(p.stdout.readline())["claim"] == "eq_ind"
+    p.stdout.close()
+    assert p.wait(timeout=60) == 2
 
 
 @pytest.mark.parametrize("args", [
@@ -386,6 +425,23 @@ def test_cor1_2_huge_ell_is_quick(argv, capsys):
     assert out and all(x.get("verdict") == "holds" or x.get("violated") == 0 for x in out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "cor1_2", "--graph", "P3", "--q", "2", "--ell", "0"],
+    ["verify", "cor1_2", "--graph", "K3", "--q", "2", "--ell", "0"],
+    ["verify", "cor1_2", "--graph", "K3", "--q", "2", "--ell", "3"],
+    ["sweep", "--claim", "cor1_2", "--q", "2", "--ell", "3", "--max-n", "3"],
+    ["sweep", "--claim", "cor1_2", "--q", "2", "--ell", "0", "--max-n", "3", "--summary-only"],
+], ids=["verify-p3", "verify-k3", "verify-k3-ell3", "sweep", "sweep-summary"])
+def test_cor1_2_ell_below_4_exit_2(argv, tmp_path, capsys):
+    # ell bounds even cycle lengths: it is refused with q, before any
+    # graph is checked, whether the graph is bipartite (P_3) or not (K_3)
+    graphs = {"P3": _write_edgelist(tmp_path / "p3.el", 3, [(0, 1), (1, 2)]),
+              "K3": _write_edgelist(tmp_path / "k3.el", 3, [(0, 1), (1, 2), (0, 2)])}
+    assert cli.main([graphs.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.startswith("homverify: claim cor1_2 needs ell >= 4, got ")
+
+
 def test_verify_prints_reports_past_int_digit_limit(tmp_path, capsys):
     # at --ell 20000 the headline bound on C4 has a numerator of more than
     # 4,300 digits, Python's int-to-str limit: it is printed through Decimal
@@ -518,3 +574,19 @@ def test_script_internal_error_exit_3(name, step, tmp_path, monkeypatch, capsys)
                        if name == "run_verification_battery" else ["--max-n", "2"]) == 3
     err = capsys.readouterr().err
     assert err == f"{name}: internal error: RuntimeError: boom second line\n"
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("name", ["run_verification_battery", "hunt_counterexamples"])
+def test_script_closed_pipe_exit_3(name, tmp_path, monkeypatch):
+    # stdout and stderr on one pipe whose reader has gone: the failed
+    # progress line is a crash (3) whose diagnostic is dropped, not raised
+    module = _script(name)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+    assert module.main(["--max-n", "2", "--summary-only", "--out", str(tmp_path)]
+                       if name == "run_verification_battery" else ["--max-n", "2"]) == 3

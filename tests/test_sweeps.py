@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homverify import cli, search, sweeps
@@ -71,6 +72,23 @@ _PAIR_SWEEPS = {
     "eq_wr": lambda g, cfg: [check_edge_ratio(g, "wr", e) for e in g.sorted_edges],
     "wr_lemma": lambda g, cfg: [check_wr_lemma(g, e) for e in g.sorted_edges],
 }
+
+
+def _slot_groups(t, slots):
+    """Per slot, its groups over every labelled graph as (key, count, lowest
+    rank) rows, keys ascending, and their margins per q index: the
+    per-labelled reference that the one row per class representative of
+    sweeps._rep_groups, and report mode's checker calls, are checked
+    against."""
+    for slot in slots:
+        ranks = np.flatnonzero(slot.keep[t.cls[t.order]])
+        if slot.bit:
+            ranks = ranks[t.order[ranks] & slot.bit != 0]
+        m = t.order[ranks]
+        keys = slot.keys(m)
+        distinct, first, count = np.unique(keys, return_index=True, return_counts=True)
+        yield (list(zip(distinct.tolist(), count.tolist(), ranks[first].tolist())),
+               slot.margins(distinct.tolist()))
 
 
 def _reference_stream(cfg):
@@ -179,12 +197,28 @@ def test_report_mode_checks_each_pair_key_once(monkeypatch, claim, kw):
     keys = set()
     for n in range(1, 6):
         t = class_table(n)
-        for rows, margins in sweeps._slot_groups(t, sweeps.CLAIMS[claim].slots(t, cfg)):
+        for rows, margins in _slot_groups(t, sweeps.CLAIMS[claim].slots(t, cfg)):
             keys |= {(n, i, key) for i, ms in enumerate(margins)
                      for (key, _, _), margin in zip(rows, ms) if margin is not sweeps._NO_REPORT}
     assert len(calls) == len(keys)
     if claim == "eq_wr":
         assert len(calls) == 92
+
+
+def test_report_mode_checks_thm1_1_once_per_class(monkeypatch):
+    # the checker reports every pair of a graph at once, and report mode
+    # renders its groups in stream order of their first graphs, so the
+    # pair slots of one graph and q meet the checker one after another
+    calls = []
+
+    def counted(g, q, _check=sweeps.check_correlation_coloring):
+        calls.append(q)
+        return _check(g, q)
+
+    monkeypatch.setattr(sweeps, "check_correlation_coloring", counted)
+    sweep_reports(SweepConfig("thm1_1", 5, qs=(3,)), lambda text: None)
+    kept = sum(int((t.connected & t.bipartite).sum()) for t in map(class_table, range(2, 6)))
+    assert len(calls) == kept == 10
 
 
 def test_summaries_start_no_process(monkeypatch):
@@ -565,7 +599,7 @@ def test_rep_groups_match_slot_groups_per_key(monkeypatch, claim, kw):
 
     def checked(t, slots):
         reps = list(rep_groups(t, slots))
-        assert _per_key(reps, len(slots)) == _per_key(sweeps._slot_groups(t, slots), len(slots))
+        assert _per_key(reps, len(slots)) == _per_key(_slot_groups(t, slots), len(slots))
         seen.append(t.n)
         return iter(reps)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -52,7 +53,10 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process: every `main` call parses with it,
+    and parsing leaves it unchanged, so callers must not mutate it."""
     p = _Parser(prog="homverify", description=__doc__)
     p.add_argument("--output", help="write output here instead of stdout")
     p.add_argument("--workers", type=int, default=1,

@@ -43,7 +43,6 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -175,6 +174,14 @@ def _batches(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
         order = enumeration_order(n * (n - 1) // 2)
         for lo in range(0, len(order), BATCH_SIZE):
             yield n, order[lo:lo + BATCH_SIZE]
+
+
+def get_context(method: str):
+    """multiprocessing's start-method context, imported at the first pool
+    rather than with this module: most callers never start one."""
+    from multiprocessing import get_context as context
+
+    return context(method)
 
 
 def _map_batches(fn: Callable, jobs, workers: int):

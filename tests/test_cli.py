@@ -127,6 +127,41 @@ def test_global_flags_accepted_on_both_sides_of_subcommand(tmp_path):
     assert b.returncode == 0 and json.loads(out2.read_text()) == {"count": "8"}
 
 
+_EQ_COL = ["sweep", "--claim", "eq_col", "--max-n", "4", "--summary-only"]
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    # every main call in a process parses with one parser: one call's --q
+    # list must not carry into the next, nor a failed call's partial parse
+    assert cli.build_parser() is cli.build_parser()
+    alone = run_cli(*_EQ_COL, "--q", "2")
+    assert alone.returncode == 0
+    assert cli.main([*_EQ_COL, "--q", "2", "--q", "3"]) == 0
+    both = capsys.readouterr().out
+    assert cli.main([*_EQ_COL, "--q", "2"]) == 0
+    assert capsys.readouterr().out == alone.stdout != both
+    # a usage error after --q 3 was appended, between two good calls
+    assert cli.main(["sweep", "--claim", "eq_col", "--q", "3", "--max-n", "x"]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.count("\n") == 1
+    assert cli.main([*_EQ_COL, "--q", "2"]) == 0
+    assert capsys.readouterr().out == alone.stdout
+
+
+def test_output_flag_on_either_side_on_consecutive_calls(tmp_path, capsys):
+    # after the subcommand --output defaults to SUPPRESS, so a call that
+    # omits it writes to stdout whatever the call before it gave
+    argv = ["count", "ind", "--graph", str(DATA / "p4.el")]
+    outs = [tmp_path / f"o{i}.json" for i in range(3)]
+    assert cli.main(["--output", str(outs[0]), *argv]) == 0
+    assert cli.main([*argv, "--output", str(outs[1])]) == 0
+    assert cli.main(["--output", str(outs[2]), *argv]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": "8"}
+    assert [json.loads(o.read_text()) for o in outs] == [{"count": "8"}] * 3
+
+
 def test_empty_sweep_is_valid_json():
     # a 1-vertex sweep has no edge instances: stream is just the summary
     r = run_cli("sweep", "--claim", "eq_ind", "--max-n", "1")

@@ -271,6 +271,18 @@ def test_pool_size_clamped_to_cpu_count(monkeypatch):
     assert got == oracle_equivalence_sweep(**sweep, workers=1)
 
 
+def test_setup_does_not_import_multiprocessing():
+    # only the oracle sweep's pool needs it: sweeps.get_context imports it
+    # at the first call, so a CLI call or a summary never pays for it
+    src = str(Path(sweeps.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import homverify.cli, homverify.search, homverify.sweeps; "
+            "print('multiprocessing' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_bundle_matches_individual_claims():
     bundle = corollary_bundle_summary(4)
     for claim, kw in [("cor1_4", {}), ("cor1_6", {}),

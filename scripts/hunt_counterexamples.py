@@ -33,8 +33,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from homverify.classes import MAX_N
 from homverify.cli import warn
+from homverify.counting import hom_batch
 from homverify.graphs import Graph, path_graph, to_graph6, to_target_text
-from homverify.search import _hom_floats, _weight_batch, enumerate_graphs, find_counterexample
+from homverify.search import _weight_batch, enumerate_graphs, find_counterexample
 
 
 def p4_grid_margins() -> tuple[np.ndarray, np.ndarray]:
@@ -46,8 +47,8 @@ def p4_grid_margins() -> tuple[np.ndarray, np.ndarray]:
     margins, dens = [], []
     for idx in np.array_split(np.arange(11 ** 6), 11 ** 2):
         w = _weight_batch(idx[:, None] // 11 ** np.arange(5, -1, -1) % 11, 3, p4)
-        den = np.array([_hom_floats(h, w) for h in minus])
-        margins.append(9 * _hom_floats(p4, w) - w.sum(axis=(1, 2)) * den)
+        den = np.array([hom_batch(h, w) for h in minus])
+        margins.append(9 * hom_batch(p4, w) - w.sum(axis=(1, 2)) * den)
         dens.append(den)
     return np.hstack(margins), np.hstack(dens)
 

@@ -2,14 +2,13 @@
 """Run the full inequality battery at a chosen size and write JSONL reports.
 
 Usage:
-    python scripts/run_verification_battery.py [--max-n N] [--workers W]
-                                               [--out DIR] [--summary-only]
+    python scripts/run_verification_battery.py [--max-n N] [--out DIR]
+                                               [--summary-only]
 
 Produces one <claim>.jsonl file per claim (stream of per-instance reports
 plus a trailing summary record) or, with --summary-only, a single
 battery_summary.json with the aggregate counts from the fast kernels.
-Both sweep modes run in one process; --workers sets the worker count of
-the oracle equivalence pass only.
+Everything runs in one process.
 
 Exit codes: 0 no violations or mismatches, 1 some found, 2 bad arguments,
 3 internal error (one line on stderr).
@@ -54,8 +53,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=5, choices=range(1, MAX_N + 1),
                     metavar=f"1..{MAX_N}")
-    ap.add_argument("--workers", type=int, default=2,
-                    help="worker processes for the oracle equivalence pass")
     ap.add_argument("--out", default="battery_out")
     ap.add_argument("--summary-only", action="store_true")
     args = ap.parse_args(argv)
@@ -72,7 +69,7 @@ def run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     grand = []
 
-    print(f"battery: max_n={args.max_n} workers={args.workers} -> {outdir}/")
+    print(f"battery: max_n={args.max_n} -> {outdir}/")
     t_all = time.time()
 
     for i, (claim, kw) in enumerate(BATTERY):
@@ -98,8 +95,7 @@ def run(args) -> int:
     print("oracle equivalence pass ...")
     t0 = time.time()
     o = oracle_equivalence_sweep(max_n=min(args.max_n, 7),
-                                 wr_chrom_max_n=min(args.max_n, 6),
-                                 workers=args.workers)
+                                 wr_chrom_max_n=min(args.max_n, 6))
     print(f"  checked ind={o.checked_ind} wr={o.checked_wr} chrom={o.checked_chrom} "
           f"mismatches={len(o.mismatches)} ({time.time() - t0:.1f}s)")
 

@@ -25,7 +25,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, bipartition
+from . import counting
+from .graphs import Graph, TargetGraph, bipartition
 
 MAX_N = 7  # largest vertex count for enumeration, sweeps, scans and class tables
 
@@ -56,6 +57,33 @@ def enumeration_order(p: int) -> np.ndarray:
     for i in range(p - 1, -1, -1):
         s = np.concatenate((s[:1], s | (1 << i), s[1:]))
     return s
+
+
+def all_masks_hom(n: int, target: TargetGraph) -> np.ndarray:
+    """hom(G_M, target) in int64 for every edge mask M on n vertices, for a
+    0/1 target: the oracle sweep's generic side, sharing no code with the
+    counters.  A map is a homomorphism from G_M iff its set of pairs sent
+    onto a zero entry misses M, so a histogram of those sets over the k^n
+    maps, zeta-transformed over the 2^p masks (Yates 1937; Bjorklund et
+    al., "Fourier meets Mobius", STOC 2007), read at M's complement.
+    Refused before any array is built past counting.STEP_BUDGET."""
+    if not target.is_simple:
+        raise ValueError("all_masks_hom needs a target with 0/1 entries")
+    pairs = vertex_pairs(n)
+    p, k = len(pairs), target.k
+    if max(k ** n, 1 << p) > counting.STEP_BUDGET:
+        raise counting.SizeGuardError(
+            f"all_masks_hom guard: {k}^{n} maps over 2^{p} masks, more than {counting.STEP_BUDGET}")
+    zero = np.array([[x == 0 for x in row] for row in target.w], dtype=np.int64).reshape(k, k)
+    maps = np.indices((k,) * n).reshape(n, k ** n)  # maps[v]: v's image under every map
+    bad = np.zeros(k ** n, dtype=np.int64)
+    for i, (u, v) in enumerate(pairs):
+        bad |= zero[maps[u], maps[v]] << i
+    f = np.bincount(bad, minlength=1 << p)
+    for i in range(p):
+        view = f.reshape(-1, 2, 1 << i)
+        view[:, 1, :] += view[:, 0, :]
+    return f[((1 << p) - 1) ^ np.arange(1 << p)]
 
 
 _BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1 == 1  # [x, j]: bit j of x is set

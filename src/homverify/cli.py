@@ -30,8 +30,8 @@ from .graphs import (
     to_target_text,
     widom_rowlinson_target,
 )
+from . import counting
 from .counting import (
-    HOM_FACTOR_GUARD,
     SizeGuardError,
     chrom_eval,
     chrom_poly,
@@ -60,8 +60,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="homverify", description=__doc__)
     p.add_argument("--output", help="write output here instead of stdout")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; every command runs in one "
-                        "process, only the library's oracle sweep uses workers")
+                   help="accepted and ignored: every command runs in one process")
     # the same flags are accepted after the subcommand; SUPPRESS keeps an
     # unset subcommand flag from stomping a value given before it
     common = argparse.ArgumentParser(add_help=False)
@@ -134,9 +133,9 @@ def _load_target(token: str, override_guard: bool = False) -> TargetGraph:
     m = _KQ.match(token)
     if m:
         q = int(m.group(1))
-        if q * q > HOM_FACTOR_GUARD and not override_guard:
+        if q * q > counting.STEP_BUDGET and not override_guard:
             raise SizeGuardError(f"target guard: {token} has {q * q} entries, "
-                                 f"more than {HOM_FACTOR_GUARD}")
+                                 f"more than {counting.STEP_BUDGET}")
         return complete_target(q)
     if token in ("hardcore", "looped-k2"):
         return hard_core_target()
@@ -150,13 +149,16 @@ def _fmt_count(x) -> str:
     return int_text(f.numerator) if f.denominator == 1 else rat_text(f)
 
 
-def _parse_edge(s: Optional[str]) -> tuple[int, int]:
+def _parse_edge(s: Optional[str], n: int) -> tuple[int, int]:
+    """The pair u,v of --edge: two distinct vertices of an n-vertex graph."""
     if s is None:
         raise UsageError("this claim needs --edge u,v")
     try:
         u, v = (int(t) for t in s.split(","))
     except ValueError:
         raise UsageError(f"bad --edge {s!r}, expected 'u,v'") from None
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise UsageError(f"bad --edge {s!r}, expected two distinct vertices below {n}")
     return (u, v)
 
 
@@ -215,7 +217,7 @@ def _run_verify(args, out: _Out) -> int:
     claim = CLAIMS[args.claim]
     target = _load_target(args.target) if claim.target and args.target else None
     claim.check(() if args.q is None else (args.q,), target, args.ell)
-    edge = _parse_edge(args.edge) if claim.edge else None
+    edge = _parse_edge(args.edge, g.n) if claim.edge else None
     params = argparse.Namespace(q=args.q, ell=args.ell, edge=edge, target=target)
     bad = False
     for r in claim.verify(g, params):

@@ -29,7 +29,8 @@ per call on the masks (Haggard, Pearce & Royle 2010), with a closed form for
 unions of cycles.  The independent-set count branches on whole graphs below
 FOREST_MIN_VERTICES vertices and per component above, on an explicit stack.
 Each loop that can run long charges its steps' work to one STEP_BUDGET per
-call; wr_count, whose cost is known at the start, is refused then if over.
+call; wr_count and hom_batch, whose costs are known at the start, are
+refused then if over.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .graphs import (
 )
 
 STEP_BUDGET = 1 << 22        # steps one counter call may take, unless overridden
-HOM_FACTOR_GUARD = 1 << 22   # reject a weighted count whose elimination sums more entries
 MAP_BITS = 1 << 12           # hom_count's map-bit route takes k**n up to this
 FOREST_MIN_VERTICES = 8      # ind_count branches on the lowest vertex below this many
 
@@ -196,16 +196,16 @@ def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = No
     first vertex in the order.  Eliminating v contracts its bucket by one
     einsum; an empty bucket is an isolated vertex, a factor k.  That sums
     over v and its d remaining neighbours, k**(d + 1) entries per matrix:
-    past HOM_FACTOR_GUARD the call is refused unless the guard is
-    overridden, and below it the batch goes in slices of as many entries."""
+    past STEP_BUDGET the call is refused unless the guard is overridden,
+    and below it the batch goes in slices of as many entries."""
     b, k, _ = w.shape
     if k == 1:  # the one map: any valid constraint allows it; each edge weighs the loop
         return w[:, 0, 0] ** g.m
     steps = _min_degree_order(g.neighbor_masks)
     top = max((nb.bit_count() + 1 for _, nb in steps), default=0)
-    if k ** top > HOM_FACTOR_GUARD and not override_guard:
+    if k ** top > STEP_BUDGET and not override_guard:
         raise SizeGuardError(f"hom_count guard: elimination sums over {k}^{top} entries")
-    step = max(1, HOM_FACTOR_GUARD // k ** top)
+    step = max(1, STEP_BUDGET // k ** top)
     if b > step:
         return np.concatenate([hom_batch(g, w[i:i + step], constraint, override_guard=True)
                                for i in range(0, b, step)])
@@ -784,7 +784,6 @@ def tree_hom_lower_bound(n: int, target: TargetGraph) -> float:
 __all__ = [
     "ChromPoly",
     "EMPTY_CONSTRAINT",
-    "HOM_FACTOR_GUARD",
     "IND_IN",
     "IND_OUT",
     "ListConstraint",

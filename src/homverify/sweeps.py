@@ -29,17 +29,13 @@ a group differ only in the graph6 name:
   every pair slot with that key once its instance names the slot's pair.
 
 The test suite checks both modes against the per-labelled-graph checkers.
-Only the oracle sweep starts workers: they receive batches of edge masks,
-consecutive slices of ``classes.enumeration_order``, build each batch's
-graphs from the masks with ``classes.mask_graphs``, and their results are
-merged in submission order, so its result is the same for any worker
-count.
+The oracle sweep checks the counters themselves on every labelled graph,
+in one process, against classes.all_masks_hom's tables over all masks.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,8 +46,8 @@ import numpy as np
 from .classes import (
     MAX_N,
     ClassTable,
+    all_masks_hom,
     class_table,
-    enumeration_order,
     graph6_names,
     iter_edge_sets,  # noqa: F401  (perfbench's layer tracer wraps sweeps.iter_edge_sets)
     mask_graphs,
@@ -159,42 +155,17 @@ class SweepSummary:
         }
 
 
-# ---------------------------------------------------------------------------
-# Parallel plumbing (the oracle sweep)
-# ---------------------------------------------------------------------------
-
 def _check_max_n(max_n: int) -> None:
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"sweeps support max_n in 1..{MAX_N}")
 
 
-def _batches(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(n, BATCH_SIZE masks) for n = 1..max_n, in enumeration order."""
-    for n in range(1, max_n + 1):
-        order = enumeration_order(n * (n - 1) // 2)
-        for lo in range(0, len(order), BATCH_SIZE):
-            yield n, order[lo:lo + BATCH_SIZE]
-
-
-def get_context(method: str):
-    """multiprocessing's start-method context, imported at the first pool
-    rather than with this module: most callers never start one."""
-    from multiprocessing import get_context as context
-
-    return context(method)
-
-
-def _map_batches(fn: Callable, jobs, workers: int):
-    """Ordered map over batches; identical output for any worker count.
-    Starts at most one process per CPU."""
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        for job in jobs:
-            yield fn(job)
-        return
-    ctx = get_context("fork")
-    with ctx.Pool(workers) as pool:
-        yield from pool.imap(fn, jobs, chunksize=1)
+# kept only because perfbench's POOL_PLAN wraps it, until the benchmark
+# stops (ROADMAP item 1); nothing calls it, since every sweep runs in one
+# process
+def _map_batches(fn: Callable, jobs):
+    """fn of every job, in order."""
+    yield from map(fn, jobs)
 
 
 @dataclass(frozen=True)
@@ -805,33 +776,48 @@ class OracleSummary:
         self.mismatches.extend(other.mismatches)
 
 
-def _oracle_batch(args) -> OracleSummary:
-    """Every counter on the graph of every mask of the batch; a mismatch
-    names the graph by its sorted edge tuple."""
-    n, masks, wr_chrom_max_n, chrom_qs = args
-    small = n <= wr_chrom_max_n
-    s = OracleSummary(checked_ind=len(masks), checked_wr=len(masks) if small else 0,
-                      checked_chrom=len(masks) * len(chrom_qs) if small else 0)
-    kqs = [(q, complete_target(q)) for q in chrom_qs]
-    for g in mask_graphs(n, masks):
-        if ind_count(g) != hom_count(g, _HC):
+def _oracle_batch(n: int, masks: np.ndarray, tables: list) -> OracleSummary:
+    """ind_count, and wr_count and chrom_poly(q) where tables has them, on
+    the graph of every mask of the batch against the tables' rows; a
+    mismatch names the graph by its sorted edge tuple."""
+    ind, *small = [table[masks].tolist() for _, _, table in tables]
+    qs = [kind[1] for kind, _, _ in tables[2:]]
+    s = OracleSummary(len(masks), len(masks) if small else 0, len(masks) * len(qs))
+    for i, g in enumerate(mask_graphs(n, masks)):
+        if ind_count(g) != ind[i]:
             s.mismatches.append(("ind", n, g.sorted_edges))
         if small:
-            if wr_count(g) != hom_count(g, _WR):
+            if wr_count(g) != small[0][i]:
                 s.mismatches.append(("wr", n, g.sorted_edges))
             poly = chrom_poly(g)
-            for q, kq in kqs:
-                if poly(q) != hom_count(g, kq):
-                    s.mismatches.append(("chrom", q, n, g.sorted_edges))
+            s.mismatches += [("chrom", q, n, g.sorted_edges)
+                             for q, col in zip(qs, small[1:]) if poly(q) != col[i]]
     return s
 
 
 def oracle_equivalence_sweep(max_n: int = 7, wr_chrom_max_n: int = 6,
                              chrom_qs: tuple[int, ...] = (2, 3),
                              workers: int = 1) -> OracleSummary:
+    """The specialised counters against hom into their targets on every
+    labelled graph with 1..max_n vertices: ind_count into the hard-core
+    target, and at n <= wr_chrom_max_n wr_count into the Widom-Rowlinson
+    target and chrom_poly(q) into K_q.  The generic side is one
+    all_masks_hom table per n and target; per n, hom_count is checked
+    against it on each class representative first (a mismatch
+    ("hom", kind..., n, edges)), then the labelled graphs in enumeration
+    order, BATCH_SIZE masks at a time.  One process; `workers` is
+    accepted and unused."""
     _check_max_n(max_n)
     total = OracleSummary()
-    jobs = ((n, batch, wr_chrom_max_n, chrom_qs) for n, batch in _batches(max_n))
-    for part in _map_batches(_oracle_batch, jobs, workers):
-        total.merge(part)
+    for n in range(1, max_n + 1):
+        kinds = [(("ind",), _HC)]
+        if n <= wr_chrom_max_n:
+            kinds += [(("wr",), _WR)] + [(("chrom", q), complete_target(q)) for q in chrom_qs]
+        tables = [(kind, h, all_masks_hom(n, h)) for kind, h in kinds]
+        t = class_table(n)
+        total.mismatches += [("hom", *kind, n, g.sorted_edges)
+                             for g, m in zip(t.reps, t.order[t.first_rank].tolist())
+                             for kind, h, table in tables if hom_count(g, h) != table[m]]
+        for lo in range(0, len(t.order), BATCH_SIZE):
+            total.merge(_oracle_batch(n, t.order[lo:lo + BATCH_SIZE], tables))
     return total

@@ -2,10 +2,10 @@
 sizes.  Each test prints a PASS/FAIL line with instance counts and timing
 (visible with -s; the test id itself carries the verdict under -v).
 
-Heads-up on runtime: criterion 1 (every counter on every labelled graph)
-takes about two minutes with two workers on a 2-core host; every other
+Heads-up on runtime: criterion 1 (every specialised counter on every
+labelled graph, in one process) takes 11-15 s on a 2-core host; every other
 sweep, criterion 6's cycle packing included, runs on class tables and takes
-seconds.  The whole module takes about three minutes there.
+under a second.  The whole module takes about 13-16 s there.
 
 Known-red criterion: test_criterion_09 asserts that the random search finds
 a tenth-grid weighted 3-vertex target violating the 4-path edge ratio.  The
@@ -20,7 +20,6 @@ import hashlib
 import importlib.util
 import json
 import math
-import os
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -58,7 +57,6 @@ from homverify.sweeps import (
 
 DATA = Path(__file__).parent / "data"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-WORKERS = max(1, int(os.environ.get("HOMVERIFY_WORKERS", os.cpu_count() or 1)))
 
 
 # SHA-256 of the canonical JSON of the summaries at these sizes, recorded
@@ -90,7 +88,7 @@ def timed(fn, *args, **kw):
 
 def test_criterion_01_oracle_equivalence():
     s, dt = timed(oracle_equivalence_sweep, max_n=7, wr_chrom_max_n=6,
-                  chrom_qs=(2, 3), workers=WORKERS)
+                  chrom_qs=(2, 3))
     expected_graphs = sum(2 ** (n * (n - 1) // 2) for n in range(1, 8))
     ok = not s.mismatches and s.checked_ind == expected_graphs
     announce("criterion 1 oracle equivalence", ok,
@@ -103,7 +101,7 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_pair_correlation_sweep():
     cfg = SweepConfig("thm1_1", 7, qs=(2, 3, 4, 5))
-    s, dt = timed(sweep_summary, cfg, workers=WORKERS)
+    s, dt = timed(sweep_summary, cfg)
     ok = s.violated == 0 and s.inapplicable == 0 and s.instances > 0
     announce("criterion 2 pair correlation sweep", ok,
              f"instances={s.instances} violated={s.violated} "
@@ -115,8 +113,8 @@ def test_criterion_02_pair_correlation_sweep():
 
 
 def test_criterion_03_edge_ratio_sweeps():
-    s_ind, dt_i = timed(sweep_summary, SweepConfig("eq_ind", 7), workers=WORKERS)
-    s_wr, dt_w = timed(sweep_summary, SweepConfig("eq_wr", 6), workers=WORKERS)
+    s_ind, dt_i = timed(sweep_summary, SweepConfig("eq_ind", 7))
+    s_wr, dt_w = timed(sweep_summary, SweepConfig("eq_wr", 6))
     ok = (s_ind.violated == 0 and s_wr.violated == 0
           and s_ind.min_margin == 0 and s_wr.min_margin == 0)
     announce("criterion 3 edge-ratio sweeps", ok,
@@ -136,7 +134,7 @@ def test_criterion_03_edge_ratio_sweeps():
 
 
 def test_criterion_04_wr_lemma_sweep():
-    s, dt = timed(sweep_summary, SweepConfig("wr_lemma", 6), workers=WORKERS)
+    s, dt = timed(sweep_summary, SweepConfig("wr_lemma", 6))
     ok = s.violated == 0
     announce("criterion 4 conditional-color lemma sweep", ok,
              f"instances={s.instances} violated={s.violated} in {dt:.0f}s")
@@ -165,11 +163,10 @@ def test_criterion_05_closed_forms():
 
 
 def test_criterion_06_corollary_bounds():
-    bundle, dt = timed(corollary_bundle_summary, 7, workers=WORKERS)
+    bundle, dt = timed(corollary_bundle_summary, 7)
     parts = {c: (s.instances, s.violated) for c, s in bundle.items()}
     ok = all(s.violated == 0 for s in bundle.values())
-    packing, dt2 = timed(sweep_summary, SweepConfig("cor1_2", 7, qs=(2, 3), ell=6),
-                         workers=WORKERS)
+    packing, dt2 = timed(sweep_summary, SweepConfig("cor1_2", 7, qs=(2, 3), ell=6))
     ok = ok and packing.violated == 0
     announce("criterion 6 corollary bounds", ok,
              f"{parts} packing={packing.instances} ({dt:.0f}s+{dt2:.0f}s)")

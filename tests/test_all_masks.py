@@ -1,43 +1,57 @@
-"""An all-masks counter as an independent leg of the counter cross-checks.
+"""classes.all_masks_hom, the oracle sweep's generic side, against brute
+force, and as an independent leg of the counter cross-checks.
 
 For a 0/1 target T, a map phi of the n vertices is a homomorphism from the
 graph of edge mask M exactly when bad(phi), the set of pairs that phi sends
-onto a zero entry, misses M.  So hom(G_M, T) is the number of maps whose
-bad set lies inside the complement of M: a histogram of bad over the k^n
-maps followed by a subset-sum (zeta) transform over the 2^p masks (Yates
-1937; Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier meets Mobius", STOC
-2007) gives it for every mask at once.  It shares no code with the
-library's counters or class tables.
+onto a zero entry, misses M; a histogram of bad over the k^n maps followed
+by a subset-sum (zeta) transform over the 2^p masks gives hom(G_M, T) for
+every mask at once.  It shares no code with the library's counters or
+class tables.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from homverify import counting
-from homverify.classes import class_table, vertex_pairs
-from homverify.counting import chrom_poly, hom_count, ind_count, wr_count
-from homverify.graphs import complete_target, hard_core_target, widom_rowlinson_target
+from homverify import classes, counting
+from homverify.classes import all_masks_hom, class_table, vertex_pairs
+from homverify.counting import SizeGuardError, chrom_poly, hom_count, ind_count, wr_count
+from homverify.graphs import TargetGraph, complete_target, hard_core_target, widom_rowlinson_target
 from homverify.sweeps import _class_polys
 
+HOM_TARGETS = [
+    ("hard_core", hard_core_target()),
+    ("widom_rowlinson", widom_rowlinson_target()),
+    ("k2", complete_target(2)),
+    ("k3", complete_target(3)),
+]
 
-def all_masks_hom(n: int, target) -> np.ndarray:
-    """hom(G_M, target) for every edge mask M on n vertices (bit i stands
-    for vertex_pairs(n)[i]), for a target with 0/1 entries."""
-    pairs = vertex_pairs(n)
-    p = len(pairs)
-    zero = np.array([[x == 0 for x in row] for row in target.w], dtype=np.int64)
-    maps = np.array(list(itertools.product(range(target.k), repeat=n)),
-                    dtype=np.int64).reshape(target.k ** n, n)
-    bad = np.zeros(len(maps), dtype=np.int64)
-    for i, (u, v) in enumerate(pairs):
-        bad |= zero[maps[:, u], maps[:, v]] << i
-    f = np.bincount(bad, minlength=1 << p)
-    for i in range(p):
-        view = f.reshape(-1, 2, 1 << i)
-        view[:, 1, :] += view[:, 0, :]
-    return f[((1 << p) - 1) ^ np.arange(1 << p)]
+
+@pytest.mark.parametrize("name,target", HOM_TARGETS, ids=[name for name, _ in HOM_TARGETS])
+def test_all_masks_match_brute_force(name, target):
+    # each map's weight, the product of the target's entries over the
+    # mask's edges, summed straight from the matrix
+    for n in range(5):
+        pairs = vertex_pairs(n)
+        assert all_masks_hom(n, target).tolist() == [
+            sum(math.prod(target.w[f[u]][f[v]] for i, (u, v) in enumerate(pairs) if m >> i & 1)
+                for f in itertools.product(range(target.k), repeat=n))
+            for m in range(1 << len(pairs))], n
+
+
+def test_all_masks_refusals(monkeypatch):
+    with pytest.raises(ValueError, match="0/1 entries"):
+        all_masks_hom(3, TargetGraph.from_rows([[1, 2], [2, 0]]))
+    # past STEP_BUDGET, lowered to 80 by monkeypatch, before np.indices
+    # (made uncallable) builds the maps: 3^4 maps into K_3, 2^10 masks at n = 5
+    monkeypatch.setattr(counting, "STEP_BUDGET", 80)
+    assert all_masks_hom(4, complete_target(2))[0] == 16  # 2^4 maps, 2^6 masks
+    monkeypatch.setattr(classes.np, "indices", None)
+    for n, q in ((4, 3), (5, 2)):
+        with pytest.raises(SizeGuardError, match=f"all_masks_hom guard: {q}\\^{n} maps"):
+            all_masks_hom(n, complete_target(q))
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -47,14 +61,6 @@ def test_all_masks_hard_core_matches_class_tables(n):
     t = class_table(n)
     per_class = np.array(t.values("ind", ind_count), dtype=np.int64)
     assert np.array_equal(all_masks_hom(n, hard_core_target()), per_class[t.cls])
-
-
-HOM_TARGETS = [
-    ("hard_core", hard_core_target()),
-    ("widom_rowlinson", widom_rowlinson_target()),
-    ("k2", complete_target(2)),
-    ("k3", complete_target(3)),
-]
 
 
 @pytest.mark.parametrize("name,target,route", [

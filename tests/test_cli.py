@@ -244,6 +244,11 @@ def test_closed_pipe_is_not_a_violation():
     ("scan", "--target", "k0", "--max-n", "3"),          # empty target
     ("count", "ind", "--graph", "DATA_DIR"),             # unreadable input
     ("--output", "DATA_DIR", "count", "ind", "--graph", "DATA_P4"),  # unwritable output
+    # every edge claim: a pair that is not two distinct vertices of P_4
+    ("verify", "eq_ind", "--graph", "DATA_P4", "--edge", "0,99"),
+    ("verify", "eq_wr", "--graph", "DATA_P4", "--edge", "1,1"),
+    ("verify", "eq_col", "--q", "2", "--graph", "DATA_P4", "--edge", "4,0"),
+    ("verify", "wr_lemma", "--graph", "DATA_P4", "--edge=-1,0"),
 ])
 def test_usage_errors_exit_2(args):
     paths = {"DATA_P4": str(DATA / "p4.el"), "DATA_DIR": str(DATA)}
@@ -304,7 +309,7 @@ def test_edgelist_header_past_vertex_bound_exit_2(n, argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,err,out", [
-    (["count", "hom", "--target", "k3"], "hom_count guard: more than 4 steps", {"count": "162"}),
+    (["count", "hom", "--target", "K3_FILE"], "hom_count guard: more than 4 steps", {"count": "162"}),
     (["poly"], "chrom_poly guard: more than 4 steps",
      {"coeffs": ["0", "-27", "108", "-189", "189", "-117", "45", "-10", "1"]}),
     (["count", "ind"], "ind_count guard: more than 4 steps", {"count": "41"}),
@@ -312,8 +317,11 @@ def test_edgelist_header_past_vertex_bound_exit_2(n, argv, tmp_path, capsys):
 ], ids=["hom", "poly", "ind", "wr"])
 def test_count_override_size_guard(argv, err, out, monkeypatch, capsys, tmp_path):
     # the 2 x 4 ladder spends a step budget lowered to 4 by monkeypatch in
-    # every counter; the counts are brute force's
-    argv = [*argv, "--graph", _ladder(tmp_path, 4)]
+    # every counter; the counts are brute force's.  K_3 comes as a file: the
+    # k3 token's 9 entries are refused by the target guard at this budget
+    k3 = tmp_path / "k3.tg"
+    k3.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+    argv = [str(k3) if a == "K3_FILE" else a for a in argv] + ["--graph", _ladder(tmp_path, 4)]
     monkeypatch.setattr(counting, "STEP_BUDGET", 4)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"homverify: {err}\n"
@@ -521,7 +529,7 @@ def test_count_hom_kq_entries_guard(tmp_path, capsys):
 
 
 def test_count_hom_kq_entries_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "HOM_FACTOR_GUARD", 8)  # K_3's 9 entries are past it
+    monkeypatch.setattr(counting, "STEP_BUDGET", 8)  # K_3's 9 entries are past it
     argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target", "k3"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "homverify: target guard: k3 has 9 entries, more than 8\n"
@@ -547,7 +555,7 @@ def test_count_hom_weighted_elimination_guard_exit_2(tmp_path):
 
 def test_count_hom_weighted_override_size_guard(monkeypatch, capsys, tmp_path):
     # p4 sums over 3^2 entries per step, past a cap lowered to 8
-    monkeypatch.setattr(counting, "HOM_FACTOR_GUARD", 8)
+    monkeypatch.setattr(counting, "STEP_BUDGET", 8)
     argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target",
             _write_tenths_target(tmp_path / "t.tg", 3)]
     assert cli.main(argv) == 2

@@ -294,7 +294,7 @@ def test_hom_weighted_guard_refuses_at_once():
         hom_count(complete_graph(12), _dense_tenths(5, 1))
     assert time.perf_counter() - start < 0.5
     # K_9 sums over 5^9, under it
-    assert 5 ** 9 <= counting.HOM_FACTOR_GUARD < 5 ** 10
+    assert 5 ** 9 <= counting.STEP_BUDGET < 5 ** 10
     assert hom_count(empty_graph(28), _doubled(complete_target(5))) == 5 ** 28
 
 
@@ -317,7 +317,7 @@ def test_hom_batch_slices_and_chunks(monkeypatch):
     ts = [_dense_tenths(3, seed) for seed in range(10)]
     k5 = complete_graph(5)
     whole = hom_batch(k5, _batch(*ts))
-    monkeypatch.setattr(counting, "HOM_FACTOR_GUARD", 3 ** 5 * 3)
+    monkeypatch.setattr(counting, "STEP_BUDGET", 3 ** 5 * 3)
     assert hom_batch(k5, _batch(*ts)).tolist() == whole.tolist()
     assert whole.tolist() == [hom_count(k5, t) * 10 ** k5.m for t in ts]
 

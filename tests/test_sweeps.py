@@ -1,5 +1,5 @@
 """Cross-checks of both sweep modes against an independent per-labelled-
-graph reference stream, worker-count invariance, and output digests."""
+graph reference stream, the oracle sweep, and output digests."""
 
 import contextlib
 import hashlib
@@ -221,21 +221,6 @@ def test_report_mode_checks_thm1_1_once_per_class(monkeypatch):
     assert len(calls) == kept == 10
 
 
-def test_summaries_start_no_process(monkeypatch):
-    def no_pool(method):
-        raise AssertionError("a summary started a process")
-
-    monkeypatch.setattr(sweeps, "get_context", no_pool)
-    # enough CPUs that the pool would not be clamped to one process
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
-    for claim, kw in DIGEST_CASES:
-        built = {k: _TARGETS[v]() if k == "target" else v for k, v in kw.items()}
-        cfg = SweepConfig(claim, 4, **built)
-        sweep_summary(cfg, workers=2)
-        sweep_reports(cfg, lambda text: None)
-    corollary_bundle_summary(4, workers=2)
-
-
 def test_worker_count_invariance():
     cfg = SweepConfig("eq_ind", 4)
     s1 = sweep_summary(cfg, workers=1)
@@ -243,40 +228,16 @@ def test_worker_count_invariance():
     assert s1.to_json_dict() == s2.to_json_dict()
 
 
-def test_pool_size_clamped_to_cpu_count(monkeypatch):
-    requested = []
-
-    class InlinePool:
-        def __init__(self, size):
-            requested.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    class Context:
-        Pool = InlinePool
-
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(sweeps, "get_context", lambda method: Context())
-    sweep = dict(max_n=4, wr_chrom_max_n=3, chrom_qs=(2,))
-    got = oracle_equivalence_sweep(**sweep, workers=10 ** 6)
-    assert requested == [3]
-    monkeypatch.undo()
-    assert got == oracle_equivalence_sweep(**sweep, workers=1)
-
-
 def test_setup_does_not_import_multiprocessing():
-    # only the oracle sweep's pool needs it: sweeps.get_context imports it
-    # at the first call, so a CLI call or a summary never pays for it
+    # no code path starts a process: importing the CLI, an oracle sweep
+    # asked for two workers, a summary and a report sweep all leave
+    # multiprocessing unloaded
     src = str(Path(sweeps.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); "
-            "import homverify.cli, homverify.search, homverify.sweeps; "
+            "import homverify.cli, homverify.search; from homverify import sweeps; "
+            "sweeps.oracle_equivalence_sweep(max_n=4, wr_chrom_max_n=3, workers=2); "
+            "cfg = sweeps.SweepConfig('eq_ind', 4); sweeps.sweep_summary(cfg, workers=2); "
+            "sweeps.sweep_reports(cfg, lambda text: None); "
             "print('multiprocessing' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
@@ -302,7 +263,7 @@ def test_bundle_k3_counts_bipartite_only():
 
 
 def test_oracle_sweep_small():
-    s = oracle_equivalence_sweep(max_n=4, wr_chrom_max_n=4, chrom_qs=(2, 3), workers=1)
+    s = oracle_equivalence_sweep(max_n=4, wr_chrom_max_n=4, chrom_qs=(2, 3))
     assert s.checked_ind == 2 + 8 + 64 + 1
     assert s.checked_wr == s.checked_ind
     assert s.checked_chrom == 2 * s.checked_ind
@@ -324,16 +285,17 @@ def _wrong_wr(n, edges):
     return n == 3 or len(edges) == 5
 
 
-def test_oracle_sweep_worker_invariance(monkeypatch):
+def test_oracle_sweep_independent_of_batch_size(monkeypatch):
     _wrong_on(monkeypatch, "ind_count", _wrong_ind)
     _wrong_on(monkeypatch, "wr_count", _wrong_wr)
-    a = oracle_equivalence_sweep(max_n=4, wr_chrom_max_n=3, workers=1)
-    b = oracle_equivalence_sweep(max_n=4, wr_chrom_max_n=3, workers=2)
-    assert a.mismatches and a == b
+    got = []
+    for size in (1, 7, 100, 4096):
+        monkeypatch.setattr(sweeps, "BATCH_SIZE", size)
+        got.append(oracle_equivalence_sweep(max_n=5, wr_chrom_max_n=4))
+    assert got[0].mismatches and all(g == got[0] for g in got)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_oracle_sweep_names_mismatches_in_enumeration_order(monkeypatch, workers):
+def test_oracle_sweep_names_mismatches_in_enumeration_order(monkeypatch):
     _wrong_on(monkeypatch, "ind_count", _wrong_ind)
     _wrong_on(monkeypatch, "wr_count", _wrong_wr)
     monkeypatch.setattr(sweeps, "BATCH_SIZE", 100)  # several batches per n
@@ -344,19 +306,31 @@ def test_oracle_sweep_names_mismatches_in_enumeration_order(monkeypatch, workers
                 expected.append(("ind", n, edges))
             if n <= 4 and _wrong_wr(n, edges):
                 expected.append(("wr", n, edges))
-    got = oracle_equivalence_sweep(max_n=5, wr_chrom_max_n=4, chrom_qs=(2,), workers=workers)
+    got = oracle_equivalence_sweep(max_n=5, wr_chrom_max_n=4, chrom_qs=(2,))
     assert got.mismatches == expected
     assert {kind for kind, *_ in expected} == {"ind", "wr"}
     assert any(n == 5 for _, n, _ in expected)
     assert (got.checked_ind, got.checked_wr, got.checked_chrom) == (1099, 75, 75)
 
 
+def test_oracle_sweep_checks_hom_count_on_class_representatives(monkeypatch):
+    # hom_count off by one into K_2 on the 3-vertex path's class: one
+    # mismatch, naming its representative; no labelled copy meets hom_count
+    t, k2, right = class_table(3), complete_target(2), sweeps.hom_count
+    path = t.cls[0b011]  # edges (0,1), (0,2): the class's first graph
+    monkeypatch.setattr(sweeps, "hom_count", lambda g, h: right(g, h) + (
+        g.n == 3 and h == k2 and t.cls[sum(1 << t.index[e] for e in g.edges)] == path))
+    got = oracle_equivalence_sweep(max_n=4, wr_chrom_max_n=4, chrom_qs=(2, 3))
+    assert got.mismatches == [("hom", "chrom", 2, 3, ((0, 1), (0, 2)))]
+    assert (got.checked_ind, got.checked_wr, got.checked_chrom) == (75, 75, 150)
+
+
 @pytest.mark.parametrize("max_n", [-1, 0, 8, 9])
 def test_oracle_sweep_refuses_max_n_before_enumerating(monkeypatch, max_n):
-    def unreachable(p):
-        raise AssertionError(f"enumeration_order({p}) built for max_n={max_n}")
+    def unreachable(n):
+        raise AssertionError(f"class_table({n}) built for max_n={max_n}")
 
-    monkeypatch.setattr(sweeps, "enumeration_order", unreachable)
+    monkeypatch.setattr(sweeps, "class_table", unreachable)
     with pytest.raises(ValueError, match=r"^sweeps support max_n in 1\.\.7$"):
         oracle_equivalence_sweep(max_n=max_n)
     with pytest.raises(ValueError, match=r"^sweeps support max_n in 1\.\.7$"):

@@ -14,6 +14,9 @@ An invariant may also be derived from the tables alone: the sweeps take
 each class's chromatic polynomial by deletion-contraction across them,
 from the class of G-e in the same table and that of G/e in the table on
 n-1 vertices, and store it under ``ClassTable.cached``'s "poly" name.
+The Graph of a mask is built from its neighbour masks alone
+(``mask_graphs``, ``ClassTable.graph``); its edge set is derived only
+when read.
 """
 
 from __future__ import annotations
@@ -108,38 +111,33 @@ def _remap_tables(dest: tuple[int, ...], dtype: np.dtype) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=MAX_N + 1)
-def _byte_tables(n: int) -> list[tuple[int, list, list, np.ndarray]]:
+def _byte_tables(n: int) -> list[tuple[int, list, np.ndarray]]:
     """Per byte of a mask over vertex_pairs(n), n <= MAX_N: its lowest bit,
-    and for each value of the byte the sorted tuple of its edges and their
-    neighbour masks packed n bits a vertex (vertex v's at bit n*v), as a
-    list and as an int64 array.  Each pair doubles the tables: the values
-    with its bit set add it, the highest pair so far, to those without."""
+    and for each value of the byte the neighbour masks of its edges packed
+    n bits a vertex (vertex v's at bit n*v), as a list and as an int64
+    array.  Each pair doubles the table: the values with its bit set add
+    its two bits to those without."""
     pairs = vertex_pairs(n)
     out = []
     for lo in range(0, len(pairs), 8):
-        edges, packed = [()], [0]
+        packed = [0]
         for u, v in pairs[lo:lo + 8]:
             bits = 1 << (n * u + v) | 1 << (n * v + u)
-            edges += [e + ((u, v),) for e in edges]
             packed += [x | bits for x in packed]
-        out.append((lo, edges, packed, np.array(packed, dtype=np.int64)))
+        out.append((lo, packed, np.array(packed, dtype=np.int64)))
     return out
 
 
 def mask_graphs(n: int, masks: np.ndarray) -> Iterator[Graph]:
     """The Graph of every mask on n <= MAX_N vertices, built by
-    Graph.trusted: the neighbour masks of all of them in one numpy pass,
-    each sorted edge tuple joined from per-byte lookups."""
-    edges = [()] * len(masks)
+    Graph.trusted from the neighbour masks of all of them, unpacked in one
+    numpy pass; no edge set is built until one is read."""
     packed = np.zeros(len(masks), dtype=np.int64)
-    for lo, table, _, packed_table in _byte_tables(n):
-        byte = (masks >> lo) & 255
-        packed |= packed_table[byte]
-        edges = [e + table[b] for e, b in zip(edges, byte.tolist())]
+    for lo, _, table in _byte_tables(n):
+        packed |= table[(masks >> lo) & 255]
     nbrs = (packed >> (n * np.arange(n))[:, None]) & ((1 << n) - 1)
-    rows = zip(*nbrs.tolist()) if n else [()] * len(edges)
-    for e, nm in zip(edges, rows):
-        yield Graph.trusted(n, frozenset(e), nm)
+    for nm in zip(*nbrs.tolist()) if n else [()] * len(masks):
+        yield Graph.trusted(n, nm)
 
 
 def graph6_names(n: int, masks: np.ndarray) -> list[str]:
@@ -205,13 +203,11 @@ class ClassTable:
 
     def graph(self, mask: int) -> Graph:
         """mask_graphs for one mask, in Python ints."""
-        n, edges, packed = self.n, (), 0
-        for lo, table, packed_table, _ in _byte_tables(n):
-            byte = mask >> lo & 255
-            edges += table[byte]
-            packed |= packed_table[byte]
+        n, packed = self.n, 0
+        for lo, table, _ in _byte_tables(n):
+            packed |= table[mask >> lo & 255]
         full = (1 << n) - 1
-        return Graph.trusted(n, frozenset(edges), tuple(packed >> n * v & full for v in range(n)))
+        return Graph.trusted(n, tuple(packed >> n * v & full for v in range(n)))
 
     def values(self, name: str, fn: Callable[[Graph], object]) -> list:
         """fn of each class representative, computed once per name and

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,43 +33,49 @@ def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Finite simple graph on vertices 0..n-1 with a normalized edge set
-    (every pair stored as (min, max))."""
+    """Finite simple graph on vertices 0..n-1, stored as its neighbour
+    masks: bit u of neighbor_masks[v] is set when uv is an edge.  The
+    normalized edge set (every pair as (min, max)) is derived from the
+    masks on first read and cached.  Equality, hashing, repr and pickling
+    are those of the value (n, edges), which the masks determine."""
 
     n: int
-    edges: frozenset[Edge]
-    # bit u of neighbor_masks[v] is set when uv is an edge; built with the
-    # graph, and left out of equality, hashing and repr
-    neighbor_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    neighbor_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, edges: frozenset[Edge]):
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
-        masks = [0] * n
-        for u, v in self.edges:
+        masks, edges = [0] * n, frozenset(edges)
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range or not normalized for n={n}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "neighbor_masks", tuple(masks))
+        self.__dict__.update(n=n, neighbor_masks=tuple(masks), edges=edges)
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return Graph(n, frozenset(_norm(u, v) for u, v in pairs))
 
     @staticmethod
-    def trusted(n: int, edges: frozenset[Edge], neighbor_masks: tuple[int, ...]) -> "Graph":
-        """The graph Graph(n, edges) without re-validation, for callers
-        whose normalized edges and matching neighbour masks come from
-        ``classes.vertex_pairs(n)`` (``classes.mask_graphs``)."""
+    def trusted(n: int, neighbor_masks: tuple[int, ...]) -> "Graph":
+        """The graph with these neighbour masks, without validation, for
+        callers whose masks are symmetric and loop-free by construction
+        (``classes.mask_graphs``)."""
         g = object.__new__(Graph)
-        g.__dict__.update(n=n, edges=edges, neighbor_masks=neighbor_masks)
+        fields = g.__dict__
+        fields["n"], fields["neighbor_masks"] = n, neighbor_masks
         return g
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
 
     def __repr__(self) -> str:
         # the edges sorted: a frozenset prints in an order that depends on
@@ -79,7 +85,12 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.neighbor_masks)) >> 1
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset((u, v) for u, mask in enumerate(self.neighbor_masks)
+                         for v in mask_vertices(mask >> u + 1 << u + 1))
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
@@ -394,11 +405,8 @@ def parse_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     out = bytearray(_g6_encode_n(g.n))
-    bits = []
-    es = g.edges
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if (i, j) in es else 0)
+    masks = g.neighbor_masks
+    bits = [masks[j] >> i & 1 for j in range(1, g.n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     for p in range(0, len(bits), 6):

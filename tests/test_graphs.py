@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homverify.classes import class_table, mask_graphs
+from homverify.counting import chrom_poly, ind_count, wr_count
 from homverify.graphs import (
     EDGELIST_MAX_VERTICES,
     Graph,
@@ -60,6 +61,9 @@ def test_graph_value_semantics():
     h = Graph.from_edges(4, iter([(1, 3), (1, 0), (1, 2)]))
     assert g == h and hash(g) == hash(h)
     assert g != Graph.from_edges(5, g.edges)
+    # edges given as another iterable are taken as a set, as from_edges does
+    twice = Graph(4, [(0, 1), (1, 2), (1, 2), (1, 3)])
+    assert twice == g and hash(twice) == hash(g) and twice.m == 3 and twice.edges == g.edges
     assert repr(g) == "Graph(n=4, edges=frozenset({(0, 1), (1, 2), (1, 3)}))"
     back = pickle.loads(pickle.dumps(g))
     assert back == g and hash(back) == hash(g) and back.neighbor_masks == g.neighbor_masks
@@ -75,17 +79,34 @@ def test_graph_value_semantics():
 def test_graphs_from_masks_are_graph_values(n):
     """Graph.trusted, through both mask paths (classes.mask_graphs for a
     batch, ClassTable.graph for one mask), gives the value Graph(n, edges)
-    gives, for every labelled graph on n <= 5 vertices."""
+    gives, for every labelled graph on n <= 5 vertices, before and after a
+    pickle round trip of a graph whose edges were never read."""
     pairs = list(itertools.combinations(range(n), 2))
     masks = np.arange(1 << len(pairs), dtype=np.int32)
     table = class_table(n)
     for mask, batched in zip(masks.tolist(), mask_graphs(n, masks)):
         want = Graph(n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
         for got in (batched, table.graph(mask)):
-            for g in (got, pickle.loads(pickle.dumps(got))):
+            assert "edges" not in vars(got)
+            for g in (pickle.loads(pickle.dumps(got)), got):
                 assert g == want and hash(g) == hash(want) and repr(g) == repr(want)
                 assert g.neighbor_masks == want.neighbor_masks
+                assert g.edges == want.edges and g.sorted_edges == want.sorted_edges
+                assert g.m == want.m == len(want.edges)
             assert type(got.neighbor_masks) is tuple
+
+
+def test_mask_graphs_derive_edges_only_when_read():
+    """The counters that read neighbour masks, and graph6 naming, build no
+    edge set on a graph from masks; the first read of edges builds the
+    validated graph's edge set and caches it."""
+    pairs = list(itertools.combinations(range(5), 2))
+    masks = np.arange(1 << len(pairs), dtype=np.int32)
+    for mask, g in zip(masks.tolist(), mask_graphs(5, masks)):
+        ind_count(g), wr_count(g), chrom_poly(g), to_graph6(g)
+        assert "edges" not in vars(g) and "sorted_edges" not in vars(g)
+        assert g.edges == Graph(5, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1)).edges
+        assert vars(g)["edges"] is g.edges
 
 
 def test_equal_graphs_print_alike():

@@ -8,10 +8,11 @@ Two phases:
      k=3 grid (11^6 symmetric matrices): reports the minimum margin per
      edge orbit.  Spoiler: it is exactly 0, i.e. the 4-path never violates
      at k=3 and random search there is futile.
-  2. Seeded random search over all trees on 5 vertices (and optionally all
-     bipartite graphs up to --max-n), reporting the first witness per
-     source graph.  The 5-vertex "fork" (a claw with one subdivided leg)
-     violates on roughly 3% of random grid targets.
+  2. Seeded random search over the trees on 2..--max-n vertices (or all
+     connected bipartite graphs, --all-bipartite), one source per
+     isomorphism class, reporting the first witness per source in its
+     class representative's labelling.  The 5-vertex "fork" (a claw with
+     one subdivided leg) violates on roughly 3% of random grid targets.
 
 Usage:
     python scripts/hunt_counterexamples.py [--k 3] [--samples 100000]
@@ -31,11 +32,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from homverify.classes import MAX_N
+from homverify.classes import MAX_N, class_table
 from homverify.cli import warn
 from homverify.counting import hom_batch
-from homverify.graphs import Graph, path_graph, to_graph6, to_target_text
-from homverify.search import _weight_batch, enumerate_graphs, find_counterexample
+from homverify.graphs import path_graph, to_graph6, to_target_text
+from homverify.search import _weight_batch, find_counterexample
 
 
 def p4_grid_margins() -> tuple[np.ndarray, np.ndarray]:
@@ -59,10 +60,6 @@ def exhaustive_p4_grid_scan() -> None:
              for name, m, d in zip(("end-edge", "mid-edge"), *p4_grid_margins())]
     print(f"  grid size {11 ** 6}; " + "; ".join(stats))
     print("  => the 4-path admits no grid counterexample at k=3 (margins bottom out at 0)\n")
-
-
-def is_tree(g: Graph) -> bool:
-    return g.m == g.n - 1 and g.is_connected()
 
 
 def main(argv=None) -> int:
@@ -92,8 +89,9 @@ def run(args) -> int:
     print(f"phase 2: seeded search, k={args.k}, {args.samples} samples, seed={args.seed}")
     found = []
     for n in range(2, args.max_n + 1):
-        for g in enumerate_graphs(n, connected=True, bipartite=True):
-            if args.trees_only and not is_tree(g):
+        t = class_table(n)
+        for g, keep in zip(t.reps, t.connected & t.bipartite):
+            if not keep or args.trees_only and g.m != n - 1:
                 continue
             t0 = time.time()
             ce = find_counterexample(g, args.k, args.samples, args.seed)

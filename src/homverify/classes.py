@@ -110,31 +110,13 @@ def _remap_tables(dest: tuple[int, ...], dtype: np.dtype) -> list[np.ndarray]:
             for part in np.split(moved, range(8, len(dest), 8))]
 
 
-@lru_cache(maxsize=MAX_N + 1)
-def _byte_tables(n: int) -> list[tuple[int, list, np.ndarray]]:
-    """Per byte of a mask over vertex_pairs(n), n <= MAX_N: its lowest bit,
-    and for each value of the byte the neighbour masks of its edges packed
-    n bits a vertex (vertex v's at bit n*v), as a list and as an int64
-    array.  Each pair doubles the table: the values with its bit set add
-    its two bits to those without."""
-    pairs = vertex_pairs(n)
-    out = []
-    for lo in range(0, len(pairs), 8):
-        packed = [0]
-        for u, v in pairs[lo:lo + 8]:
-            bits = 1 << (n * u + v) | 1 << (n * v + u)
-            packed += [x | bits for x in packed]
-        out.append((lo, packed, np.array(packed, dtype=np.int64)))
-    return out
-
-
 def mask_graphs(n: int, masks: np.ndarray) -> Iterator[Graph]:
     """The Graph of every mask on n <= MAX_N vertices, built by
-    Graph.trusted from the neighbour masks of all of them, unpacked in one
-    numpy pass; no edge set is built until one is read."""
-    packed = np.zeros(len(masks), dtype=np.int64)
-    for lo, _, table in _byte_tables(n):
-        packed |= table[(masks >> lo) & 255]
+    Graph.trusted from the neighbour masks of all of them, packed n bits a
+    vertex (vertex v's at bit n*v) by one remap per end of every pair and
+    unpacked in one numpy pass; no edge set is built until one is read."""
+    pairs, wide = vertex_pairs(n), masks.astype(np.int64)
+    packed = remap(wide, [n * u + v for u, v in pairs]) | remap(wide, [n * v + u for u, v in pairs])
     nbrs = (packed >> (n * np.arange(n))[:, None]) & ((1 << n) - 1)
     for nm in zip(*nbrs.tolist()) if n else [()] * len(masks):
         yield Graph.trusted(n, nm)
@@ -203,11 +185,12 @@ class ClassTable:
 
     def graph(self, mask: int) -> Graph:
         """mask_graphs for one mask, in Python ints."""
-        n, packed = self.n, 0
-        for lo, table, _ in _byte_tables(n):
-            packed |= table[mask >> lo & 255]
-        full = (1 << n) - 1
-        return Graph.trusted(n, tuple(packed >> n * v & full for v in range(n)))
+        nbrs = [0] * self.n
+        for b, (u, v) in enumerate(self.pairs):
+            if mask >> b & 1:
+                nbrs[u] |= 1 << v
+                nbrs[v] |= 1 << u
+        return Graph.trusted(self.n, tuple(nbrs))
 
     def values(self, name: str, fn: Callable[[Graph], object]) -> list:
         """fn of each class representative, computed once per name and

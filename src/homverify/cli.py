@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
     add_graph(c)
     c.add_argument("--q", type=int)
     c.add_argument("--ell", type=int, default=6)
-    c.add_argument("--edge", help="edge as 'u,v'")
+    c.add_argument("--edge", help="edge as 'u,v'; write a pair that starts with '-' as --edge=-1,0")
     c.add_argument("--target", help="target for sidorenko")
 
     c = sub.add_parser("sweep", help="exhaustive sweep over labeled graphs")

@@ -199,6 +199,8 @@ def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = No
     past STEP_BUDGET the call is refused unless the guard is overridden,
     and below it the batch goes in slices of as many entries."""
     b, k, _ = w.shape
+    if k == 0:  # no map, but the empty one from a source with no vertices
+        return np.full(b, int(g.n == 0), dtype=w.dtype)
     if k == 1:  # the one map: any valid constraint allows it; each edge weighs the loop
         return w[:, 0, 0] ** g.m
     steps = _min_degree_order(g.neighbor_masks)

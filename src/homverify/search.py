@@ -21,7 +21,7 @@ import numpy as np
 from .classes import MAX_N, class_table, iter_edge_sets
 from .graphs import Graph, TargetGraph, bipartition, to_graph6
 from .counting import hom_batch, hom_count
-from .sweeps import SweepSummary, _edge_slots, _group_summary, _rep_groups
+from .sweeps import SweepSummary, _edge_slots, _group_summary
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +100,7 @@ def edge_mono_scan(target: TargetGraph, max_n: int, *,
         tested_h += int(t.size[keep].sum())
         counts = [int(hom_count(g, target) * d ** g.m) if k else 0 for g, k in zip(t.reps, keep)]
         slots = _edge_slots(t, [(counts, d * threshold.numerator, threshold.denominator)], None, keep)
-        total.merge(_group_summary(total.claim, len(slots), _rep_groups(t, slots),
-                                   lambda key, n=n: (n, *key)))
+        total.merge(_group_summary(total.claim, t, slots, lambda key, n=n: (n, *key)))
     worst = (None, None, None)
     if total.min_margin is not None:
         n, rank, b = total.min_margin_instance

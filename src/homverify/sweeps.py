@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .classes import (
 from .graphs import (
     Graph,
     TargetGraph,
-    bipartition,
+    bipartition,  # noqa: F401  (perfbench's layer tracer wraps sweeps.bipartition)
     complete_target,
     hard_core_target,
     identified_edges as _identified_edges,  # perfbench's layer tracer wraps this name
@@ -287,10 +287,9 @@ def _margin(r: Report) -> Optional[tuple]:
     return None if r.margin is None else (r.margin.numerator, r.margin.denominator)
 
 
-def _class_slots(t: ClassTable, sweep: Callable, keep: Optional[np.ndarray] = None
-                 ) -> list[_Slot]:
+def _class_slots(t: ClassTable, sweep: Callable, keep: np.ndarray) -> list[_Slot]:
     """Slot i is report i of sweep(rep), run once per class representative
-    (of the classes marked in keep, default all), grouped by class.
+    of the classes marked in keep, grouped by class.
 
     This is exact because every margin the checkers compute is invariant
     under relabelling: each labelled copy then has the representative's
@@ -300,7 +299,7 @@ def _class_slots(t: ClassTable, sweep: Callable, keep: Optional[np.ndarray] = No
     shortest even cycle, and at n <= MAX_N = 7 at most one (two disjoint
     ones need 8 vertices); in a bipartite graph that cycle has girth
     length, so the packed subgraph's size and colorings are invariant."""
-    reports = [sweep(g) if keep is None or keep[c] else [] for c, g in enumerate(t.reps)]
+    reports = [sweep(g) if keep[c] else [] for c, g in enumerate(t.reps)]
     return [_Slot(np.array([len(r) > i for r in reports]), 0, t.cls.__getitem__,
                   lambda keys, i=i: [[_margin(reports[c][i]) for c in keys]],
                   lambda m, _, i=i: reports[t.cls[m]][i])
@@ -416,7 +415,8 @@ def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
 
 
 def _sweep_slots(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
-    return _class_slots(t, lambda g: CLAIMS[cfg.claim].sweep(g, cfg))
+    claim = CLAIMS[cfg.claim]
+    return _class_slots(t, lambda g: claim.sweep(g, cfg), getattr(t, claim.flag))
 
 
 def _rep_groups(t: ClassTable, slots: list[_Slot]) -> Iterator[tuple[list, list]]:
@@ -435,16 +435,17 @@ def _rep_groups(t: ClassTable, slots: list[_Slot]) -> Iterator[tuple[list, list]
         yield rows, slot.margins([key for key, _, _ in rows])
 
 
-def _group_summary(claim: str, width: int, grouped: Iterable[tuple[list, list]],
-                   name: Callable) -> SweepSummary:
-    """Fold the groups of _rep_groups over `width` slots exactly, as
-    `record` would fold their instances in stream order: each kept
-    instance is the lowest key (rank, position) among those it may be, and
-    the summary stores name(key) for it."""
+def _group_summary(claim: str, t: ClassTable, slots: list[_Slot], name: Callable
+                   ) -> SweepSummary:
+    """Fold the groups of _rep_groups(t, slots) exactly, as `record` would
+    fold their instances in stream order: each kept instance is the lowest
+    key (rank, position) among those it may be, and the summary stores
+    name(key) for it."""
     s = SweepSummary(claim)
+    width = len(slots)
     instances = inapplicable = violated = tight_count = 0
     violation = tight = best = None
-    for j, (rows, margins) in enumerate(grouped):
+    for j, (rows, margins) in enumerate(_rep_groups(t, slots)):
         for i, ms in enumerate(margins):
             pos = i * width + j
             for (_, count, rank), margin in zip(rows, ms):
@@ -493,8 +494,7 @@ def _summary_batch(t: ClassTable, cfg: SweepConfig) -> tuple[SweepSummary, Calla
         g = to_graph6(t.graph(m))
         return g + slots[s].report(m, i).instance[len(g):]
 
-    keyed = _group_summary(cfg.claim, len(slots), _rep_groups(t, slots), lambda k: (t.n, *k))
-    return keyed, name
+    return _group_summary(cfg.claim, t, slots, lambda k: (t.n, *k)), name
 
 
 def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
@@ -608,7 +608,7 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
         line_names = graph6_names(t.n, m[rows] ^ flip[js])
         write("".join([_OPEN + g6.replace("\\", "\\\\") + frags[f]
                        for g6, f in zip(line_names, ids[rows, js].tolist())]))
-    return _group_summary(cfg.claim, width, _rep_groups(t, slots), name)
+    return _group_summary(cfg.claim, t, slots, name)
 
 
 def sweep_reports(cfg: SweepConfig, write: Callable[[str], object]) -> SweepSummary:
@@ -635,9 +635,9 @@ class Claim:
     claim's slots (_Slot) on one class table t, the one definition of its
     instance groups: summary mode folds their margins and report mode
     renders their checker reports; None marks a verify-only claim.  By
-    default slot i is report i of sweep(g, cfg), the sweep filter and the
-    reports of a class-level claim on one graph, run on each class
-    representative.
+    default slot i is report i of sweep(g, cfg), the reports of a
+    class-level claim on one graph, run on each class representative whose
+    ClassTable flag named by `flag` ("connected" or "bipartite") is set.
     Entries call the checkers through this module's globals at call time,
     so a wrapper installed on those names (perfbench's tracer) sees every
     call."""
@@ -645,6 +645,7 @@ class Claim:
     name: str
     verify: Callable
     sweep: Optional[Callable] = None
+    flag: Optional[str] = None
     slots: Optional[Callable] = _sweep_slots
     q_min: Optional[int] = None  # None: the claim takes no q
     edge: bool = False
@@ -664,18 +665,6 @@ class Claim:
             raise ValueError(f"claim {self.name} needs a target")
         if self.ell and ell < 4:
             raise ValueError(f"claim {self.name} needs ell >= 4, got {ell}")
-
-
-def _sweep_cor1_2(g: Graph, cfg: SweepConfig) -> list[Report]:
-    if bipartition(g) is None:
-        return []
-    return [check_cycle_packing_bound(g, q, cfg.ell) for q in cfg.qs]
-
-
-def _sweep_balanced(g: Graph, cfg: SweepConfig) -> list[Report]:
-    if bipartition(g) is None:
-        return []
-    return [check_balanced_bipartite_bound(g, q) for q in cfg.qs]
 
 
 CLAIMS = {c.name: c for c in (
@@ -700,22 +689,24 @@ CLAIMS = {c.name: c for c in (
           slots=_slots_wr_lemma),
     Claim("sidorenko", target=True,
           verify=lambda g, p: [check_sidorenko_bound(g, p.target)],
-          sweep=lambda g, cfg: [check_sidorenko_bound(g, cfg.target)] if g.is_connected() else []),
+          sweep=lambda g, cfg: [check_sidorenko_bound(g, cfg.target)], flag="connected"),
     Claim("cor1_2", q_min=2, ell=True,
           verify=lambda g, p: [check_cycle_packing_bound(g, p.q, p.ell),
                                check_cycle_packing_headline(g, p.q, p.ell)],
-          sweep=_sweep_cor1_2),
+          sweep=lambda g, cfg: [check_cycle_packing_bound(g, q, cfg.ell) for q in cfg.qs],
+          flag="bipartite"),
     Claim("cor1_4",
           verify=lambda g, p: [check_connected_ind_bound(g)],
-          sweep=lambda g, cfg: [check_connected_ind_bound(g)] if g.is_connected() else []),
+          sweep=lambda g, cfg: [check_connected_ind_bound(g)], flag="connected"),
     Claim("cor1_6",
           verify=lambda g, p: [check_connected_wr_bound(g)],
-          sweep=lambda g, cfg: [check_connected_wr_bound(g)] if g.is_connected() else []),
+          sweep=lambda g, cfg: [check_connected_wr_bound(g)], flag="connected"),
     Claim("remark2_2", q_min=1, slots=None,
           verify=lambda g, p: [check_free_energy_envelope(g, p.q)]),
     Claim("balanced", q_min=1,
           verify=lambda g, p: [check_balanced_bipartite_bound(g, p.q)],
-          sweep=_sweep_balanced),
+          sweep=lambda g, cfg: [check_balanced_bipartite_bound(g, q) for q in cfg.qs],
+          flag="bipartite"),
 )}
 
 
@@ -744,8 +735,8 @@ def _corollary_batch(t: ClassTable) -> dict:
     def name(key):
         return to_graph6(t.graph(int(t.order[key[0]])))
 
-    slots = {c: _class_slots(t, reports, keep) for c, (keep, reports) in checks.items()}
-    return {c: _group_summary(c, len(s), _rep_groups(t, s), name) for c, s in slots.items()}
+    return {c: _group_summary(c, t, _class_slots(t, reports, keep), name)
+            for c, (keep, reports) in checks.items()}
 
 
 def corollary_bundle_summary(max_n: int, workers: int = 1) -> dict:

@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from homverify import cli, counting
+from homverify.search import enumerate_graphs
 from homverify.sweeps import CLAIMS
 
 DATA = Path(__file__).parent / "data"
@@ -249,6 +251,9 @@ def test_closed_pipe_is_not_a_violation():
     ("verify", "eq_wr", "--graph", "DATA_P4", "--edge", "1,1"),
     ("verify", "eq_col", "--q", "2", "--graph", "DATA_P4", "--edge", "4,0"),
     ("verify", "wr_lemma", "--graph", "DATA_P4", "--edge=-1,0"),
+    # argparse reads a value that starts with '-' as an option: the pair's
+    # value is missing, so it must be written --edge=-1,0
+    ("verify", "wr_lemma", "--graph", "DATA_P4", "--edge", "-1,0"),
 ])
 def test_usage_errors_exit_2(args):
     paths = {"DATA_P4": str(DATA / "p4.el"), "DATA_DIR": str(DATA)}
@@ -617,6 +622,50 @@ def test_script_internal_error_exit_3(name, step, tmp_path, monkeypatch, capsys)
                        if name == "run_verification_battery" else ["--max-n", "2"]) == 3
     err = capsys.readouterr().err
     assert err == f"{name}: internal error: RuntimeError: boom second line\n"
+
+
+def _hunt_phase2(argv, monkeypatch, capsys):
+    """The source graphs the hunt script's phase 2 searches, in order, and
+    its stdout; phase 1, the grid scan, is skipped (criterion 9 tests it)."""
+    hunt, sources = _script("hunt_counterexamples"), []
+    find = hunt.find_counterexample
+    monkeypatch.setattr(hunt, "find_counterexample", lambda g, *a: sources.append(g) or find(g, *a))
+    monkeypatch.setattr(hunt, "exhaustive_p4_grid_scan", lambda: None)
+    assert hunt.main(argv) == 0
+    return sources, capsys.readouterr().out
+
+
+def _iso_class(g):
+    """The lowest edge set over all relabellings of g: equal iff isomorphic."""
+    return min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges))
+               for p in itertools.permutations(range(g.n)))
+
+
+def test_hunt_searches_each_tree_class_once(tmp_path, monkeypatch, capsys):
+    # the trees on 2..5 vertices fall in 1, 1, 2 and 3 classes, one source
+    # each; the default seed's one witness is the fork pinned in tests/data
+    sources, out = _hunt_phase2(["--save-dir", str(tmp_path)], monkeypatch, capsys)
+    assert [g.n for g in sources] == [2, 3, 4, 4, 5, 5, 5]
+    assert all(g.m == g.n - 1 and g.is_connected() for g in sources)
+    assert len({_iso_class(g) for g in sources}) == 7
+    assert out.count(" n=") == 7
+    assert [line.split()[0] for line in out.splitlines() if "WITNESS" in line] == ["DsO"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DsO_k3.json", "DsO_k3.tg"]
+    assert (tmp_path / "DsO_k3.tg").read_bytes() == \
+        (DATA / "fork_k3_counterexample.tg").read_bytes()
+    pinned = json.loads((DATA / "fork_k3_manifest.json").read_text())
+    del pinned["H_file"]
+    assert json.loads((tmp_path / "DsO_k3.json").read_text()) == pinned
+
+
+def test_hunt_all_bipartite_searches_each_class_once(monkeypatch, capsys):
+    # every connected bipartite graph on 2..5 vertices is isomorphic to
+    # exactly one source
+    sources, _ = _hunt_phase2(["--all-bipartite", "--samples", "100"], monkeypatch, capsys)
+    want = {_iso_class(g) for n in range(2, 6)
+            for g in enumerate_graphs(n, connected=True, bipartite=True)}
+    assert len(sources) == len(want) == 10
+    assert {_iso_class(g) for g in sources} == want
 
 
 class _ClosedPipe(io.TextIOBase):

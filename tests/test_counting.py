@@ -322,6 +322,14 @@ def test_hom_batch_slices_and_chunks(monkeypatch):
     assert whole.tolist() == [hom_count(k5, t) * 10 ** k5.m for t in ts]
 
 
+def test_hom_batch_into_empty_target():
+    # no map from a source with vertices into a 0-vertex target, and the
+    # empty map from the 0-vertex source: hom_count's answers
+    w, empty = np.zeros((2, 0, 0), dtype=np.int64), TargetGraph(())
+    for g, want in ((path_graph(3), 0), (empty_graph(1), 0), (Graph(0, frozenset()), 1)):
+        assert hom_batch(g, w).tolist() == [hom_count(g, empty)] * 2 == [want] * 2
+
+
 def test_hom_type_follows_target(monkeypatch):
     # an int when every entry of the target is an integer, on each route,
     # and a Fraction otherwise, whatever the source and the value

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homverify import cli, search, sweeps
+from homverify import cli, sweeps
 from homverify.classes import class_table, iter_edge_sets
 from homverify.graphs import (
     Graph,
@@ -91,12 +91,20 @@ def _slot_groups(t, slots):
                slot.margins(distinct.tolist()))
 
 
+# The per-labelled-graph test of each ClassTable flag a class-level claim
+# names
+_FLAG_TESTS = {"connected": Graph.is_connected, "bipartite": lambda g: bipartition(g) is not None}
+
+
 def _reference_stream(cfg):
     """The report stream computed the slow way, independently of the class
     tables: every labelled graph of iter_edge_sets built as a Graph, the
-    claim's per-graph sweep run on it, each Report written with json.dumps
-    and folded in stream order.  Returns (text, summary)."""
-    sweep = _PAIR_SWEEPS.get(cfg.claim) or sweeps.CLAIMS[cfg.claim].sweep
+    claim's per-graph sweep run on it (a class-level claim's only where the
+    graph has the claim's flag), each Report written with json.dumps and
+    folded in stream order.  Returns (text, summary)."""
+    claim = sweeps.CLAIMS[cfg.claim]
+    sweep = _PAIR_SWEEPS.get(cfg.claim) or (
+        lambda g, cfg: claim.sweep(g, cfg) if _FLAG_TESTS[claim.flag](g) else [])
     lines = []
     s = SweepSummary(cfg.claim)
     for n in range(1, cfg.max_n + 1):
@@ -109,9 +117,11 @@ def _reference_stream(cfg):
 
 def test_each_claim_defined_once():
     # the pair claims are their slots alone; a class-level claim's slots
-    # run its sweep on each class representative
-    assert {name for name, c in sweeps.CLAIMS.items() if c.sweep} == \
-        {"sidorenko", "cor1_2", "cor1_4", "cor1_6", "balanced"}
+    # run its sweep on each class representative with the claim's flag
+    assert {name: c.flag for name, c in sweeps.CLAIMS.items() if c.sweep} == {
+        "sidorenko": "connected", "cor1_2": "bipartite", "cor1_4": "connected",
+        "cor1_6": "connected", "balanced": "bipartite"}
+    assert not any(c.flag for c in sweeps.CLAIMS.values() if not c.sweep)
     assert {name for name, c in sweeps.CLAIMS.items() if c.slots is None} == {"remark2_2"}
 
 
@@ -589,11 +599,10 @@ def test_rep_groups_match_slot_groups_per_key(monkeypatch, claim, kw):
         seen.append(t.n)
         return iter(reps)
 
+    monkeypatch.setattr(sweeps, "_rep_groups", checked)
     if claim == "scan":
-        monkeypatch.setattr(search, "_rep_groups", checked)
         edge_mono_scan(_TARGETS[kw["target"]](), 6)
     else:
-        monkeypatch.setattr(sweeps, "_rep_groups", checked)
         sweep_summary(SweepConfig(claim, 6, **kw))
     assert seen == list(range(1, 7))
 

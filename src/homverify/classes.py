@@ -14,6 +14,8 @@ An invariant may also be derived from the tables alone: the sweeps take
 each class's chromatic polynomial by deletion-contraction across them,
 from the class of G-e in the same table and that of G/e in the table on
 n-1 vertices, and store it under ``ClassTable.cached``'s "poly" name.
+The permutation images of the pairs (``pair_images``) also key a class
+without a table: a mask's least image over them (``canonical_masks``).
 The Graph of a mask is built from its neighbour masks alone
 (``mask_graphs``, ``ClassTable.graph``); its edge set is derived only
 when read.
@@ -138,6 +140,34 @@ def graph6_names(n: int, masks: np.ndarray) -> list[str]:
     return [text[i:i + 1 + chars] for i in range(0, len(text), 1 + chars)]
 
 
+@lru_cache(maxsize=MAX_N + 1)
+def pair_images(n: int) -> np.ndarray:
+    """images[s, j]: the bit of pair j's image under the s-th permutation
+    of range(n), gathered from a symmetric table of pair ids, so a mask's
+    image under that permutation is the sum of its pairs' entries in row s.
+    Built once per n <= MAX_N; never written."""
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"pair images support n in 0..{MAX_N}")
+    pairs = vertex_pairs(n)
+    p = len(pairs)
+    a, b = np.array(pairs, dtype=np.intp).reshape(p, 2).T
+    pair_id = np.zeros((n, n), dtype=np.int32)
+    pair_id[a, b] = pair_id[b, a] = np.arange(p)
+    perms = np.array(list(permutations(range(n))), dtype=np.intp).reshape(math.factorial(n), n)
+    images = 1 << pair_id[perms[:, a], perms[:, b]]
+    images.flags.writeable = False
+    return images
+
+
+def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """The least image of every mask on n <= MAX_N vertices over all n!
+    relabellings: two masks share it exactly when their graphs are
+    isomorphic.  No class table is built."""
+    images = pair_images(n)
+    bits = np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(images.shape[1]) & 1
+    return (bits @ images.T).min(axis=1)
+
+
 class ClassTable:
     """The isomorphism classes of the labelled graphs on n vertices.
 
@@ -155,13 +185,7 @@ class ClassTable:
         self.index = {p: i for i, p in enumerate(self.pairs)}
         p = len(self.pairs)
         self.order = enumeration_order(p)
-        # image bit of every pair under every vertex permutation, gathered
-        # from a symmetric table of pair ids
-        a, b = np.array(self.pairs, dtype=np.intp).reshape(p, 2).T
-        pair_id = np.zeros((n, n), dtype=np.int32)
-        pair_id[a, b] = pair_id[b, a] = np.arange(p)
-        perms = np.array(list(permutations(range(n))), dtype=np.intp).reshape(math.factorial(n), n)
-        images = 1 << pair_id[perms[:, a], perms[:, b]]
+        images = pair_images(n)
         self.cls = np.full(1 << p, -1, dtype=np.int32)
         reps, ranks = [], []
         # walk the masks in enumeration order, a block at a time, so that

@@ -3,10 +3,12 @@ question: for which targets G does hom(H,G)/hom(H-e,G) >= hom(K_2,G)/v(G)^2
 hold for every (bipartite) H?
 
 Verdicts are exact.  The sampler decides each batch of drawn targets, in
-tenths, with counting.hom_batch, and confirms each flagged sample in sample
-order by hom_count on the Fraction target (the same elimination in Python
-ints, which catches a wrong int64 result), so the reported witness is the
-first in the stream of random.Random(seed).randrange(11), drawn per batch.
+tenths, with counting.hom_batch, once per isomorphism class of H - e, and
+confirms each flagged sample in sample order by hom_count on the Fraction
+target (the same elimination in Python ints, which catches a wrong int64
+result), so the reported witness is the first in the stream of
+random.Random(seed).randrange(11), drawn batch by batch from one numpy
+MT19937 loaded with that Random's state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .classes import MAX_N, class_table, iter_edge_sets
+from .classes import MAX_N, canonical_masks, class_table, iter_edge_sets, vertex_pairs
 from .graphs import Graph, TargetGraph, bipartition, to_graph6
 from .counting import hom_batch, hom_count
 from .sweeps import SweepSummary, _edge_slots, _group_summary
@@ -136,25 +138,30 @@ class Counterexample:
         }
 
 
-def _draw_entries(rng: random.Random, k: int, count: int) -> np.ndarray:
-    """`count` upper triangles (row-major, diagonal included) in tenths, as
-    a (count, k(k+1)/2) uint8 array: the values of as many calls of
-    rng.randrange(11), leaving rng in the state those calls would.
+def _bit_generator(rng: random.Random):
+    """numpy's MT19937 at rng's key and position.  It is the same Mersenne
+    Twister as CPython's and yields the same 32-bit words from there on;
+    rng itself is left as it was."""
+    from numpy.random import MT19937  # imported at the first search, not at set-up
 
-    CPython's randrange(11) takes the top 4 bits of one 32-bit generator
-    word and draws again while they are 11 or more.  numpy's MT19937 is the
-    same Mersenne Twister and yields the same words from the same key and
-    position, so the words come from an MT19937 loaded with rng's state,
-    and its final key and position go back to rng (gauss_next is kept).
-    Each round draws one word per value still missing and keeps fewer, so
-    no round draws past the last word those calls would use."""
-    from numpy.random import MT19937  # imported at the first draw, not at set-up
-
-    version, internal, gauss_next = rng.getstate()
+    internal = rng.getstate()[1]
     bits = MT19937(0)  # a fixed seed skips OS entropy; the state is replaced next
     bits.state = {"bit_generator": "MT19937",
                   "state": {"key": np.array(internal[:-1], dtype=np.uint32),
                             "pos": internal[-1]}}
+    return bits
+
+
+def _draw_entries(bits, k: int, count: int) -> np.ndarray:
+    """`count` upper triangles (row-major, diagonal included) in tenths, as
+    a (count, k(k+1)/2) uint8 array: the values of as many calls of
+    randrange(11) on a Random at the generator's key and position, which
+    the generator is left at as that Random would be.
+
+    CPython's randrange(11) takes the top 4 bits of one 32-bit generator
+    word and draws again while they are 11 or more.  Each round draws one
+    word per value still missing and keeps fewer, so no round draws past
+    the last word those calls would use."""
     size = count * (k * (k + 1) // 2)
     out = np.empty(size, dtype=np.uint8)
     got = 0
@@ -163,8 +170,6 @@ def _draw_entries(rng: random.Random, k: int, count: int) -> np.ndarray:
         kept = np.compress(tops < WEIGHT_LEVELS, tops)  # faster than a mask index
         out[got:got + kept.size] = kept
         got += kept.size
-    state = bits.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
     return out.reshape(count, -1)
 
 
@@ -199,6 +204,35 @@ def _hom_floats(g: Graph, w_batch: np.ndarray) -> np.ndarray:
 _BATCH = 16384
 
 
+def _screens(g: Graph, deletions: list[tuple[tuple[int, int], Graph]]) -> list[Graph]:
+    """The first H - e of each isomorphism class among the deletions.
+    Isomorphic graphs have equal hom counts, so screening these flags the
+    samples that screening every deletion would.  On n <= MAX_N vertices
+    the class key is the canonical edge mask; past that, the edge itself."""
+    if g.n <= MAX_N:
+        bit = {p: 1 << i for i, p in enumerate(vertex_pairs(g.n))}
+        full = sum(bit[e] for e, _h in deletions)
+        keys = canonical_masks(g.n, np.array([full ^ bit[e] for e, _h in deletions])).tolist()
+    else:
+        keys = [e for e, _h in deletions]
+    first: dict = {}
+    for key, (_e, h_minus) in zip(keys, deletions):
+        first.setdefault(key, h_minus)
+    return list(first.values())
+
+
+def _flag(g: Graph, screens: list[Graph], w: np.ndarray) -> np.ndarray:
+    """The samples of w with k^2 hom(H,E) < sum(E) hom(H-e,E) for some
+    screened H - e."""
+    k = w.shape[1]
+    s = w.sum(axis=(1, 2))
+    lhs = k * k * _hom_floats(g, w)
+    candidate = np.zeros(len(w), dtype=bool)
+    for h_minus in screens:
+        candidate |= lhs < s * _hom_floats(h_minus, w)
+    return candidate
+
+
 def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[Counterexample]:
     """Draw symmetric targets with entries on the tenths grid from a seeded
     generator and return the first strict violation of
@@ -206,10 +240,12 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
 
     Deterministic: the entries, upper triangles row by row and sample by
     sample, are the stream of random.Random(seed).randrange(11), drawn in
-    bulk one batch at a time, so batch size does not move it.  With entries
-    E in tenths, hom(H, E/10) = hom(H, E)/10^m, so a sample violates at e
-    exactly when k^2 hom(H,E) < sum(E) hom(H-e,E), decided in integers per
-    batch.  hom_count confirms flagged samples in sample order, or raises.
+    bulk one batch at a time from one MT19937 loaded with that Random's
+    state, so batch size does not move it.  With entries E in tenths,
+    hom(H, E/10) = hom(H, E)/10^m, so a sample violates at e exactly when
+    k^2 hom(H,E) < sum(E) hom(H-e,E), decided in integers per batch, once
+    per isomorphism class of H - e.  hom_count confirms flagged samples in
+    sample order against every H - e in edge order, or raises.
     """
     if not 1 <= k <= 5:
         raise ValueError("target size k must be in 1..5")
@@ -217,18 +253,14 @@ def find_counterexample(g: Graph, k: int, samples: int, seed: int) -> Optional[C
         raise ValueError("need at least one sample")
     if not g.edges:
         return None
-    rng = random.Random(seed)
+    bits = _bit_generator(random.Random(seed))
     deletions = [(e, g.delete_edge(*e)) for e in g.sorted_edges]
+    screens = _screens(g, deletions)
     done = 0
     while done < samples:
         batch = min(_BATCH, samples - done)
-        all_entries = _draw_entries(rng, k, batch)
-        w = _weight_batch(all_entries, k, g)
-        s = w.sum(axis=(1, 2))
-        lhs = k * k * _hom_floats(g, w)
-        candidate = np.zeros(batch, dtype=bool)
-        for _e, h_minus in deletions:
-            candidate |= lhs < s * _hom_floats(h_minus, w)
+        all_entries = _draw_entries(bits, k, batch)
+        candidate = _flag(g, screens, _weight_batch(all_entries, k, g))
         for idx in np.flatnonzero(candidate):
             target = _entries_to_target(all_entries[idx].tolist(), k)
             threshold = target.edge_weight_sum / k ** 2

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homverify.classes import (
+    canonical_masks,
     class_table,
     enumeration_order,
     graph6_names,
@@ -65,6 +66,25 @@ def test_classes_are_orbits_of_the_minimum_relabelled_mask(n):
     t = class_table(n)
     assert len(np.unique(canon)) == len(t.reps)
     assert len(np.unique(t.cls.astype(np.int64) << 32 | canon)) == len(t.reps)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_canonical_masks_split_masks_as_the_class_table(n):
+    # every mask for n <= 5, a seeded sample at n = 6 (all 2^15 at once
+    # would hold 2^15 x 720 images); each key is the least mask of its
+    # mask's class, so keys and class ids split the masks alike
+    t = class_table(n)
+    p = len(t.pairs)
+    if n <= 5:
+        masks = np.arange(1 << p, dtype=np.int64)
+    else:
+        masks = np.random.default_rng(6).choice(1 << p, 3000, replace=False)
+    least = np.full(len(t.reps), 1 << p, dtype=np.int64)
+    np.minimum.at(least, t.cls, np.arange(1 << p))
+    keys = canonical_masks(n, masks)
+    assert keys.tolist() == least[t.cls[masks]].tolist()
+    pairs = set(zip(keys.tolist(), t.cls[masks].tolist()))
+    assert len(pairs) == len(set(keys.tolist())) == len(set(t.cls[masks].tolist()))
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homverify import search
+from homverify import classes, search
 from homverify.graphs import (
     Graph,
     complete_graph,
     complete_target,
+    cycle_graph,
     hard_core_target,
     parse_edgelist,
     parse_target,
@@ -22,7 +23,7 @@ from homverify.graphs import (
     to_graph6,
     widom_rowlinson_target,
 )
-from homverify.counting import hom_count
+from homverify.counting import hom_batch, hom_count
 from homverify.search import (
     edge_mono_scan,
     enumerate_graphs,
@@ -204,7 +205,7 @@ def _transfer_counts(n: int, w: np.ndarray) -> list[int]:
 def test_hom_floats_long_path_matches_transfer_matrix():
     # 60 vertices, past the 51 of an einsum with one letter per vertex
     g = path_graph(60)
-    rows = search._draw_entries(random.Random(3), 4, 6)
+    rows = search._draw_entries(search._bit_generator(random.Random(3)), 4, 6)
     rows[-1] = 10
     w = search._weight_batch(rows, 4, g)
     assert w.dtype == object
@@ -306,44 +307,46 @@ def test_witness_ratio_stays_exact_on_integer_counts(monkeypatch):
     assert ce.to_json_dict()["ratio"] == "1/2"
 
 
+def _key_and_pos(bits) -> tuple:
+    """The generator's key and position, as Random.getstate()[1] holds them."""
+    state = bits.state["state"]
+    return (*state["key"].tolist(), state["pos"])
+
+
 @pytest.mark.parametrize("k", range(1, 6))
 @pytest.mark.parametrize("seed", [0, 1, 20250809, 2 ** 64 + 12345])
 def test_draw_entries_is_the_randrange_stream(seed, k):
     # the bulk draw reads CPython's randrange(11) word by word: the same
-    # values and the same generator state after, batch after batch
-    bulk, calls = random.Random(seed), random.Random(seed)
+    # values, and the generator at the key and position the calls leave,
+    # batch after batch on one generator
+    bits, calls = search._bit_generator(random.Random(seed)), random.Random(seed)
     for count in (1, 7, 16384):
-        got = search._draw_entries(bulk, k, count)
+        got = search._draw_entries(bits, k, count)
         want = [[calls.randrange(11) for _ in range(k * (k + 1) // 2)]
                 for _ in range(count)]
         assert got.dtype == np.uint8 and got.tolist() == want
-        assert bulk.getstate() == calls.getstate()
+        assert _key_and_pos(bits) == calls.getstate()[1]
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("prefix", ["gauss", "odd_words", "gauss_odd_words"])
-def test_draw_entries_hands_back_the_whole_state(prefix, k):
-    # gauss() leaves gauss_next set, and an odd number of 32-bit words moves
-    # the position off 624; the bulk draw must keep both as the calls would
-    bulk, calls = random.Random(7), random.Random(7)
-    for rng in (bulk, calls):
-        if "gauss" in prefix:
-            rng.gauss(0, 1)
-        if "odd_words" in prefix:
-            for _ in range(3):
-                rng.getrandbits(32)
-    assert bulk.getstate() == calls.getstate()
-    if "gauss" in prefix:
-        assert bulk.getstate()[2] is not None
+def test_draw_entries_after_odd_words(k):
+    # an odd number of 32-bit words moves the position off 624; the loaded
+    # generator must start there and go on as the calls would
+    loaded, calls = random.Random(7), random.Random(7)
+    for rng in (loaded, calls):
+        for _ in range(3):
+            rng.getrandbits(32)
+    bits = search._bit_generator(loaded)
+    assert _key_and_pos(bits) == calls.getstate()[1] and calls.getstate()[1][-1] % 2 == 1
+    assert loaded.getstate() == calls.getstate()  # loading leaves the Random as it was
     for count in (1, 5, 1000, 16384):
-        got = search._draw_entries(bulk, k, count)
+        got = search._draw_entries(bits, k, count)
         want = [[calls.randrange(11) for _ in range(k * (k + 1) // 2)]
                 for _ in range(count)]
         assert got.tolist() == want
-        assert bulk.getstate() == calls.getstate()
-        # both generators go on alike after the hand-back
-        assert bulk.gauss(0, 1) == calls.gauss(0, 1)
-        assert bulk.getrandbits(32) == calls.getrandbits(32)
+        assert _key_and_pos(bits) == calls.getstate()[1]
+    # both go on alike after the draws
+    assert int(bits.random_raw()) == calls.getrandbits(32)
 
 
 def test_setup_does_not_import_numpy_random():
@@ -376,7 +379,7 @@ def test_hom_batch_past_int64_is_exact(g, diagonal):
     # target off the 0/1 walk, which would visit all 5^22 maps of P_22.
     # Diagonal targets, whose support is only loops, are checked too.
     k = 5
-    rows = search._draw_entries(random.Random(11), k, 13)
+    rows = search._draw_entries(search._bit_generator(random.Random(11)), k, 13)
     rows[-1] = 10
     rows[-1, 0] = 9
     if diagonal:
@@ -399,3 +402,64 @@ def test_search_determinism():
     # different stream; may or may not find the same witness
     if c is not None and a is not None:
         assert c.ratio < c.threshold
+
+
+# sources, their deletions H - e and how many isomorphism classes those fall
+# into; P_9 is past MAX_N, where every deletion is screened on its own
+_FORK = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
+_TREE7 = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6)])
+_SCREENED_SOURCES = {
+    "P4": (path_graph(4), 2),
+    "C4": (cycle_graph(4), 1),
+    "K13": (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 1),
+    "fork": (_FORK, 3),
+    "tree7": (_TREE7, 5),
+    "P9": (path_graph(9), 8),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", sorted(_SCREENED_SOURCES))
+def test_screening_one_deletion_per_class_loses_nothing(name, k):
+    g, n_classes = _SCREENED_SOURCES[name]
+    deletions = [(e, g.delete_edge(*e)) for e in g.sorted_edges]
+    screens = search._screens(g, deletions)
+    # deletions themselves, in edge order, the first of them among them
+    assert len(screens) == n_classes and screens[0] is deletions[0][1]
+    in_order = iter(h for _e, h in deletions)
+    assert all(any(h is x for x in in_order) for h in screens)
+    rows = search._draw_entries(search._bit_generator(random.Random(k)), k, 4000)
+    w = search._weight_batch(rows, k, g)
+    s = w.sum(axis=(1, 2))
+    lhs = k * k * hom_batch(g, w)
+    want = np.zeros(len(w), dtype=bool)
+    for _e, h_minus in deletions:
+        want |= lhs < s * hom_batch(h_minus, w)
+    assert search._flag(g, screens, w).tolist() == want.tolist()
+    assert want.any() == (name in ("fork", "tree7"))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 20250809])
+def test_grouped_search_matches_per_deletion_search(monkeypatch, seed):
+    got = find_counterexample(_FORK, 3, samples=20000, seed=seed)
+    assert got is not None
+    monkeypatch.setattr(search, "_screens", lambda g, deletions: [h for _e, h in deletions])
+    assert find_counterexample(_FORK, 3, samples=20000, seed=seed) == got
+
+
+def test_search_on_seven_vertices_builds_no_class_table(monkeypatch):
+    # the class key of H - e is read from the permutation images alone: the
+    # table on 7 vertices takes a tenth of a second or more and about 16 MB
+    def refuse(n):
+        if n == 7:
+            raise AssertionError("class_table(7) was called")
+        return real(n)
+
+    real = classes.class_table
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("homverify") and hasattr(module, "class_table"):
+            monkeypatch.setattr(module, "class_table", refuse)
+    deletions = [(e, _TREE7.delete_edge(*e)) for e in _TREE7.sorted_edges]
+    assert len(search._screens(_TREE7, deletions)) == 5
+    ce = find_counterexample(_TREE7, 3, samples=2000, seed=1)
+    assert ce is not None and ce.ratio < ce.threshold

@@ -472,6 +472,33 @@ CLI_DIGESTS = {
         "balanced": "72a68e2279d49407b509f779db9cb89f83e5450f968cbb901e22adbdb66e8b47",
     },
 }
+# stdout of `homverify search` over seeds 0, 1 and 20250809 with 20,000
+# samples each, recorded before the draw moved onto one generator per search
+# and the screen onto one deletion per isomorphism class
+SEARCH_SOURCES = {
+    "P4": "4 3\n0 1\n1 2\n2 3\n",
+    "C4": "4 4\n0 1\n1 2\n2 3\n0 3\n",
+    "K13": "4 3\n0 1\n0 2\n0 3\n",
+    "fork": "5 4\n0 1\n0 2\n0 3\n1 4\n",
+}
+SEARCH_CLI_DIGESTS = {
+    "P4-k2": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "P4-k3": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "P4-k4": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "P4-k5": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "C4-k2": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "C4-k3": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "C4-k4": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "C4-k5": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "K13-k2": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "K13-k3": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "K13-k4": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "K13-k5": "1f8b271f3b2e6cf2da554010c39318cfa5f39712dfa7d61d8a53cefb914b1aab",
+    "fork-k2": "a37d63359b5400cfd2c3fc08e973dc62dd6736cbc07b73deca1f92bbd4c62497",
+    "fork-k3": "faca7ed24dca87ee38f32946f4794e33f905e4794602b019c7aa6c93a700c3ea",
+    "fork-k4": "4451641742858eb2ec6eb44265db964363a66297a19b923a76e2d6b05a62e7f9",
+    "fork-k5": "8c8ac5680dd2abf0052733a56816c1ba947faa4641f6f49ca408989c85311f5a",
+}
 BUNDLE_DIGEST = "4234a011fcf8df73c963badedacaad591d3d708c54a5fbabf2136aa79f098f03"
 # edge_mono_scan(target, 5, bipartite_only=...).to_json_dict(), recorded
 # before the scans moved onto the class tables
@@ -538,6 +565,22 @@ def test_cli_sweep_digest(claim, kw, max_n):
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0
     assert _sha(buf.getvalue().encode()) == CLI_DIGESTS[max_n][_case_key(claim, kw)]
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CLI_DIGESTS))
+def test_cli_search_digest(case, tmp_path):
+    # no witness exists for P4, C4 or K13, so their lines differ only in
+    # seed and samples; each fork run prints its first witness
+    name, k = case.split("-k")
+    source = tmp_path / f"{name}.el"
+    source.write_text(SEARCH_SOURCES[name])
+    buf, codes = io.StringIO(), []
+    for seed in (0, 1, 20250809):
+        with contextlib.redirect_stdout(buf):
+            codes.append(cli.main(["search", "--H", str(source), "--k", k,
+                                   "--samples", "20000", "--seed", str(seed)]))
+    assert codes == [int(name == "fork")] * 3
+    assert _sha(buf.getvalue().encode()) == SEARCH_CLI_DIGESTS[case]
 
 
 def test_bundle_digest():

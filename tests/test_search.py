@@ -329,24 +329,38 @@ def test_draw_entries_is_the_randrange_stream(seed, k):
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_draw_entries_after_odd_words(k):
-    # an odd number of 32-bit words moves the position off 624; the loaded
-    # generator must start there and go on as the calls would
+@pytest.mark.parametrize("prefix", ["gauss", "odd_words", "gauss_odd_words"])
+def test_draw_entries_hands_back_the_whole_state(prefix, k):
+    # gauss() leaves gauss_next set, and an odd number of 32-bit words moves
+    # the position off 624; the loaded generator must start at that position,
+    # go on as the calls would, and hold, with the untouched Random's
+    # gauss_next, the whole state the calls leave
     loaded, calls = random.Random(7), random.Random(7)
     for rng in (loaded, calls):
-        for _ in range(3):
-            rng.getrandbits(32)
+        if "gauss" in prefix:
+            rng.gauss(0, 1)
+        if "odd_words" in prefix:
+            for _ in range(3):
+                rng.getrandbits(32)
     bits = search._bit_generator(loaded)
-    assert _key_and_pos(bits) == calls.getstate()[1] and calls.getstate()[1][-1] % 2 == 1
+    assert _key_and_pos(bits) == calls.getstate()[1]
+    assert (calls.getstate()[1][-1] % 2 == 1) == ("odd_words" in prefix)
     assert loaded.getstate() == calls.getstate()  # loading leaves the Random as it was
+    if "gauss" in prefix:
+        assert loaded.getstate()[2] is not None
     for count in (1, 5, 1000, 16384):
         got = search._draw_entries(bits, k, count)
         want = [[calls.randrange(11) for _ in range(k * (k + 1) // 2)]
                 for _ in range(count)]
         assert got.tolist() == want
         assert _key_and_pos(bits) == calls.getstate()[1]
-    # both go on alike after the draws
-    assert int(bits.random_raw()) == calls.getrandbits(32)
+    # the generator's key and position, with gauss_next, are the whole state
+    handed = random.Random()
+    handed.setstate((3, _key_and_pos(bits), loaded.getstate()[2]))
+    assert handed.getstate() == calls.getstate()
+    # and everything goes on alike from there
+    assert int(bits.random_raw()) == handed.getrandbits(32) == calls.getrandbits(32)
+    assert handed.gauss(0, 1) == calls.gauss(0, 1)
 
 
 def test_setup_does_not_import_numpy_random():

@@ -99,13 +99,13 @@ def remap(masks: np.ndarray, dest: list[int]) -> np.ndarray:
     dest[j] < 0; bits sent to the same place are or-ed.  One lookup per
     byte of the mask."""
     out = np.zeros_like(masks)
-    for lo, table in enumerate(_remap_tables(tuple(dest), masks.dtype)):
+    for lo, table in enumerate(_remap_lookups(tuple(dest), masks.dtype)):
         out |= table[(masks >> 8 * lo) & 255]
     return out
 
 
 @lru_cache(maxsize=256)
-def _remap_tables(dest: tuple[int, ...], dtype: np.dtype) -> list[np.ndarray]:
+def _remap_lookups(dest: tuple[int, ...], dtype: np.dtype) -> list[np.ndarray]:
     """remap's table per byte of a mask, built once per bit map; never written."""
     moved = np.array([1 << d if d >= 0 else 0 for d in dest], dtype=dtype)
     return [np.bitwise_or.reduce(_BYTE_BITS[:, :len(part)] * part, axis=1)

@@ -11,14 +11,12 @@ branching and the Widom-Rowlinson red-set sum are
 four independent algorithms whose pairwise agreement is enforced by the
 test suite.
 
-The generic counter has three routes.  A 0/1 target with k > 1 and k**n at
-most MAP_BITS is taken first: it counts maps as the bits of one int, the
-popcount of the AND of one mask per edge and per constrained vertex.  A
-target that is not 0/1 goes to hom_batch, variable elimination over a batch
-of integer matrices, which the search's screen shares.  Any other 0/1 call
-walks popcounts on the target's support masks, which beats elimination on
-dense sources whose counts are small.  The tests check the routes against
-each other, against the other counters and against brute force.
+The generic counter has two routes.  A target that is not 0/1, or has one
+vertex, goes to hom_batch, variable elimination over a batch of integer
+matrices, which the search's screen shares.  Any other target walks
+popcounts on its support masks, which beats elimination on dense sources
+whose counts are small.  The tests check the routes against each other,
+against the other counters and against brute force.
 
 The chromatic polynomial works on neighbour masks.  A simplicial vertex,
 one whose neighbours form a clique, contributes a factor (q - d) for its d
@@ -57,7 +55,6 @@ from .graphs import (
 )
 
 STEP_BUDGET = 1 << 22        # steps one counter call may take, unless overridden
-MAP_BITS = 1 << 12           # hom_count's map-bit route takes k**n up to this
 FOREST_MIN_VERTICES = 8      # ind_count branches on the lowest vertex below this many
 
 
@@ -235,42 +232,6 @@ def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = No
     return total
 
 
-def _within(row: list[int], s: int) -> int:
-    """The maps whose digit lies in the target set s, given row[t], the
-    maps whose digit is t."""
-    out = 0
-    for t in mask_vertices(s):
-        out |= row[t]
-    return out
-
-
-def _map_tables(target: TargetGraph, n: int) -> tuple[int, list[list[int]], dict]:
-    """(full, digit, edge) for the k**n maps of n vertices into a 0/1
-    target, each map one bit of an int: bit i sends vertex v to digit v of
-    i in base k.  digit[v][t] holds the maps with v -> t, and edge[(u, v)]
-    those that send the pair u < v onto a nonzero entry.  They depend on
-    the target and n only, so hom_count builds them on first use and keeps
-    them in the target's map_tables."""
-    k = target.k
-    full = (1 << k ** n) - 1
-    digit = []
-    for v in range(n):
-        block = k ** v
-        # a block of ones per digit value, repeated every k blocks
-        rep = full // ((1 << block * k) - 1)
-        digit.append([((1 << block) - 1 << t * block) * rep for t in range(k)])
-    near = [[_within(row, s) for s in target.support_masks] for row in digit]
-    edge = {}
-    for v in range(n):
-        for u in range(v):
-            e = 0
-            for du, nv in zip(digit[u], near[v]):
-                e |= du & nv
-            edge[u, v] = e
-    target.map_tables[n] = got = full, digit, edge
-    return got
-
-
 def hom_count(
     g: Graph,
     target: TargetGraph,
@@ -281,26 +242,15 @@ def hom_count(
     """Weighted homomorphism count: sum over all maps respecting the
     constraint of the product of edge weights, exact: an int when every
     entry of the target is an integer, else a Fraction, whatever the source
-    and the value.  A 0/1 target with k > 1 and k**n at most MAP_BITS
-    counts the maps that every edge's mask and every constrained vertex's
-    allowed digits keep (_map_tables).  A target that is not 0/1, or has
-    one vertex, goes to hom_batch as one matrix of Python ints, its entries
-    scaled by D, the lcm of their denominators, so the count is total / D^m
-    (the int total when D is 1).  Any other 0/1 target is counted by
-    _hom_walk on each component of the source, on the support masks, with
-    the allowed sets as one bitmask per vertex; the components share one
-    STEP_BUDGET unless the guard is overridden."""
+    and the value.  A target that is not 0/1, or has one vertex, goes to
+    hom_batch as one matrix of Python ints, its entries scaled by D, the
+    lcm of their denominators, so the count is total / D^m (the int total
+    when D is 1).  Any other target is counted by _hom_walk on each
+    component of the source, on the support masks, with the allowed sets
+    as one bitmask per vertex; the components share one STEP_BUDGET unless
+    the guard is overridden."""
     k = target.k
     n = g.n
-    if 1 < k and k ** n <= MAP_BITS and target.is_simple:
-        live, digit, edge = target.map_tables.get(n) or _map_tables(target, n)
-        for e in g.edges:
-            live &= edge[e]
-        if constraint is not None:
-            constraint.validate(n, k)
-            for v, ts in constraint.allowed.items():
-                live &= _within(digit[v], sum(1 << t for t in ts))
-        return live.bit_count()
     c = constraint or EMPTY_CONSTRAINT
     c.validate(n, k)
 

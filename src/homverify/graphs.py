@@ -145,7 +145,9 @@ class Bipartition:
 @dataclass(frozen=True)
 class TargetGraph:
     """Symmetric k x k matrix of nonnegative exact rationals; diagonal
-    entries are loop weights.  A simple target has entries in {0,1}."""
+    entries are loop weights.  A simple target has entries in {0,1}.  The
+    cached properties are functions of w alone, and no counter writes to
+    a target."""
 
     w: tuple[tuple[Fraction, ...], ...]
 
@@ -189,13 +191,6 @@ class TargetGraph:
     def support_masks(self) -> tuple[int, ...]:
         """Bit j of entry t is set when the entry (t, j) is nonzero."""
         return tuple(sum(1 << j for j, x in enumerate(row) if x) for row in self.w)
-
-    @cached_property
-    def map_tables(self) -> dict:
-        """Per source size n, the map-bitset tables that counting.hom_count
-        builds for a 0/1 target on first use (a pure function of the
-        target and n)."""
-        return {}
 
     def is_connected(self) -> bool:
         """Connectivity of the support graph (loops join nothing)."""

@@ -21,7 +21,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .classes import MAX_N, canonical_masks, class_table, iter_edge_sets, vertex_pairs
-from .graphs import Graph, TargetGraph, bipartition, to_graph6
+from .graphs import (
+    Graph,
+    TargetGraph,
+    bipartition,  # noqa: F401  (perfbench's layer tracer wraps search.bipartition)
+    to_graph6,
+)
 from .counting import hom_batch, hom_count
 from .sweeps import SweepSummary, _edge_slots, _group_summary
 
@@ -30,19 +35,12 @@ from .sweeps import SweepSummary, _edge_slots, _group_summary
 # Labeled graph enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_graphs(n: int, *, connected: bool = False,
-                     bipartite: bool = False) -> Iterator[Graph]:
-    """All labeled graphs on n vertices in lexicographic edge-set order,
-    optionally filtered."""
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """All labeled graphs on n vertices in lexicographic edge-set order."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_N}")
     for edges in iter_edge_sets(n):
-        g = Graph(n, frozenset(edges))
-        if connected and not g.is_connected():
-            continue
-        if bipartite and bipartition(g) is None:
-            continue
-        yield g
+        yield Graph(n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -63,16 +63,13 @@ def test_all_masks_hard_core_matches_class_tables(n):
     assert np.array_equal(all_masks_hom(n, hard_core_target()), per_class[t.cls])
 
 
-@pytest.mark.parametrize("name,target,route", [
-    pytest.param(name, target, route, id=f"{name}-target{i}" + ("-walk" if route == "walk" else ""))
-    for route in ("bits", "walk") for i, (name, target) in enumerate(HOM_TARGETS)
+@pytest.mark.parametrize("name,target", [
+    pytest.param(name, target, id=f"{name}-target{i}") for i, (name, target) in enumerate(HOM_TARGETS)
 ])
-def test_all_masks_match_hom_count(name, target, route, monkeypatch):
-    # these targets take the map bits at n <= 5; a cap of 0 sends every
-    # call to the walk, so the zeta counter checks both routes
-    if route == "walk":
-        monkeypatch.setattr(counting, "MAP_BITS", 0)
-    for n in range(6):
+def test_all_masks_match_hom_count(name, target):
+    # every labelled graph up to 5 vertices, and hard-core up to 6: the
+    # zeta counter against hom_count's walk
+    for n in range(7 if name == "hard_core" else 6):
         t = class_table(n)
         got = all_masks_hom(n, target)
         for mask in range(1 << len(t.pairs)):

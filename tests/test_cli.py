@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from homverify import cli, counting
+from homverify.graphs import bipartition
 from homverify.search import enumerate_graphs
 from homverify.sweeps import CLAIMS
 
@@ -663,7 +664,7 @@ def test_hunt_all_bipartite_searches_each_class_once(monkeypatch, capsys):
     # exactly one source
     sources, _ = _hunt_phase2(["--all-bipartite", "--samples", "100"], monkeypatch, capsys)
     want = {_iso_class(g) for n in range(2, 6)
-            for g in enumerate_graphs(n, connected=True, bipartite=True)}
+            for g in enumerate_graphs(n) if g.is_connected() and bipartition(g) is not None}
     assert len(sources) == len(want) == 10
     assert {_iso_class(g) for g in sources} == want
 

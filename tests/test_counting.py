@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from homverify.graphs import (
     Graph,
     TargetGraph,
+    complete_bipartite,
     complete_graph,
     complete_target,
     cycle_graph,
@@ -160,7 +161,7 @@ def _random_graph(seed: int, min_n: int, max_n: int, max_m: int) -> Graph:
                                     ("k3", complete_target(3))])
 def test_hom_doubled_target_scales_by_edges(name, t):
     # 2T has entries 0 and 2, so hom(g, 2T) = 2^m hom(g, T).  It is also a
-    # cross-route check: T takes the map bits or the walk, 2T elimination
+    # cross-route check: T takes the walk, 2T elimination
     t2 = _doubled(t)
     assert t.is_simple and not t2.is_simple
     gs = [g for n in range(6) for g in all_graphs(n)]
@@ -175,46 +176,41 @@ def test_hom_support_anchors():
     none = TargetGraph.from_rows([])
     for g in (empty_graph(1), path_graph(3), cycle_graph(4)):
         assert hom_count(g, none) == 0
-    assert none.map_tables == {}  # vacuously 0/1, but k = 0 has no map bits
 
 
-ROUTE_CASES = {  # target, largest n, and whether the ends are constrained
-    "hard_core": (HC, 6, False),
-    "widom_rowlinson": (WR, 5, False),
-    "widom_rowlinson_list": (WR, 5, True),
-    "k2": (complete_target(2), 5, False),
-    "k3": (complete_target(3), 5, False),
-}
-
-
-@pytest.mark.parametrize("name", ROUTE_CASES)
-def test_hom_routes_agree(name, monkeypatch):
-    # every labelled graph: these 0/1 targets take the map bits, and a cap
-    # of 0 sends the same calls to the walk
-    t, max_n, ends = ROUTE_CASES[name]
-    calls = [(g, ListConstraint({0: {WR_B, WR_C}, n - 1: {WR_A}}) if ends and n > 1 else None)
-             for n in range(max_n + 1) for g in all_graphs(n)]
-    bits = [hom_count(g, t, c) for g, c in calls]
-    monkeypatch.setattr(counting, "MAP_BITS", 0)
-    assert [hom_count(g, t, c) for g, c in calls] == bits
-
-
-@pytest.mark.parametrize("name,n,bits", [("hard_core", 12, True), ("hard_core", 13, False),
-                                         ("k3", 7, True), ("k3", 8, False)])
-def test_hom_map_bits_boundary(name, n, bits, monkeypatch):
-    # the last n with k**n <= MAP_BITS takes the bits, one vertex more the
-    # walk; each route forced on a fresh target agrees with the closed forms
-    make = {"hard_core": hard_core_target, "k3": lambda: complete_target(3)}[name]
+@pytest.mark.parametrize("name,n", [("hard_core", 12), ("hard_core", 13),
+                                    ("k3", 7), ("k3", 8)])
+def test_hom_paths_cycles_closed_forms(name, n):
+    # paths and cycles against their closed forms, i(P_n) = F_{n+2},
+    # i(C_n) = F_{n-1} + F_{n+1} and ch(C_n, 3), on either side of k^n = 2^12
+    t = {"hard_core": HC, "k3": complete_target(3)}[name]
     want = {"hard_core": [path_ind_fib(n), path_ind_fib(n - 3) + path_ind_fib(n - 1)],
             "k3": [3 * 2 ** (n - 1), cycle_chrom_formula(n, 3)]}[name]
-    gs = (path_graph(n), cycle_graph(n))
-    t = make()
-    assert [hom_count(g, t) for g in gs] == want
-    assert (n in t.map_tables) == bits
-    assert all(t.k ** m <= counting.MAP_BITS for m in t.map_tables)
-    for cap in (t.k ** n, 0):
-        monkeypatch.setattr(counting, "MAP_BITS", cap)
-        assert [hom_count(g, make()) for g in gs] == want, cap
+    assert [hom_count(g, t) for g in (path_graph(n), cycle_graph(n))] == want
+
+
+def _family_sources(n: int) -> list[Graph]:
+    # empty, path, cycle, star, complete and complete bipartite on n vertices
+    gs = [empty_graph(n), path_graph(n), complete_bipartite(1, n - 1), complete_graph(n),
+          complete_bipartite(n // 2, n - n // 2)]
+    return gs + [cycle_graph(n)] if n >= 3 else gs
+
+
+UP_TO_4096_MAPS = {"hard_core": (HC, 12), "k2": (complete_target(2), 12),
+                   "widom_rowlinson": (WR, 7), "k3": (complete_target(3), 7),
+                   "k4": (complete_target(4), 6), "k8": (complete_target(8), 4),
+                   "k64": (complete_target(64), 2)}
+
+
+@pytest.mark.parametrize("name", UP_TO_4096_MAPS)
+def test_hom_walk_up_to_4096_maps(name):
+    # the largest n with k^n <= 2^12 for each k: the walk counts every
+    # source as elimination does in Python ints, and refuses none
+    t, n = UP_TO_4096_MAPS[name]
+    assert t.k ** n <= 1 << 12 < t.k ** (n + 1)
+    for g in _family_sources(n):
+        got = hom_count(g, t)
+        assert type(got) is int and got == hom_batch(g, _batch(t, dtype=object))[0], (name, g)
 
 
 def _batch(*targets: TargetGraph, dtype=np.int64) -> np.ndarray:
@@ -239,9 +235,9 @@ def _dense_tenths(k: int, seed: int) -> TargetGraph:
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_hom_batch_differential(seed, monkeypatch):
+def test_hom_batch_differential(seed):
     # 8-16 vertices: the elimination itself against the specialised
-    # counters and both 0/1 routes of hom_count, with list constraints
+    # counters and hom_count's walk, with list constraints
     g = _random_graph(seed, 8, 16, 24)
     rng = random.Random(seed)
     u, v = rng.sample(range(g.n), 2)
@@ -256,11 +252,8 @@ def test_hom_batch_differential(seed, monkeypatch):
     # a batch of Python ints holding both doubled and plain targets
     got = hom_batch(g, _batch(_doubled(WR), WR, dtype=object), wr_c)
     assert got.tolist() == [2 ** g.m * wr_count(g, wr_c), wr_count(g, wr_c)]
-    calls = [(HC, ind_c), (WR, wr_c), (complete_target(3), k3_c), (complete_target(3), None)]
-    for cap in (1 << 16, 0):  # the map bits up to 2^16 maps, then the walk
-        monkeypatch.setattr(counting, "MAP_BITS", cap)
-        for t, c in calls:
-            assert hom_count(g, t, c) == hom_batch(g, _batch(t), c)[0], (cap, t, c)
+    for t, c in [(HC, ind_c), (WR, wr_c), (complete_target(3), k3_c), (complete_target(3), None)]:
+        assert hom_count(g, t, c) == hom_batch(g, _batch(t), c)[0], (t, c)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -330,21 +323,19 @@ def test_hom_batch_into_empty_target():
         assert hom_batch(g, w).tolist() == [hom_count(g, empty)] * 2 == [want] * 2
 
 
-def test_hom_type_follows_target(monkeypatch):
+def test_hom_type_follows_target():
     # an int when every entry of the target is an integer, on each route,
     # and a Fraction otherwise, whatever the source and the value
-    integral = [HC, complete_target(3),  # 0/1: the map bits, or the walk at MAP_BITS 0
+    integral = [HC, complete_target(3),  # 0/1: the walk
                 TargetGraph.from_rows([[2, 1], [1, 0]]),  # hom_batch, D = 1
                 TargetGraph.from_rows([[3]])]  # k = 1, hom_batch, D = 1
     weighted = TargetGraph.from_rows([[Fraction(1, 3), 2], [2, 0]])
-    for bits in (counting.MAP_BITS, 0):
-        monkeypatch.setattr(counting, "MAP_BITS", bits)
-        for g in (path_graph(3), empty_graph(2), Graph(0, frozenset())):
-            for t in integral:
-                got = hom_count(g, t)
-                assert type(got) is int and got == brute_hom(g, t), (bits, t.describe(), g)
-            got = hom_count(g, weighted)
-            assert type(got) is Fraction and got == brute_hom(g, weighted), (bits, g)
+    for g in (path_graph(3), empty_graph(2), Graph(0, frozenset())):
+        for t in integral:
+            got = hom_count(g, t)
+            assert type(got) is int and got == brute_hom(g, t), (t.describe(), g)
+        got = hom_count(g, weighted)
+        assert type(got) is Fraction and got == brute_hom(g, weighted), g
 
 
 def test_hom_multiplies_components():
@@ -697,15 +688,13 @@ def test_ind_around_whole_graph_threshold(n):
     assert sides == ({True} if n < FOREST_MIN_VERTICES else {True, False})
 
 
-def test_hom_map_bits_without_constraint():
-    # the map-bit route without a constraint and with an empty one, on
-    # fresh targets whose map tables show the route was taken
-    for t in (hard_core_target(), widom_rowlinson_target(), complete_target(3)):
+def test_hom_empty_constraint_counts_as_none():
+    # the walk without a constraint and with an empty one, against brute force
+    for t in (HC, WR, complete_target(3)):
         for n in range(5):
             for g in all_graphs(n):
                 got = hom_count(g, t)
                 assert got == hom_count(g, t, counting.EMPTY_CONSTRAINT) == brute_hom(g, t)
-        assert sorted(t.map_tables) == list(range(5))
 
 
 def test_path_ind_fib():
@@ -729,11 +718,14 @@ def test_wr_anchors():
 
 
 def test_wr_exhaustive_small():
+    # and with the ends constrained, vertex 0 to white or blue, the last one red
     for n in range(6):
+        ends = ListConstraint({0: {WR_B, WR_C}, n - 1: {WR_A}}) if n > 1 else None
         for g in all_graphs(n):
             w = wr_count(g)
             assert w == brute_wr(g)
             assert w == hom_count(g, WR)
+            assert hom_count(g, WR, ends) == wr_count(g, ends), g
 
 
 _WR_SETS = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations((WR_A, WR_B, WR_C), r)]
@@ -756,12 +748,9 @@ def _split_graphs() -> list[Graph]:
     return gs
 
 
-@pytest.mark.parametrize("cap", ["map_bits", 0])
-def test_wr_constraint_coverage(cap, monkeypatch):
+def test_wr_constraint_coverage():
     # every nonempty allowed set at every vertex, alone and with the other
-    # vertices constrained too, against both 0/1 routes of hom_count
-    if cap == 0:
-        monkeypatch.setattr(counting, "MAP_BITS", 0)
+    # vertices constrained too, against hom_count's walk and elimination
     for n in range(1, 5):
         for g in all_graphs(n):
             cs = [ListConstraint({v: s}) for v in range(n) for s in _WR_SETS]
@@ -779,10 +768,7 @@ def test_wr_constraint_coverage(cap, monkeypatch):
             assert wr_count(g, c) == hom_count(g, WR, c), (g, c)
 
 
-@pytest.mark.parametrize("cap", ["map_bits", 0])
-def test_ind_constraint_coverage_disconnected(cap, monkeypatch):
-    if cap == 0:
-        monkeypatch.setattr(counting, "MAP_BITS", 0)
+def test_ind_constraint_coverage_disconnected():
     small = [g for n in range(2, 6) for g in all_graphs(n) if not g.is_connected()]
     for seed, g in enumerate(small + _split_graphs()):
         rng = random.Random(seed)

@@ -56,12 +56,9 @@ def _elim(g: Graph, target) -> int:
 
 
 @pytest.mark.parametrize("n", range(8, 17))
-def test_counters_match_elimination_on_gnp(n, monkeypatch):
-    # MAP_BITS lowered to 0 so that every 0/1 hom_count takes the walk,
-    # which k**n <= MAP_BITS would otherwise hand to the map bits; the walk
-    # is checked only where the count, and so its node count, stays below
-    # WALK_CAP
-    monkeypatch.setattr(counting, "MAP_BITS", 0)
+def test_counters_match_elimination_on_gnp(n):
+    # hom_count's walk is checked only where the count, and so its node
+    # count, stays below WALK_CAP
     for seed in range(100 * n, 100 * n + 9):
         p = DENSITIES[seed % 3]
         g = _gnp(seed, n, p)
@@ -104,10 +101,9 @@ def _grid_transfer(a: int, b: int, target) -> int:
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
-def test_grids_match_transfer_matrix(a, monkeypatch):
-    # the walk (MAP_BITS at 0) only under WALK_CAP, as above; wr_count
-    # where its up-front cost passes STEP_BUDGET, and refused past it
-    monkeypatch.setattr(counting, "MAP_BITS", 0)
+def test_grids_match_transfer_matrix(a):
+    # the walk only under WALK_CAP, as above; wr_count where its up-front
+    # cost passes STEP_BUDGET, and refused past it
     targets = [("hardcore", HC), ("wr", WR), ("k3", KQ[3])]
     for b in range(1, 9):
         g = _grid(a, b)

@@ -10,7 +10,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "homverify"
 MARKER = "noqa: F401"
 
 # (module, name): imported only so that the tracer can wrap module.name
-TRACER_ONLY = {("sweeps", "iter_edge_sets"), ("sweeps", "_ind_branch"), ("sweeps", "bipartition")}
+TRACER_ONLY = {("sweeps", "iter_edge_sets"), ("sweeps", "_ind_branch"), ("sweeps", "bipartition"),
+               ("search", "bipartition")}
 
 
 def _imports(path):

@@ -17,7 +17,7 @@ import pytest
 
 from homverify import classes, counting
 from homverify.classes import all_masks_hom, class_table, vertex_pairs
-from homverify.counting import SizeGuardError, chrom_poly, hom_count, ind_count, wr_count
+from homverify.counting import SizeGuardError, chrom_poly, hom_batch, hom_count, ind_count, wr_count
 from homverify.graphs import TargetGraph, complete_target, hard_core_target, widom_rowlinson_target
 from homverify.sweeps import _class_polys
 
@@ -63,17 +63,23 @@ def test_all_masks_hard_core_matches_class_tables(n):
     assert np.array_equal(all_masks_hom(n, hard_core_target()), per_class[t.cls])
 
 
-@pytest.mark.parametrize("name,target", [
-    pytest.param(name, target, id=f"{name}-target{i}") for i, (name, target) in enumerate(HOM_TARGETS)
+@pytest.mark.parametrize("name,target,route", [
+    pytest.param(name, target, route, id=f"{name}-target{i}" + ("-walk" if route == "walk" else ""))
+    for route in ("elimination", "walk") for i, (name, target) in enumerate(HOM_TARGETS)
 ])
-def test_all_masks_match_hom_count(name, target):
-    # every labelled graph up to 5 vertices, and hard-core up to 6: the
-    # zeta counter against hom_count's walk
-    for n in range(7 if name == "hard_core" else 6):
+def test_all_masks_match_hom_count(name, target, route):
+    # every labelled graph up to 5 vertices against the zeta counter, on
+    # each of hom_count's routes: the walk, which it takes for these 0/1
+    # targets (hard-core up to 6 vertices), and hom_batch's elimination,
+    # which it takes for a weighted target
+    w = np.array([target.integer_rows[0]], dtype=np.int64)
+    for n in range(7 if name == "hard_core" and route == "walk" else 6):
         t = class_table(n)
         got = all_masks_hom(n, target)
         for mask in range(1 << len(t.pairs)):
-            assert hom_count(t.graph(mask), target) == got[mask], (name, n, mask)
+            g = t.graph(mask)
+            want = hom_count(g, target) if route == "walk" else hom_batch(g, w)[0]
+            assert want == got[mask], (name, n, mask)
 
 
 def test_all_masks_match_class_tables_at_seven():

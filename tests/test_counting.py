@@ -178,6 +178,26 @@ def test_hom_support_anchors():
         assert hom_count(g, none) == 0
 
 
+ROUTE_CASES = {  # target, largest n, and whether the ends are constrained
+    "hard_core": (HC, 6, False),
+    "widom_rowlinson": (WR, 5, False),
+    "widom_rowlinson_list": (WR, 5, True),
+    "k2": (complete_target(2), 5, False),
+    "k3": (complete_target(3), 5, False),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_hom_routes_agree(name):
+    # every labelled graph: hom_count's walk, the route of these 0/1
+    # targets, against hom_batch's elimination on an int64 batch
+    t, max_n, ends = ROUTE_CASES[name]
+    w = _batch(t)
+    calls = [(g, ListConstraint({0: {WR_B, WR_C}, n - 1: {WR_A}}) if ends and n > 1 else None)
+             for n in range(max_n + 1) for g in all_graphs(n)]
+    assert [hom_count(g, t, c) for g, c in calls] == [hom_batch(g, w, c)[0] for g, c in calls]
+
+
 @pytest.mark.parametrize("name,n", [("hard_core", 12), ("hard_core", 13),
                                     ("k3", 7), ("k3", 8)])
 def test_hom_paths_cycles_closed_forms(name, n):
@@ -748,34 +768,45 @@ def _split_graphs() -> list[Graph]:
     return gs
 
 
-def test_wr_constraint_coverage():
+# the two counters a constraint-coverage leg checks against: hom_count's
+# walk, and hom_batch's elimination.  The ids are the legs' names from when
+# hom_count also had a map-bit route and a cap of 0 forced the walk
+COVERAGE_ROUTES = [pytest.param("elimination", id="map_bits"), pytest.param("walk", id="0")]
+
+
+def _route_count(route: str, g: Graph, t: TargetGraph, c: ListConstraint) -> int:
+    return hom_count(g, t, c) if route == "walk" else hom_batch(g, _batch(t), c)[0]
+
+
+@pytest.mark.parametrize("route", COVERAGE_ROUTES)
+def test_wr_constraint_coverage(route):
     # every nonempty allowed set at every vertex, alone and with the other
-    # vertices constrained too, against hom_count's walk and elimination
+    # vertices constrained too, against hom_count's walk or elimination
     for n in range(1, 5):
         for g in all_graphs(n):
             cs = [ListConstraint({v: s}) for v in range(n) for s in _WR_SETS]
             cs += [ListConstraint({v: _WR_SETS[(i + 2 * v) % 7] for v in range(n)})
                    for i in range(7)]
             for c in cs:
-                assert wr_count(g, c) == hom_count(g, WR, c), (g, c)
+                assert wr_count(g, c) == _route_count(route, g, WR, c), (g, c)
     for seed, g in enumerate(_split_graphs()):
         rng = random.Random(seed)
         for s in _WR_SETS:
             # the last vertex is past the red-set table when 13 or more are red
             c = ListConstraint({v: rng.choice(_WR_SETS) for v in rng.sample(range(g.n - 1), 3)}
                                | {g.n - 1: s})
-            assert wr_count(g, c) == hom_batch(g, _batch(WR), c)[0], (g, c)
-            assert wr_count(g, c) == hom_count(g, WR, c), (g, c)
+            assert wr_count(g, c) == _route_count(route, g, WR, c), (g, c)
 
 
-def test_ind_constraint_coverage_disconnected():
+@pytest.mark.parametrize("route", COVERAGE_ROUTES)
+def test_ind_constraint_coverage_disconnected(route):
     small = [g for n in range(2, 6) for g in all_graphs(n) if not g.is_connected()]
     for seed, g in enumerate(small + _split_graphs()):
         rng = random.Random(seed)
         for _ in range(4):
             c = ListConstraint({v: rng.choice(({IND_IN}, {IND_OUT}, {IND_IN, IND_OUT}))
                                 for v in rng.sample(range(g.n), 2)})
-            assert ind_count(g, c) == hom_count(g, HC, c), (g, c)
+            assert ind_count(g, c) == _route_count(route, g, HC, c), (g, c)
 
 
 def test_wr_long_path_transfer_count():

@@ -315,9 +315,8 @@ def _pmul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _psub(a: list[int], b: list[int]) -> list[int]:
+    # a - b, b no longer than a: P(G - uv) has one vertex more than P(G / uv)
     out = list(a)
-    if len(out) < len(b):
-        out += [0] * (len(b) - len(out))
     for i, y in enumerate(b):
         out[i] -= y
     return out

@@ -65,7 +65,7 @@ class Graph:
     def trusted(n: int, neighbor_masks: tuple[int, ...]) -> "Graph":
         """The graph with these neighbour masks, without validation, for
         callers whose masks are symmetric and loop-free by construction
-        (``classes.mask_graphs``)."""
+        (``classes.mask_graphs``, ``parse_graph6``)."""
         g = object.__new__(Graph)
         fields = g.__dict__
         fields["n"], fields["neighbor_masks"] = n, neighbor_masks
@@ -382,20 +382,14 @@ def parse_graph6(text: str) -> Graph:
     body = data[used:]
     if len(body) != nbytes:
         raise ParseError(f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}")
-    bits = []
-    for b in body:
-        x = b - 63
-        bits.extend((x >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = "".join([format(b - 63, "06b") for b in body])
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits in graph6 body")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, edges)
+    # column j holds the pairs (i, j), i < j: padded to n, vertex i's lower
+    # neighbours are row i of the square and its higher ones column i
+    square = "".join([bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)])
+    return Graph.trusted(n, tuple(int(square[i * n:i * n + n][::-1], 2)
+                                  | int(square[i::n][::-1], 2) for i in range(n)))
 
 
 def to_graph6(g: Graph) -> str:

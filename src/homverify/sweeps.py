@@ -20,13 +20,14 @@ a group differ only in the graph6 name:
   are invariant under relabelling, so over all slots the labelled copies
   of a class fall in the representative's groups.  Summary mode keys no
   labelled mask, and runs the checker only to name the kept instances;
-* report mode keys every labelled graph, as each gets a line, and
-  renders each group's report once, as a fragment behind the graph's
-  name, all names coming from one vectorised graph6 pass per chunk of
-  masks.  The checker runs once per group and q for the class-level
-  claims, and once per key and q in a table for the pair claims: a key
-  is class ids, the same in every pair's slot, so one report serves
-  every pair slot with that key once its instance names the slot's pair.
+* report mode renders each group's report once from the same rows, as a
+  fragment behind the graph's name, then keys every labelled graph once
+  to find its lines' fragments, all names coming from one vectorised
+  graph6 pass per chunk of masks.  The checker runs once per group and q
+  for the class-level claims, and once per key and q in a table for the
+  pair claims: a key is class ids, the same in every pair's slot, so one
+  report serves every pair slot with that key once its instance names the
+  slot's pair.
 
 The test suite checks both modes against the per-labelled-graph checkers.
 The oracle sweep checks the counters themselves on every labelled graph,
@@ -39,7 +40,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -242,10 +243,6 @@ def _class_polys(t: ClassTable) -> list[ChromPoly]:
     return t.cached("poly", build)
 
 
-# a group's margin at a q index where its graphs have no report
-_NO_REPORT = ()
-
-
 class _Slot(NamedTuple):
     """One report position of the labelled graphs of a table, for every q
     of the claim: of a table's S slots, slot s at q index i is stream
@@ -255,13 +252,13 @@ class _Slot(NamedTuple):
     the pair bit (all of them if bit is 0), as has(t, masks) tells.
     keys(masks) puts each in a group (a class-level slot's is its class)
     whose reports agree in every field but the graph6 name that opens the
-    instance string; a key with an applicable margin must not change when
-    the graph is relabelled, as every summary fold reads only the
-    representatives' keys (_rep_groups).  margins(keys) gives, per q
-    index, the exact margin of each group from per-class values: (diff,
-    den) for diff/den, None if inapplicable, or _NO_REPORT.  report(mask,
-    i) runs the checker on one labelled graph at q index i.  A report line
-    names the graph of mask, or with rename that of mask without the bit.
+    instance string; a key must not change when the graph is relabelled,
+    as both modes read only the representatives' keys (_rep_groups).
+    margins(keys) gives, per q index, the exact margin of each group from
+    per-class values: (diff, den) for diff/den, or None if inapplicable.
+    report(mask, i) runs the checker on one labelled graph at q index i.
+    A report line names the graph of mask, or with rename that of mask
+    without the bit.
 
     pair is the vertex pair (u, v) of a pair claim's slot, None for a
     class-level slot.  The keys of a pair claim are class ids, which do
@@ -368,8 +365,7 @@ def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
     # connected bipartite G: P(u, v same color) = ch(G/uv)/ch(G), at most
     # 1/q across the bipartition and at least 1/q within a side.  Slot b is
     # pair b, grouped by the class of G and the pair's state; where G has
-    # no proper q-coloring the checker's one inapplicable report takes
-    # pair 0's place
+    # no proper q-coloring every pair's report is inapplicable
     if t.n < 2:
         return []
     qs = cfg.qs
@@ -390,27 +386,26 @@ def _slots_thm1_1(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
 
     def reports(m, i):
         # the checker reports every pair at once; _report_batch renders
-        # groups in stream order of their first graphs, so this one-entry
-        # memo checks each graph and q once
+        # its rows in stream order, so this one-entry memo checks each
+        # graph and q once
         if (m, i) not in last:
             last.clear()
             last[m, i] = check_correlation_coloring(t.graph(m), qs[i])
         return last[m, i]
 
-    def margins(keys, b):
+    def margins(keys):
         # (g, class of G/uv, across); an edge uv, state 0, gives (g, -1,
         # 1): G/uv's count is then the 0 that ends the t1 list.  Across,
         # the margin is 1/q - ci/c = (c - q*ci)/(q*c); within a side its
         # negative
         split = [(g, *divmod(state - 1, 2)) for g, state in (divmod(key, width) for key in keys)]
-        return [[(None if b == 0 else _NO_REPORT) if c[g] == 0
-                 else ((c[g] - q * c1[x]) * (2 * cross - 1), q * c[g]) for g, x, cross in split]
+        return [[None if c[g] == 0 else ((c[g] - q * c1[x]) * (2 * cross - 1), q * c[g])
+                 for g, x, cross in split]
                 for q, (c, c1) in zip(qs, ch)]
 
     keep = t.connected & t.bipartite
     return [_Slot(keep, 0, lambda m, bit=1 << b, i=_identify_map(t, u, v): group(m, bit, i),
-                  lambda keys, b=b: margins(keys, b), lambda m, i, b=b: reports(m, i)[b],
-                  pair=(u, v))
+                  margins, lambda m, i, b=b: reports(m, i)[b], pair=(u, v))
             for b, (u, v) in enumerate(t.pairs)]
 
 
@@ -419,38 +414,37 @@ def _sweep_slots(t: ClassTable, cfg: SweepConfig) -> list[_Slot]:
     return _class_slots(t, lambda g: claim.sweep(g, cfg), getattr(t, claim.flag))
 
 
-def _rep_groups(t: ClassTable, slots: list[_Slot]) -> Iterator[tuple[list, list]]:
-    """For every summary fold: per slot, one (key, count, rank) row per
-    class representative of the slot, counting its class's size, and the
-    rows' margins per q index.  Keys do not change under relabelling and
-    the representative is its class's lowest-rank copy, so per key the
-    count and lowest (rank, position) are those over every labelled graph.
-    An inapplicable row folds only its count, so its key may vary (thm1_1
-    puts a graph's one inapplicable report at pair 0)."""
+def _rep_groups(t: ClassTable, slots: list[_Slot]) -> list[tuple[list, list]]:
+    """The groups both sweep modes read: per slot, one (key, count, rank)
+    row per class representative of the slot, counting its class's size,
+    and the rows' margins per q index.  Keys do not change under
+    relabelling and the representative is its class's lowest-rank copy, so
+    per key the count and lowest (rank, position) are those over every
+    labelled graph, and a labelled graph's key at a pair slot is its
+    representative's key at some pair slot."""
     reps = t.order[t.first_rank]
+    groups = []
     for slot in slots:
         ids = np.flatnonzero(slot.keep & (reps & slot.bit != 0) if slot.bit else slot.keep)
         rows = list(zip(slot.keys(reps[ids]).tolist(), t.size[ids].tolist(),
                         t.first_rank[ids].tolist()))
-        yield rows, slot.margins([key for key, _, _ in rows])
+        groups.append((rows, slot.margins([key for key, _, _ in rows])))
+    return groups
 
 
-def _group_summary(claim: str, t: ClassTable, slots: list[_Slot], name: Callable
-                   ) -> SweepSummary:
-    """Fold the groups of _rep_groups(t, slots) exactly, as `record` would
-    fold their instances in stream order: each kept instance is the lowest
-    key (rank, position) among those it may be, and the summary stores
-    name(key) for it."""
+def _group_summary(claim: str, groups: list[tuple[list, list]], name: Callable) -> SweepSummary:
+    """Fold the groups of _rep_groups exactly, as `record` would fold their
+    instances in stream order: each kept instance is the lowest key (rank,
+    position) among those it may be, and the summary stores name(key) for
+    it."""
     s = SweepSummary(claim)
-    width = len(slots)
+    width = len(groups)
     instances = inapplicable = violated = tight_count = 0
     violation = tight = best = None
-    for j, (rows, margins) in enumerate(_rep_groups(t, slots)):
+    for j, (rows, margins) in enumerate(groups):
         for i, ms in enumerate(margins):
             pos = i * width + j
             for (_, count, rank), margin in zip(rows, ms):
-                if margin is _NO_REPORT:
-                    continue
                 instances += count
                 if margin is None:
                     inapplicable += count
@@ -494,7 +488,7 @@ def _summary_batch(t: ClassTable, cfg: SweepConfig) -> tuple[SweepSummary, Calla
         g = to_graph6(t.graph(m))
         return g + slots[s].report(m, i).instance[len(g):]
 
-    return _group_summary(cfg.claim, t, slots, lambda k: (t.n, *k)), name
+    return _group_summary(cfg.claim, _rep_groups(t, slots), lambda k: (t.n, *k)), name
 
 
 def sweep_summary(cfg: SweepConfig, workers: int = 1) -> SweepSummary:
@@ -527,74 +521,61 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
                   ) -> SweepSummary:
     """Write the report lines of one table's labelled graphs, in enumeration
     order and each graph's reports in stream position order, and return
-    their summary.  The checker runs once per group (a slot's labelled
-    graphs with one key) and q, and for pair slots once per key and q, at
-    the first group in stream order with that key; each group's report is
-    rendered once, as the JSON after the graph6 name with the slot's pair
-    put in, and every line is the opening, the name and that fragment.
-    The summary folds _rep_groups, as summary mode does, and names its
-    kept instances only when asked, from their graphs."""
+    their summary.  Both read the rows of _rep_groups: the checker runs on
+    the first row in stream order of each (q index, key) of the pair slots
+    and (q index, key, slot) of the others, and its report is rendered
+    once, as the JSON after the graph6 name with the slot's pair put in.
+    Every line is the opening, the name and that fragment, found by keying
+    each labelled mask once.  The summary folds the rows, as summary mode
+    does, and names its kept instances only when asked, from their graphs."""
     slots = CLAIMS[cfg.claim].slots(t, cfg)
+    groups = _rep_groups(t, slots)
     width = len(slots)
-    # per slot: its labelled graphs' distinct keys, ascending, the lowest
-    # rank of each (a minimum per run after an unstable sort; np.unique's
-    # stable one is about twice as slow on a pair claim's 22M keys at
-    # n = 7) and their margins; a class slot's representatives suffice
-    keys, firsts, margins = [], [], []
-    for slot in slots:
-        r = np.flatnonzero(slot.has(t, t.order)) if slot.pair else t.first_rank[slot.keep]
-        k = slot.keys(t.order[r])
-        order = np.argsort(k)
-        k, r = k[order], r[order]
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1]))[:len(k)])
-        keys.append(k[starts])
-        firsts.append(np.minimum.reduceat(r, starts).tolist())
-        margins.append(slot.margins(keys[-1].tolist()))
-    nq = max(map(len, margins), default=0)
-    # the groups in stream order of their first instances, so that the
-    # reports of one graph and q are rendered one after another
-    found = sorted((firsts[s][g], i * width + s, g)
-                   for s, per_q in enumerate(margins)
-                   for i, ms in enumerate(per_q)
-                   for g, margin in enumerate(ms) if margin is not _NO_REPORT)
-    if not found:
-        return SweepSummary(cfg.claim)
     skip = 1 + -(-len(t.pairs) // 6)  # length of a graph6 name on n vertices
-    rename = np.array([s.bit if s.rename else 0 for s in slots], dtype=np.int64)
-    # per (q index, key) of the pair slots, and per (q index, key, slot)
-    # of the others: the instance after the graph6 name, the pair it names
-    # and the JSON after the instance string
+    # the instance after the graph6 name, the pair it names and the JSON
+    # after the instance string; rendered in stream order, so that the
+    # reports of one graph and q are rendered one after another
     done = {}
-
-    def render(s, i, key, m):
-        # checks mask m at q index i if its key has no report yet, and
-        # puts slot s's pair into the instance
+    for rank, pos, key in sorted((rank, i * width + s, key) for s, (rows, ms) in enumerate(groups)
+                                 for i in range(len(ms)) for key, _, rank in rows):
+        i, s = divmod(pos, width)
         slot = slots[s]
         at = (i, key) if slot.pair else (i, key, s)
         if at not in done:
-            r = slot.report(m, i)
+            r = slot.report(int(t.order[rank]), i)
             done[at] = (r.instance[skip:], slot.pair,
                         json.dumps({**r.to_json_dict(), "instance": ""})[len(_OPEN):])
-        tail, pair, rest = done[at]
+    if not done:
+        return SweepSummary(cfg.claim)
+
+    def render(s, i, key):
+        slot = slots[s]
+        tail, pair, rest = done[(i, key) if slot.pair else (i, key, s)]
         if pair != slot.pair:
             tail = tail.replace("(%d,%d)" % pair, "(%d,%d)" % slot.pair, 1)
         return tail, rest
 
-    # per slot and q index: the fragment of each group
-    frag_ids = [np.full((len(k), nq), -1, dtype=np.int64) for k in keys]
-    frags = []
-    for rank, pos, g in found:
-        i, s = divmod(pos, width)
-        tail, rest = render(s, i, int(keys[s][g]), int(t.order[rank]))
-        frag_ids[s][g, i] = len(frags)
-        frags.append(json.dumps(tail)[1:-1] + rest + "\n")
+    # per slot: the keys of its graphs, ascending (a pair slot's may be any
+    # pair row's), and its fragments, one per key and q index from base
+    nq = max(len(ms) for _, ms in groups)
+    pair_keys = sorted({key for slot, (rows, _) in zip(slots, groups) if slot.pair
+                        for key, _, _ in rows})
+    keys, base, frags = [], [], []
+    for s, (slot, (rows, _)) in enumerate(zip(slots, groups)):
+        keys.append(np.array(pair_keys if slot.pair else [key for key, _, _ in rows],
+                             dtype=np.int64))
+        base.append(len(frags))
+        for key in keys[-1].tolist():
+            for i in range(nq):
+                tail, rest = render(s, i, key)
+                frags.append(json.dumps(tail)[1:-1] + rest + "\n")
+    rename = np.array([s.bit if s.rename else 0 for s in slots], dtype=np.int64)
 
-    def name(key):
-        rank, pos = key
+    def name(kept):
+        rank, pos = kept
         i, s = divmod(pos, width)
-        m = t.order[rank:rank + 1]
-        return (graph6_names(t.n, m ^ rename[s])[0]
-                + render(s, i, int(slots[s].keys(m)[0]), int(m[0]))[0])
+        key = next(key for key, _, r in groups[s][0] if r == rank)
+        return graph6_names(t.n, t.order[rank:rank + 1] ^ rename[s])[0] + render(s, i, key)[0]
 
     flip = np.tile(rename, nq)
     step = max(1, CHUNK_LINES // (width * nq))
@@ -603,12 +584,17 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
         ids = np.full((len(m), width * nq), -1, dtype=np.int64)
         for s, slot in enumerate(slots):
             have = slot.has(t, m)
-            ids[have, s::width] = frag_ids[s][np.searchsorted(keys[s], slot.keys(m[have]))]
+            k = slot.keys(m[have])
+            at = np.searchsorted(keys[s], k)
+            if len(k) and not (at.max() < len(keys[s]) and np.array_equal(keys[s][at], k)):
+                raise RuntimeError(f"slot {s} on {t.n} vertices: a graph's key is no "
+                                   "class representative's")
+            ids[have, s::width] = base[s] + at[:, None] * nq + np.arange(nq)
         rows, js = np.nonzero(ids >= 0)
         line_names = graph6_names(t.n, m[rows] ^ flip[js])
         write("".join([_OPEN + g6.replace("\\", "\\\\") + frags[f]
                        for g6, f in zip(line_names, ids[rows, js].tolist())]))
-    return _group_summary(cfg.claim, t, slots, name)
+    return _group_summary(cfg.claim, groups, name)
 
 
 def sweep_reports(cfg: SweepConfig, write: Callable[[str], object]) -> SweepSummary:
@@ -735,7 +721,7 @@ def _corollary_batch(t: ClassTable) -> dict:
     def name(key):
         return to_graph6(t.graph(int(t.order[key[0]])))
 
-    return {c: _group_summary(c, t, _class_slots(t, reports, keep), name)
+    return {c: _group_summary(c, _rep_groups(t, _class_slots(t, reports, keep)), name)
             for c, (keep, reports) in checks.items()}
 
 

@@ -128,26 +128,26 @@ def equal_color_probability(g: Graph, u: int, v: int, q: int,
 
 def check_correlation_coloring(g: Graph, q: int) -> list[Report]:
     """For each vertex pair, equal-color probability <= 1/q across parts and
-    >= 1/q within a part."""
+    >= 1/q within a part; every pair is inapplicable if the bipartite graph
+    has no proper q-coloring."""
     gid = to_graph6(g)
     bip = bipartition(g)
     if bip is None:
         return [_na(f"{gid} q={q}", "thm1_1", "graph is not bipartite")]
     poly = chrom_poly(g)
     ch_g = poly(q)
-    if ch_g == 0:
-        return [_na(f"{gid} q={q}", "thm1_1", f"no proper {q}-colorings")]
     reports = []
     inv_q = Fraction(1, q)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             cross = (u in bip.left) != (v in bip.left)
-            p = equal_color_probability(g, u, v, q, ch_g)
+            claim = "thm1_1_cross" if cross else "thm1_1_same"
             inst = f"{gid} q={q} pair=({u},{v}) {'cross' if cross else 'same'}"
-            if cross:
-                reports.append(_le_report(inst, "thm1_1_cross", p, inv_q))
+            if ch_g == 0:
+                reports.append(_na(inst, claim, f"no proper {q}-colorings"))
             else:
-                reports.append(_ge_report(inst, "thm1_1_same", p, inv_q))
+                p = equal_color_probability(g, u, v, q, ch_g)
+                reports.append((_le_report if cross else _ge_report)(inst, claim, p, inv_q))
     return reports
 
 
@@ -287,8 +287,11 @@ def check_connected_ind_bound(g: Graph) -> Report:
     n, e = g.n, g.m
     lhs = Fraction(ind_count(g))
     rhs = path_ind_fib(n) * Fraction(3, 4) ** (e - (n - 1))
-    closed = 0.75 * ((1 + math.sqrt(5)) / 3) ** n * 2 ** n * 0.75 ** e
-    return _ge_report(gid, "cor1_4", lhs, rhs, advisory=(float(lhs), closed))
+    try:
+        advisory = (float(lhs), 0.75 * ((1 + math.sqrt(5)) / 3) ** n * 2 ** n * 0.75 ** e)
+    except OverflowError:  # a count or 2^n past the float range
+        advisory = None
+    return _ge_report(gid, "cor1_4", lhs, rhs, advisory=advisory)
 
 
 def check_connected_wr_bound(g: Graph) -> Report:

@@ -502,6 +502,18 @@ def test_verify_prints_reports_past_int_digit_limit(tmp_path, capsys):
     assert len(num) > 4300 and Decimal(num) > 0
 
 
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_verify_cor1_4_drops_advisory_floats_past_float_range(shape, tmp_path, capsys):
+    # on 1,024 vertices 2^n is past the float range: the advisory pair is
+    # null, and the exact verdict stands
+    edges = [(v, v + 1) if shape == "path" else (0, v + 1) for v in range(1023)]
+    g = _write_edgelist(tmp_path / f"{shape}.el", 1024, edges)
+    assert cli.main(["verify", "cor1_4", "--graph", g]) == 0
+    out = capsys.readouterr().out
+    assert '"advisory_float": null' in out
+    assert lines(out)[0]["verdict"] == "holds"
+
+
 def test_sweep_claims_are_those_with_slots(capsys):
     # remark2_2 is verify-only: it has no slots, so sweep refuses it
     assert cli.main(["sweep", "--claim", "remark2_2", "--q", "3", "--max-n", "3"]) == 2

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from homverify.graphs import (
     Graph,
     ParseError,
     TargetGraph,
+    _g6_decode_n,
+    _g6_encode_n,
     bipartition,
     complete_bipartite,
     complete_graph,
@@ -188,6 +193,63 @@ def test_graph6_errors():
         parse_graph6("C \x05")
     with pytest.raises(ParseError, match="expected"):
         parse_graph6("C")  # missing body
+
+
+def test_graph6_padding_must_be_zero():
+    # n = 2 has one edge bit and five padding bits in its one body byte
+    assert parse_graph6("A_") == complete_graph(2)
+    with pytest.raises(ParseError, match="padding"):
+        parse_graph6("A@")
+
+
+def test_graph6_decodes_to_the_masks_of_from_edges():
+    # seeded graphs of every density, through the one- and four-byte
+    # vertex-count forms (n = 63 and 100 take the latter)
+    rng = random.Random(36)
+    for n in [*range(71), 100]:
+        p = rng.random()
+        g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+        got = parse_graph6(to_graph6(g))
+        assert got == g and got.neighbor_masks == g.neighbor_masks and got.edges == g.edges
+
+
+@pytest.mark.parametrize("n,header", [
+    (62, b"}"), (63, b"~??~"), (258047, b"~}~~"), (258048, b"~~???~??"),
+])
+def test_graph6_vertex_count_forms(n, header):
+    assert _g6_encode_n(n) == header
+    assert _g6_decode_n(header + b"?") == (n, len(header))
+
+
+@pytest.mark.parametrize("text", ["~", "~?", "~~???"])
+def test_graph6_truncated_vertex_count(text):
+    with pytest.raises(ParseError, match="truncated graph6 vertex count"):
+        parse_graph6(text)
+
+
+def test_graph6_dense_decode_peak_memory(tmp_path):
+    # K_2000 in graph6 (333 KB): decoded in a process of its own, whose
+    # peak RSS, imports included, must stay under 150 MB
+    n, bound_mb = 2000, 150
+    nbits = n * (n - 1) // 2
+    nbytes = -(-nbits // 6)
+    last = 63 + (63 >> (6 * nbytes - nbits) << (6 * nbytes - nbits))
+    path = tmp_path / "k2000.g6"
+    path.write_bytes(_g6_encode_n(n) + b"~" * (nbytes - 1) + bytes([last]))
+    src = str(Path(parse_graph6.__code__.co_filename).resolve().parents[1])
+    code = (f"import resource, sys; sys.path.insert(0, {src!r}); "
+            "from homverify.graphs import parse_graph6; "
+            f"g = parse_graph6(open({str(path)!r}).read()); "
+            "print(g.n, g.m, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    # run by a bare interpreter: Linux keeps a process's peak RSS through
+    # exec, so a child of this process would start at this one's peak
+    launch = ("import subprocess, sys; "
+              f"sys.exit(subprocess.run([sys.executable, '-c', {code!r}]).returncode)")
+    r = subprocess.run([sys.executable, "-c", launch], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    got_n, got_m, peak_kb = map(int, r.stdout.split())
+    assert (got_n, got_m) == (n, nbits)
+    assert peak_kb < bound_mb * 1024
 
 
 @given(graphs(max_n=7))

@@ -183,6 +183,10 @@ def test_single_edge_never_violates():
     assert find_counterexample(path_graph(2), 3, samples=500, seed=7) is None
 
 
+def test_edgeless_source_has_no_edge_to_violate():
+    assert find_counterexample(Graph.from_edges(3, []), 3, samples=10, seed=0) is None
+
+
 def test_one_vertex_target_never_violates():
     assert find_counterexample(path_graph(4), 1, samples=200, seed=7) is None
 

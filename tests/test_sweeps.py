@@ -2,6 +2,7 @@
 graph reference stream, the oracle sweep, and output digests."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homverify import cli, sweeps
+from homverify import cli, search, sweeps
 from homverify.classes import class_table, iter_edge_sets
 from homverify.graphs import (
     Graph,
@@ -208,17 +209,55 @@ def test_report_mode_checks_each_pair_key_once(monkeypatch, claim, kw):
     for n in range(1, 6):
         t = class_table(n)
         for rows, margins in _slot_groups(t, sweeps.CLAIMS[claim].slots(t, cfg)):
-            keys |= {(n, i, key) for i, ms in enumerate(margins)
-                     for (key, _, _), margin in zip(rows, ms) if margin is not sweeps._NO_REPORT}
+            keys |= {(n, i, key) for i in range(len(margins)) for key, _, _ in rows}
     assert len(calls) == len(keys)
     if claim == "eq_wr":
         assert len(calls) == 92
 
 
+@pytest.mark.parametrize("claim,kw", [
+    ("eq_wr", {}), ("wr_lemma", {}), ("thm1_1", {"qs": (1, 3)}), ("eq_col", {"qs": (2, 3)}),
+])
+def test_report_mode_keys_each_labelled_mask_once(monkeypatch, claim, kw):
+    # report mode reads its groups from the representatives' rows, so it
+    # keys a labelled graph of a slot only to find its line's fragment
+    keyed, slots_of = [], sweeps.CLAIMS[claim].slots
+
+    def counted(t, cfg):
+        return [slot._replace(keys=lambda m, keys=slot.keys: keyed.append(len(m)) or keys(m))
+                for slot in slots_of(t, cfg)]
+
+    monkeypatch.setitem(sweeps.CLAIMS, claim,
+                        dataclasses.replace(sweeps.CLAIMS[claim], slots=counted))
+    cfg = SweepConfig(claim, 5, **kw)
+    sweep_reports(cfg, lambda text: None)
+    bound = 0
+    for t in map(class_table, range(1, 6)):
+        slots = slots_of(t, cfg)
+        bound += sum(int(slot.has(t, t.order).sum()) + len(rows)
+                     for slot, (rows, _) in zip(slots, sweeps._rep_groups(t, slots)))
+    assert 0 < sum(keyed) <= bound
+
+
+def test_report_mode_refuses_a_key_no_representative_has(monkeypatch):
+    # a labelled graph whose key is no row's gets no line at all: on 3
+    # vertices the one-edge graph 0b100 is not its class's representative
+    slots_of = sweeps.CLAIMS["eq_ind"].slots
+
+    def shifted(t, cfg):
+        return [slot._replace(keys=lambda m, keys=slot.keys: keys(m) + (m == 0b100) * 10 ** 9)
+                for slot in slots_of(t, cfg)]
+
+    monkeypatch.setitem(sweeps.CLAIMS, "eq_ind",
+                        dataclasses.replace(sweeps.CLAIMS["eq_ind"], slots=shifted))
+    with pytest.raises(RuntimeError, match="no class representative"):
+        sweep_reports(SweepConfig("eq_ind", 3), lambda text: None)
+
+
 def test_report_mode_checks_thm1_1_once_per_class(monkeypatch):
     # the checker reports every pair of a graph at once, and report mode
-    # renders its groups in stream order of their first graphs, so the
-    # pair slots of one graph and q meet the checker one after another
+    # renders the representatives' rows in stream order, so the pair slots
+    # of one graph and q meet the checker one after another
     calls = []
 
     def counted(g, q, _check=sweeps.check_correlation_coloring):
@@ -608,17 +647,12 @@ def test_scan_digest_n7(target, bipartite_only):
 
 def _per_key(grouped, width):
     """{(q index, key): [instances, lowest (rank, position), margin]} over
-    the groups of every slot, with the inapplicable instances of a q index
-    under the key None: the fold reads only their count, and thm1_1's key
-    there depends on the state of pair 0."""
+    the groups of every slot."""
     out = {}
     for s, (rows, margins) in enumerate(grouped):
         for i, ms in enumerate(margins):
             for (key, count, rank), margin in zip(rows, ms):
-                if margin is sweeps._NO_REPORT:
-                    continue
-                at = (i, None) if margin is None else (i, key)
-                got = out.setdefault(at, [0, (rank, i * width + s), margin])
+                got = out.setdefault((i, key), [0, (rank, i * width + s), margin])
                 got[0] += count
                 got[1] = min(got[1], (rank, i * width + s))
                 assert got[2] == margin
@@ -637,12 +671,13 @@ def test_rep_groups_match_slot_groups_per_key(monkeypatch, claim, kw):
     seen, rep_groups = [], sweeps._rep_groups
 
     def checked(t, slots):
-        reps = list(rep_groups(t, slots))
+        reps = rep_groups(t, slots)
         assert _per_key(reps, len(slots)) == _per_key(_slot_groups(t, slots), len(slots))
         seen.append(t.n)
-        return iter(reps)
+        return reps
 
     monkeypatch.setattr(sweeps, "_rep_groups", checked)
+    monkeypatch.setattr(search, "_rep_groups", checked)
     if claim == "scan":
         edge_mono_scan(_TARGETS[kw["target"]](), 6)
     else:

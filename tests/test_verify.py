@@ -65,10 +65,29 @@ def test_correlation_path_endpoints():
 
 
 def test_correlation_inapplicable():
-    rs = check_correlation_coloring(cycle_graph(3), 3)
-    assert rs[0].verdict == INAPPLICABLE and "bipartite" in rs[0].reason
-    rs = check_correlation_coloring(path_graph(2), 1)
-    assert rs[0].verdict == INAPPLICABLE
+    for q in (1, 3):
+        rs = check_correlation_coloring(cycle_graph(3), q)
+        assert len(rs) == 1 and rs[0].verdict == INAPPLICABLE and "bipartite" in rs[0].reason
+    # a bipartite graph with no proper q-coloring: one report per pair
+    rs = check_correlation_coloring(path_graph(3), 1)
+    assert [r.instance.split(" ", 1)[1] for r in rs] == [
+        "q=1 pair=(0,1) cross", "q=1 pair=(0,2) same", "q=1 pair=(1,2) cross"]
+    assert [r.claim for r in rs] == ["thm1_1_cross", "thm1_1_same", "thm1_1_cross"]
+    assert all(r.verdict == INAPPLICABLE and r.reason == "no proper 1-colorings" for r in rs)
+
+
+def test_no_coloring_cases_are_inapplicable_or_raise():
+    # P_4 has no proper 1-coloring, so neither the ratio nor the probability
+    # is defined
+    r = check_edge_ratio(path_graph(4), "coloring", (0, 3), 1)
+    assert r.verdict == INAPPLICABLE and r.reason == "no proper 1-colorings of the base graph"
+    with pytest.raises(ValueError, match="no proper colorings"):
+        equal_color_probability(path_graph(2), 0, 1, 1)
+
+
+def test_wr_ratio_needs_a_present_edge():
+    r = check_edge_ratio(path_graph(3), "wr", (0, 2))
+    assert r.verdict == INAPPLICABLE and r.reason == "edge not present"
 
 
 def _brute_equal_prob(g, u, v, q):

@@ -79,11 +79,9 @@ def build_parser() -> _Parser:
     add_graph(c)
     c.add_argument("--target", help="target: file path, k<q>, hardcore, or wr")
     c.add_argument("--q", type=int)
-    c.add_argument("--override-size-guard", action="store_true")
 
     c = sub.add_parser("poly", help="chromatic polynomial, ascending coefficients")
     add_graph(c)
-    c.add_argument("--override-size-guard", action="store_true")
 
     c = sub.add_parser("verify", help="check one claim on one instance")
     c.add_argument("claim", choices=tuple(CLAIMS))
@@ -129,17 +127,17 @@ def _load_graph(path: str, fmt: Optional[str]) -> Graph:
 _KQ = re.compile(r"^k(\d+)$")
 
 
-def _load_target(token: str, override_guard: bool = False) -> TargetGraph:
+def _load_target(token: str) -> TargetGraph:
     m = _KQ.match(token)
     if m:
         q = int(m.group(1))
-        if q * q > counting.STEP_BUDGET and not override_guard:
+        if q * q > counting.STEP_BUDGET:
             raise SizeGuardError(f"target guard: {token} has {q * q} entries, "
                                  f"more than {counting.STEP_BUDGET}")
         return complete_target(q)
-    if token in ("hardcore", "looped-k2"):
+    if token == "hardcore":
         return hard_core_target()
-    if token in ("wr", "p3loop"):
+    if token == "wr":
         return widom_rowlinson_target()
     return parse_target(Path(token).read_text())
 
@@ -193,21 +191,20 @@ def _run_count(args, out: _Out) -> int:
     if args.what == "hom":
         if not args.target:
             raise UsageError("count hom needs --target")
-        val = hom_count(g, _load_target(args.target, args.override_size_guard),
-                        override_guard=args.override_size_guard)
+        val = hom_count(g, _load_target(args.target))
     elif args.what == "chrom":
-        val = chrom_eval(g, _need_q(args), override_guard=args.override_size_guard)
+        val = chrom_eval(g, _need_q(args))
     elif args.what == "ind":
-        val = ind_count(g, override_guard=args.override_size_guard)
+        val = ind_count(g)
     else:
-        val = wr_count(g, override_guard=args.override_size_guard)
+        val = wr_count(g)
     out.line({"count": _fmt_count(val)})
     return 0
 
 
 def _run_poly(args, out: _Out) -> int:
     g = _load_graph(args.graph, args.format)
-    poly = chrom_poly(g, override_guard=args.override_size_guard)
+    poly = chrom_poly(g)
     out.line({"coeffs": [_fmt_count(a) for a in poly.coeffs]})
     return 0
 

@@ -54,7 +54,7 @@ from .graphs import (
     mask_vertices,
 )
 
-STEP_BUDGET = 1 << 22        # steps one counter call may take, unless overridden
+STEP_BUDGET = 1 << 22        # steps one counter call may take
 FOREST_MIN_VERTICES = 8      # ind_count branches on the lowest vertex below this many
 
 
@@ -117,7 +117,7 @@ def _hom_plan(masks: tuple[int, ...], comp: int) -> tuple[list[int], list[list[i
     return order, back
 
 
-def _hom_walk(back, choices, supp: tuple[int, ...], left) -> tuple[int, float]:
+def _hom_walk(back, choices, supp: tuple[int, ...], left: int) -> tuple[int, int]:
     """(maps, budget left) for one planned component into a 0/1 target with
     support masks supp, backtracking in plan order without recursion.  The
     candidates of depth p are the bits of choices[p] ANDed with the support
@@ -184,8 +184,8 @@ def _contract(factors: list, out: tuple[int, ...]) -> np.ndarray:
                      *(f for _, f in factors))
 
 
-def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = None, *,
-              override_guard: bool = False) -> np.ndarray:
+def hom_batch(g: Graph, w: np.ndarray,
+              constraint: Optional[ListConstraint] = None) -> np.ndarray:
     """hom(g, W) for each integer matrix W of the batch w, shape (B, k, k),
     exact in w's dtype (int64, or object for Python ints), by variable
     elimination in min-degree order.  Each edge is a factor, each
@@ -193,8 +193,8 @@ def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = No
     first vertex in the order.  Eliminating v contracts its bucket by one
     einsum; an empty bucket is an isolated vertex, a factor k.  That sums
     over v and its d remaining neighbours, k**(d + 1) entries per matrix:
-    past STEP_BUDGET the call is refused unless the guard is overridden,
-    and below it the batch goes in slices of as many entries."""
+    past STEP_BUDGET the call is refused, and below it the batch goes in
+    slices of as many entries."""
     b, k, _ = w.shape
     if k == 0:  # no map, but the empty one from a source with no vertices
         return np.full(b, int(g.n == 0), dtype=w.dtype)
@@ -202,11 +202,11 @@ def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = No
         return w[:, 0, 0] ** g.m
     steps = _min_degree_order(g.neighbor_masks)
     top = max((nb.bit_count() + 1 for _, nb in steps), default=0)
-    if k ** top > STEP_BUDGET and not override_guard:
+    if k ** top > STEP_BUDGET:
         raise SizeGuardError(f"hom_count guard: elimination sums over {k}^{top} entries")
-    step = max(1, STEP_BUDGET // k ** top)
+    step = STEP_BUDGET // k ** top
     if b > step:
-        return np.concatenate([hom_batch(g, w[i:i + step], constraint, override_guard=True)
+        return np.concatenate([hom_batch(g, w[i:i + step], constraint)
                                for i in range(0, b, step)])
     pos = {v: i for i, (v, _) in enumerate(steps)}
     buckets: list[list] = [[] for _ in steps]
@@ -232,13 +232,8 @@ def hom_batch(g: Graph, w: np.ndarray, constraint: Optional[ListConstraint] = No
     return total
 
 
-def hom_count(
-    g: Graph,
-    target: TargetGraph,
-    constraint: Optional[ListConstraint] = None,
-    *,
-    override_guard: bool = False,
-) -> int | Fraction:
+def hom_count(g: Graph, target: TargetGraph,
+              constraint: Optional[ListConstraint] = None) -> int | Fraction:
     """Weighted homomorphism count: sum over all maps respecting the
     constraint of the product of edge weights, exact: an int when every
     entry of the target is an integer, else a Fraction, whatever the source
@@ -247,8 +242,7 @@ def hom_count(
     lcm of their denominators, so the count is total / D^m (the int total
     when D is 1).  Any other target is counted by _hom_walk on each
     component of the source, on the support masks, with the allowed sets
-    as one bitmask per vertex; the components share one STEP_BUDGET unless
-    the guard is overridden."""
+    as one bitmask per vertex; the components share one STEP_BUDGET."""
     k = target.k
     n = g.n
     c = constraint or EMPTY_CONSTRAINT
@@ -256,13 +250,13 @@ def hom_count(
 
     if k == 1 or not target.is_simple:
         rows, d = target.integer_rows
-        got = hom_batch(g, np.array([rows], dtype=object), c, override_guard=override_guard)
+        got = hom_batch(g, np.array([rows], dtype=object), c)
         return int(got[0]) if d == 1 else Fraction(int(got[0]), d ** g.m)
     allowed = {v: sum(1 << t for t in ts) for v, ts in c.allowed.items()}
     full = (1 << k) - 1
     masks = g.neighbor_masks
     total = 1
-    left = math.inf if override_guard else STEP_BUDGET
+    left = STEP_BUDGET
     for comp in mask_components(masks, (1 << n) - 1):
         order, back = _hom_plan(masks, comp)
         choices = [allowed.get(v, full) for v in order] if allowed else [full] * len(order)
@@ -377,7 +371,7 @@ def _times_roots(poly: list[int], roots: list[int]) -> list[int]:
     return poly
 
 
-def _search_order(masks: list[int], live: int, left) -> tuple[list[int], float]:
+def _search_order(masks: list[int], live: int, left: int) -> tuple[list[int], int]:
     """(order, budget left): the live vertices by maximum cardinality
     search, each next one with the most placed neighbours (a step per vertex
     weighed), ties to the fewest unplaced ones, so that few placed vertices
@@ -405,7 +399,7 @@ def _search_order(masks: list[int], live: int, left) -> tuple[list[int], float]:
     return order, left
 
 
-def _chrom_stack(masks: list[int], live: int, left) -> list[int]:
+def _chrom_stack(masks: list[int], live: int, left: int) -> list[int]:
     """Chromatic polynomial of the graph induced on the vertex mask live,
     masks[v] being v's live neighbours, by deletion-contraction on a stack.
     A task (masks, live, seeds), where only seeds may be simplicial, removes
@@ -462,7 +456,7 @@ def _chrom_stack(masks: list[int], live: int, left) -> list[int]:
     return done.pop()
 
 
-def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
+def chrom_poly(g: Graph) -> ChromPoly:
     """Exact chromatic polynomial: simplicial vertices go first
     (_simplicial), then deletion-contraction (_chrom_stack) on the rest,
     relabelled in _search_order, under one STEP_BUDGET; memo per call."""
@@ -471,18 +465,18 @@ def chrom_poly(g: Graph, *, override_guard: bool = False) -> ChromPoly:
     live = _simplicial(masks, (1 << g.n) - 1, list(range(g.n)), factors)
     poly = [1]
     if live:
-        order, left = _search_order(masks, live, math.inf if override_guard else STEP_BUDGET)
+        order, left = _search_order(masks, live, STEP_BUDGET)
         pos = {v: i for i, v in enumerate(order)}
         poly = _chrom_stack([sum(1 << pos[w] for w in mask_vertices(masks[v])) for v in order],
                             (1 << len(order)) - 1, left)
     return ChromPoly(tuple(_times_roots(poly, factors)))
 
 
-def chrom_eval(g: Graph, q: int, *, override_guard: bool = False) -> int:
+def chrom_eval(g: Graph, q: int) -> int:
     """ch(H, q), the chromatic polynomial evaluated at q."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    return chrom_poly(g, override_guard=override_guard)(q)
+    return chrom_poly(g)(q)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +518,7 @@ def _ind_small(nbr: tuple[int, ...], alive: int) -> int:
     return f
 
 
-def _ind_branch(nbr: tuple[int, ...], alive: int, left) -> tuple[int, float]:
+def _ind_branch(nbr: tuple[int, ...], alive: int, left: int) -> tuple[int, int]:
     """i(H) = i(H - v) + i(H - N[v]) on a maximum-degree vertex, as a sum
     over an explicit stack of vertex masks (a step per vertex scanned), so
     no input recurses, and what is left of the step budget left.  Fewer
@@ -563,15 +557,14 @@ def _ind_branch(nbr: tuple[int, ...], alive: int, left) -> tuple[int, float]:
     return total, left
 
 
-def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
-              override_guard: bool = False) -> int:
+def ind_count(g: Graph, constraint: Optional[ListConstraint] = None) -> int:
     """Number of independent sets compatible with the constraint (targets
     are subsets of {IND_OUT, IND_IN} of the hard-core target).  A
     constraint removes its forced-out vertices and the closed
     neighbourhoods of its forced-in ones.  Fewer than FOREST_MIN_VERTICES
     vertices left go to _ind_small whole; otherwise _ind_branch counts each
-    connected component of the rest, all within one STEP_BUDGET unless the
-    guard is overridden.  Equals hom_count against the hard-core target."""
+    connected component of the rest, all within one STEP_BUDGET.  Equals
+    hom_count against the hard-core target."""
     masks = g.neighbor_masks
     alive = (1 << g.n) - 1
     if constraint is not None:
@@ -590,7 +583,7 @@ def ind_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     if alive.bit_count() < FOREST_MIN_VERTICES:
         return _ind_small(masks, alive)
     total = 1
-    left = math.inf if override_guard else STEP_BUDGET
+    left = STEP_BUDGET
     for comp in mask_components(masks, alive):
         part, left = _ind_branch(masks, comp, left)
         total *= part
@@ -611,8 +604,7 @@ def path_ind_fib(n: int) -> int:
 # Widom-Rowlinson configurations
 # ---------------------------------------------------------------------------
 
-def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
-             override_guard: bool = False) -> int:
+def wr_count(g: Graph, constraint: Optional[ListConstraint] = None) -> int:
     """Red/white/blue colorings where red and blue are never adjacent,
     restricted by the constraint (targets WR_A red, WR_B white, WR_C blue).
 
@@ -639,11 +631,11 @@ def wr_count(g: Graph, constraint: Optional[ListConstraint] = None, *,
     both = allow_b & allow_c
 
     masks = g.neighbor_masks
-    if not override_guard and _words(g.n) << g.n > STEP_BUDGET:  # the cost is at most that
+    if _words(g.n) << g.n > STEP_BUDGET:  # the cost is at most that
         cost = sum(_words(comp.bit_length()) << (comp & allow_a).bit_count()
                    for comp in mask_components(masks, full))
         if cost > STEP_BUDGET:
-            raise SizeGuardError(f"wr_count guard: {cost} steps, more than {STEP_BUDGET}")
+            raise SizeGuardError(f"wr_count guard: more than {STEP_BUDGET} steps")
     total = 1
     for comp in mask_components(masks, full):
         reds = mask_vertices(comp & allow_a)

@@ -372,7 +372,10 @@ def parse_graph6(text: str) -> Graph:
     """Header-free graph6: bytes 63..126, upper triangle packed column-wise
     in 6-bit groups."""
     s = text.strip()
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"character {exc.start}: {s[exc.start]!r} is not ASCII") from None
     for pos, b in enumerate(data):
         if not (63 <= b <= 126):
             raise ParseError(f"byte {pos}: value {b} outside graph6 range 63..126")

@@ -425,7 +425,7 @@ def _rep_groups(t: ClassTable, slots: list[_Slot]) -> list[tuple[list, list]]:
     reps = t.order[t.first_rank]
     groups = []
     for slot in slots:
-        ids = np.flatnonzero(slot.keep & (reps & slot.bit != 0) if slot.bit else slot.keep)
+        ids = np.flatnonzero(slot.has(t, reps))
         rows = list(zip(slot.keys(reps[ids]).tolist(), t.size[ids].tolist(),
                         t.first_rank[ids].tolist()))
         groups.append((rows, slot.margins([key for key, _, _ in rows])))

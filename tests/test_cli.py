@@ -314,24 +314,26 @@ def test_edgelist_header_past_vertex_bound_exit_2(n, argv, tmp_path, capsys):
         f"homverify: line 1: header names {n} vertices, more than 65536\n")
 
 
-@pytest.mark.parametrize("argv,err,out", [
-    (["count", "hom", "--target", "K3_FILE"], "hom_count guard: more than 4 steps", {"count": "162"}),
-    (["poly"], "chrom_poly guard: more than 4 steps",
+@pytest.mark.parametrize("argv,budget,err,out", [
+    (["count", "hom", "--target", "K3_FILE"], 4, "hom_count", {"count": "162"}),
+    (["poly"], 4, "chrom_poly",
      {"coeffs": ["0", "-27", "108", "-189", "189", "-117", "45", "-10", "1"]}),
-    (["count", "ind"], "ind_count guard: more than 4 steps", {"count": "41"}),
-    (["count", "wr"], "wr_count guard: 256 steps, more than 4", {"count": "933"}),
+    (["count", "ind"], 4, "ind_count", {"count": "41"}),
+    (["count", "wr"], 255, "wr_count", {"count": "933"}),
 ], ids=["hom", "poly", "ind", "wr"])
-def test_count_override_size_guard(argv, err, out, monkeypatch, capsys, tmp_path):
-    # the 2 x 4 ladder spends a step budget lowered to 4 by monkeypatch in
-    # every counter; the counts are brute force's.  K_3 comes as a file: the
-    # k3 token's 9 entries are refused by the target guard at this budget
+def test_count_override_size_guard(argv, budget, err, out, monkeypatch, capsys, tmp_path):
+    # the 2 x 4 ladder spends a step budget lowered by monkeypatch in every
+    # counter (to 255 for wr_count, one short of its 2^8 red sets), and
+    # counts at the real budget; the counts are brute force's.  K_3 comes as
+    # a file: the k3 token's 9 entries are refused by the target guard at 4
     k3 = tmp_path / "k3.tg"
     k3.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
     argv = [str(k3) if a == "K3_FILE" else a for a in argv] + ["--graph", _ladder(tmp_path, 4)]
-    monkeypatch.setattr(counting, "STEP_BUDGET", 4)
+    monkeypatch.setattr(counting, "STEP_BUDGET", budget)
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"homverify: {err}\n"
-    assert cli.main([*argv, "--override-size-guard"]) == 0
+    assert capsys.readouterr().err == f"homverify: {err} guard: more than {budget} steps\n"
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out) == out
 
 
@@ -382,8 +384,7 @@ def test_count_hom_one_vertex_target_long_path(loop, count, tmp_path):
 
 def test_count_hom_override_long_path(tmp_path):
     path3000 = _write_edgelist(tmp_path / "p3000.el", 3000, [(i, i + 1) for i in range(2999)])
-    r = run_cli("count", "hom", "--graph", path3000, "--target", "k2",
-                "--override-size-guard", timeout=60)
+    r = run_cli("count", "hom", "--graph", path3000, "--target", "k2", timeout=60)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == {"count": "2"}
 
@@ -393,7 +394,7 @@ def test_count_ind_override_long_path_and_cycle(cycle, tmp_path):
     n = 3000  # far deeper than the recursion limit if branched
     edges = [(i, (i + 1) % n) for i in range(n if cycle else n - 1)]
     graph = _write_edgelist(tmp_path / "g.el", n, edges)
-    r = run_cli("count", "ind", "--graph", graph, "--override-size-guard", timeout=60)
+    r = run_cli("count", "ind", "--graph", graph, timeout=60)
     assert r.returncode == 0, r.stderr
     # the path has F_3002 independent sets, the cycle the Lucas number F_2999 + F_3001
     want = counting.path_ind_fib(n - 3) + counting.path_ind_fib(n - 1) if cycle \
@@ -407,7 +408,7 @@ def test_count_ind_prints_past_int_digit_limit(tmp_path, capsys):
     # hits the same limit
     n = 25000
     path = _write_edgelist(tmp_path / "p.el", n, [(i, i + 1) for i in range(n - 1)])
-    assert cli.main(["count", "ind", "--graph", path, "--override-size-guard"]) == 0
+    assert cli.main(["count", "ind", "--graph", path]) == 0
     text = json.loads(capsys.readouterr().out)["count"]
     a, b = 0, 1  # F_0, F_1
     for _ in range(n + 2):
@@ -429,7 +430,8 @@ def test_count_chrom_override_size_guard(monkeypatch, capsys, tmp_path):
     argv = ["count", "chrom", "--graph", _ladder(tmp_path, 4), "--q", "3"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "homverify: chrom_poly guard: more than 4 steps\n"
-    assert cli.main([*argv, "--override-size-guard"]) == 0
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out) == {"count": "162"}
 
 
@@ -441,12 +443,14 @@ def _ladder(tmp_path, k):
 
 
 @pytest.mark.parametrize("argv", [["poly"], ["count", "chrom", "--q", "3"]])
-def test_chrom_deep_ladder_counts(argv, tmp_path, capsys):
-    # 1,798 edges, admitted by the override; the deletion-contraction runs
-    # 599 steps deep, past the recursion limit had it recursed
+def test_chrom_deep_ladder_counts(argv, tmp_path, capsys, monkeypatch):
+    # 1,798 edges, past the real step budget, so the budget is raised to
+    # 2^24 by monkeypatch; the deletion-contraction runs 599 steps deep,
+    # past the recursion limit had it recursed
+    monkeypatch.setattr(counting, "STEP_BUDGET", 1 << 24)
     ladder = _ladder(tmp_path, 600)
     start = time.perf_counter()
-    assert cli.main([*argv, "--graph", ladder, "--override-size-guard"]) == 0
+    assert cli.main([*argv, "--graph", ladder]) == 0
     assert time.perf_counter() - start < 10.0
     out = json.loads(capsys.readouterr().out)
     count = sum(int(c) * 3 ** i for i, c in enumerate(out["coeffs"])) if "coeffs" in out \
@@ -457,7 +461,7 @@ def test_chrom_deep_ladder_counts(argv, tmp_path, capsys):
 def test_chrom_ladder_within_recursion_limit(tmp_path, capsys):
     # the 2 x 300 ladder nests 299 steps deep and still counts
     argv = ["count", "chrom", "--graph", _ladder(tmp_path, 300), "--q", "3"]
-    assert cli.main([*argv, "--override-size-guard"]) == 0
+    assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out) == {"count": str(6 * 3 ** 299)}
 
 
@@ -551,7 +555,8 @@ def test_count_hom_kq_entries_override(tmp_path, capsys, monkeypatch):
     argv = ["count", "hom", "--graph", str(DATA / "p4.el"), "--target", "k3"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "homverify: target guard: k3 has 9 entries, more than 8\n"
-    assert cli.main([*argv, "--override-size-guard"]) == 0
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out) == {"count": "24"}
 
 
@@ -578,7 +583,8 @@ def test_count_hom_weighted_override_size_guard(monkeypatch, capsys, tmp_path):
             _write_tenths_target(tmp_path / "t.tg", 3)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "homverify: hom_count guard: elimination sums over 3^2 entries\n"
-    assert cli.main([*argv, "--override-size-guard"]) == 0
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
     # 1^T W^3 1 for W = (J + I)/10 on 3 vertices: every row sums to 5/10
     assert json.loads(capsys.readouterr().out) == {"count": "3/8"}
 
@@ -596,6 +602,56 @@ def test_graph6_input(tmp_path):
     r = run_cli("count", "chrom", "--graph", str(g6), "--q", "3")
     assert r.returncode == 0
     assert json.loads(r.stdout)["count"] == "18"
+
+
+def test_graph6_non_ascii_exit_2(tmp_path, capsys):
+    # the bytes of "Bé": not an edgeless 3-vertex graph
+    g6 = tmp_path / "bad.g6"
+    g6.write_bytes(b"B\xc3\xa9\n")
+    assert cli.main(["count", "ind", "--graph", str(g6)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "not ASCII" in out.err
+
+
+@pytest.mark.parametrize("argv", [["count", "hom", "--target", "k2"],
+                                  ["count", "chrom", "--q", "3"],
+                                  ["count", "ind"], ["count", "wr"], ["poly"]],
+                         ids=["hom", "chrom", "ind", "wr", "poly"])
+def test_override_size_guard_flag_exit_2(argv, capsys):
+    # the step budget is the one resource rule: no flag lifts it
+    assert cli.main([*argv, "--graph", str(DATA / "p4.el"), "--override-size-guard"]) == 2
+    assert capsys.readouterr().err == "homverify: unrecognized arguments: --override-size-guard\n"
+
+
+@pytest.mark.parametrize("argv", [["count", "wr"], ["verify", "cor1_6"]], ids=["count", "verify"])
+def test_wr_guard_on_large_star_names_the_budget(argv, tmp_path, capsys):
+    # the star's 2^19999 red sets are refused without turning a count of
+    # more than 4,300 digits into text
+    star = _write_edgelist(tmp_path / "star.el", 20000, [(0, v) for v in range(1, 20000)])
+    assert cli.main([*argv, "--graph", star]) == 2
+    assert capsys.readouterr().err == (
+        f"homverify: wr_count guard: more than {counting.STEP_BUDGET} steps\n")
+
+
+@pytest.mark.parametrize("alias", ["looped-k2", "p3loop"])
+def test_undocumented_target_aliases_are_paths(alias, tmp_path, monkeypatch, capsys):
+    # only k<q>, hardcore and wr name built-in targets; anything else is a file
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["count", "hom", "--graph", str(DATA / "p4.el"), "--target", alias]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and alias in out.err
+
+
+def test_readme_synopsis_flags_are_accepted():
+    # every --flag of README's CLI block is an option of its subcommand
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```bash\n", 1)[1].split("```", 1)[0]
+    subs = cli.build_parser()._subparsers._group_actions[0].choices
+    synopsis = [line.split() for line in block.splitlines() if line.startswith("homverify ")]
+    assert {words[1] for words in synopsis} == set(subs)
+    for words in synopsis:
+        flags = {w.strip("[]") for w in words if w.lstrip("[").startswith("--")}
+        assert flags <= set(subs[words[1]]._option_string_actions), words[1]
 
 
 def _script(name):

@@ -325,7 +325,7 @@ def test_hom_batch_slices_and_chunks(monkeypatch):
     monkeypatch.setattr(counting, "_contract",
                         lambda ops, out: sizes.append(len(ops)) or contract(ops, out))
     assert hom_batch(g, _batch(_doubled(HC), dtype=object)).tolist() == [
-        2 ** g.m * ind_count(g, override_guard=True)]
+        2 ** g.m * ind_count(g)]
     assert max(sizes) == 31
     ts = [_dense_tenths(3, seed) for seed in range(10)]
     k5 = complete_graph(5)
@@ -380,20 +380,20 @@ def _tree41() -> Graph:
 
 # The guard tests lower STEP_BUDGET by monkeypatch, so that an input that
 # counts in milliseconds spends it: the call is refused with a message
-# naming the counter, and counts with the override.  Each then counts,
+# naming the counter, and counts at the real budget.  Each then counts,
 # at the real budget, an input that an old size guard refused.
 
 def _refused_then_counted(monkeypatch, budget, name, count, g, want):
     monkeypatch.setattr(counting, "STEP_BUDGET", budget)
     with pytest.raises(SizeGuardError, match=f"^{name} guard: more than {budget} steps$"):
         count(g)
-    assert count(g, override_guard=True) == want
     monkeypatch.undo()
+    assert count(g) == want
 
 
 def test_hom_guard(monkeypatch):
     _refused_then_counted(monkeypatch, 12, "hom_count",
-                          lambda g, **kw: hom_count(g, complete_target(3), **kw),
+                          lambda g: hom_count(g, complete_target(3)),
                           path_graph(12), 3 * 2 ** 11)
     # isolated vertices walk nothing; 70 of them were past n*log2(k) = 64
     assert hom_count(empty_graph(70), complete_target(2)) == 2 ** 70
@@ -407,17 +407,20 @@ def test_ind_wr_guards(monkeypatch):
     # 1,100 bits wide, three words, so its one pop costs 24 steps, not 8
     g = Graph.from_edges(1100, [(v, v + 1) for v in range(1092, 1099)])
     out = ListConstraint({v: {IND_OUT} for v in range(1092)})
-    _refused_then_counted(monkeypatch, 23, "ind_count", lambda g, **kw: ind_count(g, out, **kw),
+    _refused_then_counted(monkeypatch, 23, "ind_count", lambda g: ind_count(g, out),
                           g, path_ind_fib(8))
-    # wr_count is refused before it sums: P_3 has 2^3 red sets in one
-    # component, 25 isolated vertices 2 each
-    monkeypatch.setattr(counting, "STEP_BUDGET", 7)
-    with pytest.raises(SizeGuardError, match="^wr_count guard: 8 steps, more than 7$"):
-        wr_count(path_graph(3))
-    assert wr_count(path_graph(3), override_guard=True) == 17
-    monkeypatch.setattr(counting, "STEP_BUDGET", 49)
-    with pytest.raises(SizeGuardError, match="^wr_count guard: 50 steps, more than 49$"):
-        wr_count(empty_graph(25))
+    # wr_count is refused before it sums, one step short of its cost, and
+    # counts at it: P_3 has 2^3 red sets in one component, 25 isolated
+    # vertices 2 each, and the 2 x 4 ladder 2^8 in one component
+    ladder = Graph.from_edges(8, [(i, i + 1) for i in (0, 1, 2, 4, 5, 6)]
+                              + [(i, 4 + i) for i in range(4)])
+    for g, cost, want in ((path_graph(3), 8, 17), (empty_graph(25), 50, 3 ** 25),
+                          (ladder, 256, 933)):
+        monkeypatch.setattr(counting, "STEP_BUDGET", cost - 1)
+        with pytest.raises(SizeGuardError, match=f"^wr_count guard: more than {cost - 1} steps$"):
+            wr_count(g)
+        monkeypatch.setattr(counting, "STEP_BUDGET", cost)
+        assert wr_count(g) == want
     monkeypatch.undo()
     # past the old 40- and 24-vertex guards
     assert ind_count(path_graph(41)) == path_ind_fib(41)
@@ -431,6 +434,7 @@ def test_chrom_poly_guard(monkeypatch):
     stack = counting._chrom_stack
     ladder = Graph.from_edges(12, [(i, i + 1) for i in range(5)] + [(6 + i, 7 + i) for i in range(5)]
                               + [(i, 6 + i) for i in range(6)])
+    real = counting.STEP_BUDGET
     for g, budget, want, deep in ((ladder, 40, 6 * 3 ** 5, True), (cycle_graph(5), 11, 30, False)):
         entered = []
         monkeypatch.setattr(counting, "_chrom_stack", lambda *a: entered.append(a) or stack(*a))
@@ -438,7 +442,8 @@ def test_chrom_poly_guard(monkeypatch):
         with pytest.raises(SizeGuardError, match=f"^chrom_poly guard: more than {budget} steps$"):
             chrom_poly(g)
         assert bool(entered) == deep
-        assert chrom_poly(g, override_guard=True)(3) == want
+        monkeypatch.setattr(counting, "STEP_BUDGET", real)
+        assert chrom_poly(g)(3) == want
     monkeypatch.undo()
     # a 41-edge tree, past the old 40-edge guard, is simplicial vertices
     assert chrom_poly(_tree41()).coeffs == chrom_poly(path_graph(42)).coeffs
@@ -446,7 +451,7 @@ def test_chrom_poly_guard(monkeypatch):
 
 def test_chrom_eval_override_guard(monkeypatch):
     # chrom_eval has one route, the polynomial, under its budget
-    _refused_then_counted(monkeypatch, 11, "chrom_poly", lambda g, **kw: chrom_eval(g, 3, **kw),
+    _refused_then_counted(monkeypatch, 11, "chrom_poly", lambda g: chrom_eval(g, 3),
                           cycle_graph(5), 30)
 
 
@@ -476,7 +481,7 @@ def test_hom_one_vertex_target_closed_form():
 
 def test_hom_long_path_without_recursion():
     # 3000 planned vertices: deeper than the recursion limit
-    assert hom_count(path_graph(3000), complete_target(2), override_guard=True) == 2
+    assert hom_count(path_graph(3000), complete_target(2)) == 2
 
 
 def test_constraint_validation():
@@ -538,15 +543,15 @@ def test_chrom_poly_long_inputs_without_recursion():
     # vertex per call; a path is removed leaf by leaf, a cycle is the
     # closed form, and K_12 is simplicial vertices alone
     q_minus_1 = [(-1) ** (2999 - i) * math.comb(2999, i) for i in range(3000)]
-    assert chrom_poly(path_graph(3000), override_guard=True).coeffs == (0, *q_minus_1)
+    assert chrom_poly(path_graph(3000)).coeffs == (0, *q_minus_1)
     # (q-1)^3000 + (q-1)
     want = [(-1) ** (3000 - i) * math.comb(3000, i) for i in range(3001)]
     want[0] -= 1
     want[1] += 1
-    cyc = chrom_poly(cycle_graph(3000), override_guard=True)
+    cyc = chrom_poly(cycle_graph(3000))
     assert cyc.coeffs == tuple(want)
     assert cyc(7) == cycle_chrom_formula(3000, 7)
-    assert chrom_poly(complete_graph(12), override_guard=True)(12) == math.factorial(12)
+    assert chrom_poly(complete_graph(12))(12) == math.factorial(12)
 
 
 def _near_recursion_limit(fn):
@@ -564,7 +569,7 @@ def test_chrom_poly_ladder_from_deep_caller():
     ladder = Graph.from_edges(2 * k, [(i, i + 1) for i in range(k - 1)]
                               + [(k + i, k + i + 1) for i in range(k - 1)]
                               + [(i, k + i) for i in range(k)])
-    poly = _near_recursion_limit(lambda: chrom_poly(ladder, override_guard=True))
+    poly = _near_recursion_limit(lambda: chrom_poly(ladder))
     assert poly(3) == 6 * 3 ** (k - 1)
 
 
@@ -572,7 +577,7 @@ def test_ind_count_clique_from_deep_caller():
     # K_100 branches 93 times down its first-vertex side before fewer than
     # FOREST_MIN_VERTICES vertices are left, called from within 60 frames
     # of the recursion limit
-    assert _near_recursion_limit(lambda: ind_count(complete_graph(100), override_guard=True)) == 101
+    assert _near_recursion_limit(lambda: ind_count(complete_graph(100))) == 101
 
 
 def _dense_graph(seed: int) -> Graph:
@@ -658,10 +663,10 @@ def test_ind_constraint_matches_hom(g):
 
 def test_ind_long_path_and_cycle():
     # 3000 vertices: far deeper than the recursion limit if branched
-    assert ind_count(path_graph(3000), override_guard=True) == path_ind_fib(3000)
+    assert ind_count(path_graph(3000)) == path_ind_fib(3000)
     # the Lucas number L_3000 = F_2999 + F_3001
     lucas = path_ind_fib(2997) + path_ind_fib(2999)
-    assert ind_count(cycle_graph(3000), override_guard=True) == lucas
+    assert ind_count(cycle_graph(3000)) == lucas
 
 
 @st.composite

@@ -195,6 +195,12 @@ def test_graph6_errors():
         parse_graph6("C")  # missing body
 
 
+def test_graph6_refuses_non_ascii():
+    # 'é' is refused where it stands, not read as '?' (63), a graph6 byte
+    with pytest.raises(ParseError, match="^character 1: 'é' is not ASCII$"):
+        parse_graph6("Bé")
+
+
 def test_graph6_padding_must_be_zero():
     # n = 2 has one edge bit and five padding bits in its one body byte
     assert parse_graph6("A_") == complete_graph(2)

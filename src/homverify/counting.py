@@ -25,7 +25,8 @@ graphs apart.  What remains is relabelled by maximum cardinality search and
 deleted and contracted from its lowest vertex on an explicit stack, memoised
 per call on the masks (Haggard, Pearce & Royle 2010), with a closed form for
 unions of cycles.  The independent-set count branches on whole graphs below
-FOREST_MIN_VERTICES vertices and per component above, on an explicit stack.
+FOREST_MIN_VERTICES vertices, one call per branch, a pendant vertex taking
+its neighbour with it, and per component above, on an explicit stack.
 Each loop that can run long charges its steps' work to one STEP_BUDGET per
 call; wr_count and hom_batch, whose costs are known at the start, are
 refused then if over.
@@ -504,18 +505,28 @@ def _ind_forest(nbr: tuple[int, ...], alive: int) -> int:
 
 def _ind_small(nbr: tuple[int, ...], alive: int) -> int:
     """i of the subgraph induced on `alive`, fewer than FOREST_MIN_VERTICES
-    vertices, by i(H) = i(H - v) + i(H - N[v]) on the lowest vertex v (an
-    isolated v doubles), with no degree scan; depth stays below
-    FOREST_MIN_VERTICES."""
+    vertices, by i(H) = i(H - v) + i(H - N[v]) on the lowest vertex v, with
+    no degree scan and one call per branch: the loop goes on over H - v
+    and one call adds f i(H - N[v]), f the factor the loop carries.  An
+    isolated v doubles f.  A pendant v, whose one neighbour is u, takes u
+    with it: with A = H - v - u, i(H) = 2 i(A) + i(A - N(u)), so the call
+    adds f i(A - N(u)) and the loop goes on over A with f doubled.  Each
+    call drops at least two vertices, so depth stays below
+    FOREST_MIN_VERTICES / 2."""
     f = 1
+    total = 0
     while alive:
         b = alive & -alive
         alive ^= b
         near = nbr[b.bit_length() - 1] & alive
         if near:
-            return f * (_ind_small(nbr, alive) + _ind_small(nbr, alive & ~near))
+            if near & (near - 1):
+                total += f * _ind_small(nbr, alive & ~near)
+                continue
+            alive ^= near
+            total += f * _ind_small(nbr, alive & ~nbr[near.bit_length() - 1])
         f <<= 1
-    return f
+    return total + f
 
 
 def _ind_branch(nbr: tuple[int, ...], alive: int, left: int) -> tuple[int, int]:

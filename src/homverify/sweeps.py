@@ -249,7 +249,7 @@ class _Slot(NamedTuple):
     position i*S + s, so each graph's reports come q by q, in slot order.
 
     The graphs here are those of the classes marked in keep that contain
-    the pair bit (all of them if bit is 0), as has(t, masks) tells.
+    the pair bit (all of them if bit is 0), as has(ids, masks) tells.
     keys(masks) puts each in a group (a class-level slot's is its class)
     whose reports agree in every field but the graph6 name that opens the
     instance string; a key must not change when the graph is relabelled,
@@ -274,9 +274,9 @@ class _Slot(NamedTuple):
     rename: bool = False
     pair: Optional[tuple[int, int]] = None
 
-    def has(self, t: ClassTable, masks: np.ndarray) -> np.ndarray:
-        """Which of the masks of t are graphs of this slot."""
-        have = self.keep[t.cls[masks]]
+    def has(self, ids: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Which of the masks, of class ids ids, are graphs of this slot."""
+        have = self.keep[ids]
         return have & (masks & self.bit != 0) if self.bit else have
 
 
@@ -423,9 +423,10 @@ def _rep_groups(t: ClassTable, slots: list[_Slot]) -> list[tuple[list, list]]:
     labelled graph, and a labelled graph's key at a pair slot is its
     representative's key at some pair slot."""
     reps = t.order[t.first_rank]
+    rep_ids = np.arange(len(reps))
     groups = []
     for slot in slots:
-        ids = np.flatnonzero(slot.has(t, reps))
+        ids = np.flatnonzero(slot.has(rep_ids, reps))
         rows = list(zip(slot.keys(reps[ids]).tolist(), t.size[ids].tolist(),
                         t.first_rank[ids].tolist()))
         groups.append((rows, slot.margins([key for key, _, _ in rows])))
@@ -582,8 +583,9 @@ def _report_batch(t: ClassTable, cfg: SweepConfig, write: Callable[[str], object
     for lo in range(0, len(t.order), step):
         m = t.order[lo:lo + step]
         ids = np.full((len(m), width * nq), -1, dtype=np.int64)
+        cls = t.cls[m]
         for s, slot in enumerate(slots):
-            have = slot.has(t, m)
+            have = slot.has(cls, m)
             k = slot.keys(m[have])
             at = np.searchsorted(keys[s], k)
             if len(k) and not (at.max() < len(keys[s]) and np.array_equal(keys[s][at], k)):

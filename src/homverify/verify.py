@@ -286,7 +286,8 @@ def check_connected_ind_bound(g: Graph) -> Report:
         return _na(gid, "cor1_4", "graph is disconnected")
     n, e = g.n, g.m
     lhs = Fraction(ind_count(g))
-    rhs = path_ind_fib(n) * Fraction(3, 4) ** (e - (n - 1))
+    # F_2 = 1 for the graph with no vertices, which has one independent set
+    rhs = (path_ind_fib(n) if n else 1) * Fraction(3, 4) ** (e - (n - 1))
     try:
         advisory = (float(lhs), 0.75 * ((1 + math.sqrt(5)) / 3) ** n * 2 ** n * 0.75 ** e)
     except OverflowError:  # a count or 2^n past the float range

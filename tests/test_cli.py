@@ -291,6 +291,16 @@ def test_search_source_size_limit(n, code, tmp_path):
     assert json.loads(r.stdout) == {"found": False, "seed": 1, "samples": 10}
 
 
+def test_verify_cor1_4_no_vertices(tmp_path, capsys):
+    # exited 2 with a message about a path: the bound read F_{n+2} through
+    # path_ind_fib, which refuses n = 0
+    path = _write_edgelist(tmp_path / "empty.el", 0, [])
+    assert cli.main(["verify", "cor1_4", "--graph", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0])["verdict"] == "holds"
+
+
 def test_count_size_guards_exit_2(tmp_path):
     k40 = _write_edgelist(tmp_path / "k40.el", 40,
                           [(u, v) for u in range(40) for v in range(u + 1, 40)])

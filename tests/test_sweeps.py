@@ -234,7 +234,7 @@ def test_report_mode_keys_each_labelled_mask_once(monkeypatch, claim, kw):
     bound = 0
     for t in map(class_table, range(1, 6)):
         slots = slots_of(t, cfg)
-        bound += sum(int(slot.has(t, t.order).sum()) + len(rows)
+        bound += sum(int(slot.has(t.cls[t.order], t.order).sum()) + len(rows)
                      for slot, (rows, _) in zip(slots, sweeps._rep_groups(t, slots)))
     assert 0 < sum(keyed) <= bound
 

@@ -219,6 +219,14 @@ def test_connected_ind_bound_examples():
     assert r.verdict == INAPPLICABLE
 
 
+def test_connected_ind_bound_no_vertices():
+    # the graph with no vertices is connected and has one independent set:
+    # F_2 = 1, so the bound is 1 >= 3/4 (e - n + 1 = 1)
+    r = check_connected_ind_bound(Graph.from_edges(0, []))
+    assert (r.lhs, r.rhs, r.margin) == (1, Fraction(3, 4), Fraction(1, 4))
+    assert r.advisory_float == (1.0, 0.75)
+
+
 def test_connected_ind_bound_closed_form_advisory():
     for g in (path_graph(4), cycle_graph(4), complete_graph(4), path_graph(7)):
         r = check_connected_ind_bound(g)
